@@ -4,9 +4,7 @@ Config files are JSON with a schema-versioned header key; output tables
 are CSV (RFC 4180) or JSON arrays of row objects.  Complex numbers are
 serialized as {"re": x, "im": y} in JSON and "re;im" cells in CSV.
 
-Exit codes: 0 ok, 2 usage/config error, 3 numerical failure.  The
-FRACEXT_THREADS environment variable caps internal parallelism of the
-z-grid evaluations.
+Exit codes: 0 ok, 2 usage/config error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,17 +53,6 @@ _SYMBOLS = {
 
 class ConfigError(ValueError):
     pass
-
-
-def _threads() -> int:
-    raw = os.environ.get("FRACEXT_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"FRACEXT_THREADS must be an integer, got {raw!r}") from exc
-        return max(1, n)
-    return min(4, os.cpu_count() or 1)
 
 
 def _decode_complex(v) -> complex:
@@ -117,6 +103,12 @@ class ProblemConfig:
         }
 
 
+def _finite(values, name: str):
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{name} must hold finite numbers")
+    return values
+
+
 def parse_config(data: dict) -> ProblemConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -135,7 +127,7 @@ def parse_config(data: dict) -> ProblemConfig:
         sigma=sigma,
         family=dict(data.get("family", {"kind": "semigroup", "alpha": 0.0})),
         method=str(data.get("method", "all")),
-        z_grid=[_decode_complex(z) for z in data.get("z_grid", [])],
+        z_grid=_finite([_decode_complex(z) for z in data.get("z_grid", [])], "z_grid"),
         trace_grid=dict(data.get("trace_grid", {"y0": 0.5, "ratio": 0.7,
                                                 "count": 13, "theta": 0.0})),
         f=data.get("f"),
@@ -145,39 +137,21 @@ def parse_config(data: dict) -> ProblemConfig:
     )
     if cfg.tol <= 0:
         raise ConfigError("tol must be positive")
-    round_trip = parse_config_novalidate(cfg.to_dict())
-    if round_trip.to_dict() != cfg.to_dict():
-        raise ConfigError("config does not round-trip")
     return cfg
-
-
-def parse_config_novalidate(data: dict) -> ProblemConfig:
-    return ProblemConfig(
-        operator=dict(data["operator"]),
-        sigma=_decode_complex(data["sigma"]),
-        family=dict(data.get("family")),
-        method=str(data.get("method")),
-        z_grid=[_decode_complex(z) for z in data.get("z_grid", [])],
-        trace_grid=dict(data.get("trace_grid")),
-        f=data.get("f"),
-        tol=float(data.get("tol")),
-        seed=int(data.get("seed")),
-        output=dict(data.get("output")),
-    )
 
 
 def build_operator(cfg: ProblemConfig) -> LinearOperator:
     spec = cfg.operator
     kind = spec.get("kind")
     if kind == "laplacian":
-        return build_laplacian_1d(int(spec.get("size", 8)),
-                                  float(spec.get("spacing", 1.0)),
+        spacing = _finite(float(spec.get("spacing", 1.0)), "operator.spacing")
+        return build_laplacian_1d(int(spec.get("size", 8)), spacing,
                                   str(spec.get("boundary", "dirichlet")))
     if kind == "diagonal":
         entries = [_decode_complex(v) for v in spec.get("entries", [])]
         if not entries:
             raise ConfigError("diagonal operator needs nonempty 'entries'")
-        return LinearOperator("diagonal", entries)
+        return LinearOperator("diagonal", _finite(entries, "operator.entries"))
     if kind == "fourier":
         name = spec.get("symbol")
         if name not in _SYMBOLS:
@@ -185,7 +159,8 @@ def build_operator(cfg: ProblemConfig) -> LinearOperator:
         modes = spec.get("modes", [])
         if not modes:
             raise ConfigError("fourier operator needs nonempty 'modes'")
-        return build_fourier_multiplier(_SYMBOLS[name], [float(m) for m in modes])
+        modes = _finite([float(m) for m in modes], "operator.modes")
+        return build_fourier_multiplier(_SYMBOLS[name], modes)
     raise ConfigError(f"unknown operator kind {kind!r}")
 
 
@@ -210,7 +185,7 @@ def resolve_f(cfg: ProblemConfig, n: int) -> np.ndarray:
     if spec is None:
         return np.ones(n)
     if isinstance(spec, list):
-        vec = np.array([_decode_complex(v) for v in spec])
+        vec = _finite(np.array([_decode_complex(v) for v in spec]), "f")
         if vec.shape[0] != n:
             raise ConfigError(f"f has length {vec.shape[0]}, operator dimension is {n}")
         return vec
@@ -276,8 +251,6 @@ def cmd_fracpow(cfg: ProblemConfig):
             raise ConfigError("fracpow integrated method needs a semigroup-side family")
         methods.append((f"integrated(alpha={fam.alpha:g})",
                         integrated_power(fam, cfg.sigma, f, tol=1e-9).value))
-    if cfg.method in ("oracle",):
-        pass
     if not methods and cfg.method != "oracle":
         raise ConfigError(f"unknown fracpow method {cfg.method!r}")
     methods.append(("spectral_oracle", oracle))
@@ -298,30 +271,30 @@ _EXTEND_METHODS = ("semigroup", "regularized", "fractional_data",
 
 
 def _extend_at(cfg, A, fam, f, z):
-    vals = {}
+    """{method: ExtensionEvaluation} at one z."""
     wanted = _EXTEND_METHODS if cfg.method == "all" else (cfg.method,)
     power = None
     if any(m in ("regularized", "fractional_data", "cosine_fractional") for m in wanted):
         power = balakrishnan_power(A, cfg.sigma, f, tol=1e-10).value
+    evals = {}
     for m in wanted:
         if m == "semigroup":
-            vals[m] = solve_semigroup_form(fam, cfg.sigma, z, f, tol=1e-10).value
+            evals[m] = solve_semigroup_form(fam, cfg.sigma, z, f, tol=1e-10)
         elif m == "regularized":
-            vals[m] = solve_regularized(fam, cfg.sigma, z, f,
-                                        (0.1, 0.01, 0.001, 1e-4, 1e-5, 1e-6),
-                                        power_input=power, tol=1e-10).value
+            evals[m] = solve_regularized(fam, cfg.sigma, z, f,
+                                         (0.1, 0.01, 0.001, 1e-4, 1e-5, 1e-6),
+                                         power_input=power, tol=1e-10)
         elif m == "fractional_data":
-            vals[m] = solve_fractional_data(fam, cfg.sigma, z, f,
-                                            power_input=power, tol=1e-10).value
+            evals[m] = solve_fractional_data(fam, cfg.sigma, z, f,
+                                             power_input=power, tol=1e-10)
         elif m == "cosine":
-            vals[m] = solve_cosine_form(cosine_family(A), cfg.sigma, z, f,
-                                        tol=1e-9).value
+            evals[m] = solve_cosine_form(cosine_family(A), cfg.sigma, z, f, tol=1e-9)
         elif m == "cosine_fractional":
-            vals[m] = solve_cosine_fractional(cosine_family(A), cfg.sigma, z, f,
-                                              power_input=power, tol=1e-9).value
+            evals[m] = solve_cosine_fractional(cosine_family(A), cfg.sigma, z, f,
+                                               power_input=power, tol=1e-9)
         else:
             raise ConfigError(f"unknown extend method {m!r}")
-    return vals
+    return evals
 
 
 def cmd_extend(cfg: ProblemConfig):
@@ -333,19 +306,15 @@ def cmd_extend(cfg: ProblemConfig):
     if fam.is_cosine:
         raise ConfigError("extend expects a semigroup-side family; cosine forms are "
                           "selected through 'method'")
-
-    def work(z):
-        return _extend_at(cfg, A, fam, f, z)
-
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        all_vals = list(pool.map(work, cfg.z_grid))
     wanted = _EXTEND_METHODS if cfg.method == "all" else (cfg.method,)
     columns = (["z", "component"] + [f"u_{m}" for m in wanted]
                + ["error_estimate", "max_pairwise_delta"])
     rows = []
     worst = 0.0
-    for z, vals in zip(cfg.z_grid, all_vals):
-        arr = [vals[m] for m in wanted]
+    for z in cfg.z_grid:
+        evals = _extend_at(cfg, A, fam, f, z)
+        arr = [evals[m].value for m in wanted]
+        estimate = max(evals[m].error_estimate for m in wanted)
         delta = 0.0
         for i in range(len(arr)):
             for j in range(i + 1, len(arr)):
@@ -353,7 +322,7 @@ def cmd_extend(cfg: ProblemConfig):
         worst = max(worst, delta)
         for k in range(A.dimension):
             rows.append([complex(z), k] + [complex(v[k]) for v in arr]
-                        + [1e-9, delta])
+                        + [estimate, delta])
     code = EXIT_OK if (len(wanted) < 2 or worst <= cfg.tol) else EXIT_NUMERICAL
     return rows, columns, code
 
@@ -369,8 +338,8 @@ def cmd_trace(cfg: ProblemConfig):
     ratio = float(gspec.get("ratio", 0.7))
     count = int(gspec.get("count", 13))
     theta = float(gspec.get("theta", 0.0))
-    if not (0 < ratio < 1) or count < 3 or y0 <= 0:
-        raise ConfigError("trace_grid needs y0 > 0, 0 < ratio < 1, count >= 3")
+    if not (0 < ratio < 1) or count < 3 or not (0 < y0 < math.inf):
+        raise ConfigError("trace_grid needs finite y0 > 0, 0 < ratio < 1, count >= 3")
     grid = [y0 * ratio ** k for k in range(count)]
     sol = ExtensionSolver(fam, cfg.sigma, f, tol=1e-11)
     oracle = spectral_power_oracle(A, cfg.sigma, f).value

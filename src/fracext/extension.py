@@ -27,16 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import OperatorFamily, _scalar_for, spectral_eigendata
-from .funcalc import (
-    _scalar_family_integral,
-    _weyl_kernel_fn,
-    balakrishnan_power,
-    pi_alpha,
-)
+from .families import OperatorFamily, spectral_eigendata
+from .funcalc import _weyl_kernel_fn, balakrishnan_power, spectral_integral
 from .kernels import ExprKernel, Kernel, SectorPoint, z_derivative_fn
 from .operators import LinearOperator, apply
-from .quadrature import DecayHint, integrate_halfline, richardson_multi
+from .quadrature import richardson_multi
 from .specfun import FracOrder, constants_for, cpow
 
 __all__ = [
@@ -96,66 +91,23 @@ def _sector_point(z: complex, closed: bool = False) -> SectorPoint:
     return SectorPoint(complex(z), math.pi / 4.0, closed=closed)
 
 
-def _assemble(family: OperatorFamily, f, per_eig):
-    eigs, basis, inv = spectral_eigendata(family.generator)
-    f = np.asarray(f, dtype=complex).reshape(-1)
-    coords = inv @ f
-    vals = np.array([per_eig(complex(a)) for a in eigs])
-    return basis @ (vals * coords)
-
-
-# ---------------------------------------------------------------------------
-# semigroup-side scalar integrals (rotation-aware)
-
-
-def _rotated_scalar_integral(kernel, family_kind: str, alpha: float, a: complex,
-                             phi_rot: float, tol: float) -> complex:
-    """int_0^inf W^alpha K(t) s_a(t) dt along the ray t = e^{i phi} s."""
-    if alpha != int(alpha):
-        raise ValueError("path rotation supports integer family orders")
-    n = int(alpha)
-    expr = kernel.fn(n)
-    sign = (-1.0) ** n
-    rot = cmath.exp(1j * phi_rot)
-    sa = _scalar_for(family_kind, alpha)
-
-    def g(s):
-        s = np.atleast_1d(s)
-        t = rot * s.astype(complex)
-        w = sign * np.asarray(expr(t))
-        fam = np.array([sa(a, complex(tk)) for tk in t])
-        return rot * w * fam
-
-    hints = [DecayHint("essential-singularity-at-zero")]
-    if a.real < -1e-12 or (kernel.tail()[0] == "exponential"):
-        hints.append(DecayHint("exponential-at-infinity"))
-    res = integrate_halfline(g, hints, tol=tol)
-    return complex(np.asarray(res.value).reshape(-1)[0])
-
-
-def _semigroup_scalar_value(kernel, family: OperatorFamily, a: complex, z: complex,
-                            tol: float) -> complex:
-    phi_rot = 0.5 * cmath.phase(z * z)
-    imag_spec = abs(a.imag) > 1e-9
-    if abs(phi_rot) > 1e-12 and not imag_spec:
-        return _rotated_scalar_integral(kernel, family.kind, family.alpha, a,
-                                        phi_rot, tol)
-    if imag_spec and abs(abs(cmath.phase(z)) - math.pi / 4.0) < 1e-12:
-        raise ValueError(
-            "sector boundary evaluation needs a generator with real spectrum"
-        )
-    wfn, w_zero, w_tail = _weyl_kernel_fn(kernel, family.alpha, tol)
-    return _scalar_family_integral(wfn, w_zero, w_tail, family.kind, family.alpha,
-                                   a, tol)
-
-
 def _semigroup_pi(kernel, family: OperatorFamily, f, z: complex, tol: float):
-    if family.has_scalar:
-        return _assemble(family, f,
-                         lambda a: _semigroup_scalar_value(kernel, family, a, z, tol))
-    if abs(cmath.phase(z)) >= math.pi / 4.0 - 1e-12:
-        raise ValueError("black-box families support only the open sector")
-    return pi_alpha(kernel, family, f, tol=tol)
+    """(pi_alpha(kernel) f, error estimate); spectral families take real
+    eigenvalues along the rotated ray t = e^{i arg(z^2)/2} s."""
+    ray = 0.0
+    if not family.has_scalar:
+        if abs(cmath.phase(z)) >= math.pi / 4.0 - 1e-12:
+            raise ValueError("black-box families support only the open sector")
+    else:
+        phi_rot = 0.5 * cmath.phase(z * z)
+        ray = phi_rot if abs(phi_rot) > 1e-12 else 0.0
+        on_edge = abs(abs(cmath.phase(z)) - math.pi / 4.0) < 1e-12
+        if on_edge and np.any(np.abs(spectral_eigendata(family.generator)[0].imag) > 1e-9):
+            raise ValueError(
+                "sector boundary evaluation needs a generator with real spectrum"
+            )
+    weight = _weyl_kernel_fn(kernel, family.alpha, tol)
+    return spectral_integral(weight, family, f, tol, ray=ray)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +124,8 @@ def solve_semigroup_form(family: OperatorFamily, sigma, z, f,
     if abs(cmath.phase(z)) >= math.pi / 4.0 - 1e-12 and not family.has_scalar:
         raise ValueError("|arg z| must be < pi/4 for black-box families")
     kernel = Kernel("b", order, zp)
-    value = _semigroup_pi(kernel, family, f, z, tol)
-    return ExtensionEvaluation(z=z, value=value, error_estimate=tol,
+    value, err = _semigroup_pi(kernel, family, f, z, tol)
+    return ExtensionEvaluation(z=z, value=value, error_estimate=err,
                                formula="semigroup")
 
 
@@ -198,7 +150,7 @@ def solve_regularized(family: OperatorFamily, sigma, z, f, eps_sequence=(1.0, 0.
     values = []
     for eps in eps_sequence:
         kernel = Kernel("B", order, zp, eps=eps)
-        values.append(_semigroup_pi(kernel, family, g, z, tol))
+        values.append(_semigroup_pi(kernel, family, g, z, tol)[0])
     increments = [float(np.max(np.abs(v2 - v1)))
                   for v1, v2 in zip(values, values[1:])]
     if len(increments) >= 2 and increments[-1] > 2.0 * increments[0] + 10 * tol:
@@ -222,8 +174,8 @@ def solve_fractional_data(family: OperatorFamily, sigma, z, f, power_input=None,
     g = _power_input(family, order, f, power_input, tol)
     kernel = Kernel("B_minus_h", order, zp)
     f = np.asarray(f, dtype=complex).reshape(-1)
-    value = f + _semigroup_pi(kernel, family, g, z, tol)
-    return ExtensionEvaluation(z=z, value=value, error_estimate=tol,
+    value, err = _semigroup_pi(kernel, family, g, z, tol)
+    return ExtensionEvaluation(z=z, value=f + value, error_estimate=err,
                                formula="fractional_data")
 
 
@@ -329,13 +281,6 @@ def _cos_kernel_wrap(expr: _CosTerms) -> ExprKernel:
     return ExprKernel(expr, zero, tail)
 
 
-def _cosine_scalar_value(kernel: ExprKernel, family: OperatorFamily, a: complex,
-                         tol: float) -> complex:
-    wfn, w_zero, w_tail = _weyl_kernel_fn(kernel, family.alpha, tol)
-    return _scalar_family_integral(wfn, w_zero, w_tail, family.kind, family.alpha,
-                                   a, tol)
-
-
 def _require_cosine(family: OperatorFamily):
     if not family.is_cosine:
         raise ValueError("needs a cosine-type family")
@@ -367,10 +312,10 @@ def solve_cosine_form(family: OperatorFamily, sigma, z, f,
     s = order.sigma
     front = cpow(z, 2.0 * s, branch="positive")
     expr = _CosTerms(z * z, [(front, 0.0, -(s + 0.5), "prod")])
-    kernel = _cos_kernel_wrap(expr)
-    value = d_sig * _assemble(family, f,
-                              lambda a: _cosine_scalar_value(kernel, family, a, tol))
-    return ExtensionEvaluation(z=z, value=value, error_estimate=tol, formula="cosine")
+    weight = _weyl_kernel_fn(_cos_kernel_wrap(expr), family.alpha, tol)
+    value, err = spectral_integral(weight, family, f, tol)
+    return ExtensionEvaluation(z=z, value=d_sig * value, error_estimate=abs(d_sig) * err,
+                               formula="cosine")
 
 
 def solve_cosine_fractional(family: OperatorFamily, sigma, z, f, power_input=None,
@@ -395,10 +340,9 @@ def solve_cosine_fractional(family: OperatorFamily, sigma, z, f, power_input=Non
     else:
         expr = _CosTerms(z * z, [(1.0, 0.0, s - 0.5, "diff")])
         pref = constants_for(order).kappa_sigma
-    kernel = _cos_kernel_wrap(expr)
-    dec_val = _assemble(family, g,
-                        lambda a: _cosine_scalar_value(kernel, family, a, tol))
-    return ExtensionEvaluation(z=z, value=f + pref * dec_val, error_estimate=tol,
+    weight = _weyl_kernel_fn(_cos_kernel_wrap(expr), family.alpha, tol)
+    dec_val, err = spectral_integral(weight, family, g, tol)
+    return ExtensionEvaluation(z=z, value=f + pref * dec_val, error_estimate=abs(pref) * err,
                                formula="cosine_fractional")
 
 
@@ -430,7 +374,7 @@ class ExtensionSolver:
         z = complex(z)
         bk = Kernel("b", self.order, _sector_point(z, closed=True))
         kernel = ExprKernel.from_expr(z_derivative_fn(bk, 1))
-        return _semigroup_pi(kernel, self.family, self.f, z, self.tol)
+        return _semigroup_pi(kernel, self.family, self.f, z, self.tol)[0]
 
 
 def _trace_exponents(s: complex):

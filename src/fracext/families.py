@@ -1,10 +1,12 @@
 """Semigroup and cosine-family engines with their defining-identity verifiers.
 
 A family T_alpha(t) of temperedness order alpha evaluates t -> T_alpha(t) f.
-Diagonalizable generators get exact per-eigenvalue scalar evaluators (the
-alpha-fold integral of e^{a s} has the closed form t^alpha * sum_n
-(a t)^n / Gamma(alpha+n+1)); families produced from black-box bases fall
-back to graded quadrature of the defining fractional integral.
+Diagonalizable generators make spectral families: T_alpha(t) scales each
+eigenvector by the factor family_factor(kind, alpha, a, t) (the alpha-fold
+integral of e^{a s} has the closed form t^alpha * sum_n
+(a t)^n / Gamma(alpha+n+1)), evaluated for all eigenvalues and times at
+once; families produced from black-box bases fall back to graded
+quadrature of the defining fractional integral.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 
 from .operators import LinearOperator, apply, resolvent_solve, spectral_decompose
 from .quadrature import DecayHint, _graded_interval, integrate_halfline, integrate_interval
-from .specfun import ConvergenceError, _scaled_upper_u, cpow, gamma, lower_incomplete_gamma
+from .specfun import (ConvergenceError, _by_regime, _pow, _scaled_upper_u, cpow, gamma,
+                      lower_incomplete_gamma)
 
 __all__ = [
     "OperatorFamily",
@@ -54,6 +57,27 @@ def spectral_eigendata(op):
     return re + 1j * im, dec.basis, dec.inverse_basis
 
 
+def spectral_apply(op, f, vals):
+    """V diag(vals) V^{-1} f for the eigenbasis V of op.  The eigenvalue axis
+    of vals comes last; leading axes give leading axes of the result."""
+    _, basis, inv = spectral_eigendata(op)
+    coords = inv @ np.asarray(f, dtype=complex).reshape(-1)
+    return (vals * coords) @ basis.T
+
+
+def _series_sum(alpha: float, x):
+    # sum_n x^n / Gamma(alpha+n+1) for |x| <= 12, each lane summed up to the
+    # first term n > |x| below 1e-17 of its partial sum
+    n = np.arange(1, min(400, 64 + int(2.0 * np.max(np.abs(x), initial=0.0))))
+    first = 1.0 / gamma(alpha + 1.0)
+    terms = np.cumprod(x[:, None] / (alpha + n), axis=1) * first
+    partial = first + np.cumsum(terms, axis=1)
+    stop = (np.abs(terms) <= 1e-17 * np.abs(partial)) & (n > np.abs(x)[:, None])
+    if not stop.any(axis=1).all():
+        raise ConvergenceError("integrated exponential series stalled")
+    return partial[np.arange(x.size), np.argmax(stop, axis=1)]
+
+
 def integrated_exponential(a, alpha: float, t):
     """The alpha-fold integral of the scalar exponential:
     (1/Gamma(alpha)) int_0^t (t-s)^{alpha-1} e^{a s} ds.
@@ -61,71 +85,79 @@ def integrated_exponential(a, alpha: float, t):
     Equals t^alpha sum_n (a t)^n / Gamma(alpha+n+1); evaluated through the
     entire series, the incomplete gamma, or its scaled asymptotics
     depending on |a t|.  Valid for complex a and complex t off the
-    negative real axis (t^alpha on the principal branch).
+    negative real axis (t^alpha on the principal branch).  a and t
+    broadcast against each other, each entry taking its own regime;
+    scalar arguments give a complex.
     """
-    a = complex(a)
-    t = complex(t)
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
+    a, t = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(t, dtype=complex))
     if alpha == 0.0:
-        return cmath.exp(a * t)
-    if t == 0.0:
-        return 0.0 + 0.0j
-    t_pow = cpow(t, alpha)
-    if a == 0.0:
-        return t_pow / gamma(alpha + 1.0)
+        out = np.exp(a * t)
+        return complex(out) if out.ndim == 0 else out
     x = a * t
-    if abs(x) <= 12.0:
-        term = 1.0 / gamma(alpha + 1.0)
-        total = term
-        for n in range(1, 400):
-            term *= x / (alpha + n)
-            total += term
-            if abs(term) <= 1e-17 * abs(total) and n > abs(x):
-                break
-        else:
-            raise ConvergenceError("integrated exponential series stalled")
-        return t_pow * total
-    if abs(x) <= 45.0:
-        g = lower_incomplete_gamma(alpha, x)
-        return cmath.exp(x) * cpow(a, -alpha) * g / gamma(alpha)
-    u = _scaled_upper_u(alpha, x)
-    return cpow(a, -alpha) * cmath.exp(x) - t_pow * u / gamma(alpha)
+    ax = np.abs(x)
+    live = t != 0.0
+    return _by_regime([
+        (live & (a == 0.0), lambda a, t, x: _pow(t, alpha) / gamma(alpha + 1.0)),
+        (live & (a != 0.0) & (ax <= 12.0),
+         lambda a, t, x: _pow(t, alpha) * _series_sum(alpha, x)),
+        (live & (ax > 12.0) & (ax <= 45.0),
+         lambda a, t, x: (np.exp(x) * _pow(a, -alpha) * lower_incomplete_gamma(alpha, x)
+                          / gamma(alpha))),
+        (live & (ax > 45.0),
+         lambda a, t, x: (_pow(a, -alpha) * np.exp(x)
+                          - _pow(t, alpha) * _scaled_upper_u(alpha, x) / gamma(alpha))),
+    ], a, t, x)
+
+
+def family_factor(kind: str, alpha: float, a, t):
+    """The scalar factor s_a(t) by which T_alpha(t) acts on an eigenvector
+    with eigenvalue a; a and t broadcast against each other."""
+    a = np.asarray(a, dtype=complex)
+    t = np.asarray(t)
+    if kind == "semigroup":
+        return np.exp(a * t)
+    if kind == "integrated_semigroup":
+        return integrated_exponential(a, alpha, t)
+    w = np.sqrt(-a)
+    if kind == "cosine":
+        return np.cos(w * t)
+    return 0.5 * (integrated_exponential(1j * w, alpha, t)
+                  + integrated_exponential(-1j * w, alpha, t))
 
 
 def scalar_split(kind: str, alpha: float, a):
-    """Exact split of the scalar family factor s_a(t) into pure exponentials
-    plus a smooth remainder:  s_a(t) = sum_k amp_k e^{rate_k t} + smooth(t).
+    """Exact split of the scalar family factor s_a(t), for a rate a != 0,
+    into pure exponentials plus a smooth remainder:
+    s_a(t) = sum_k amp_k e^{rate_k t} + smooth(t).
 
     The exponential parts carry all the oscillation (amplitudes constant in
     t); the remainder decays like t^{alpha-1}/|a| without oscillating, which
-    is what tail quadratures need for imaginary spectra.
+    is what tail quadratures need for imaginary spectra.  smooth takes an
+    array of t.
     """
     a = complex(a)
     if kind == "semigroup":
         return [(1.0 + 0.0j, a)], None
     if kind == "integrated_semigroup":
-        if a == 0.0:
-            return [], lambda t: cpow(t, alpha) / gamma(alpha + 1.0)
         amp = cpow(a, -alpha)
+        ga = gamma(alpha)
 
-        def smooth(t, a=a, alpha=alpha, amp=amp):
-            t = complex(t)
+        def smooth(t):
+            t = np.asarray(t, dtype=complex)
             x = a * t
-            if abs(x) > 45.0:
-                return -cpow(t, alpha) * _scaled_upper_u(alpha, x) / gamma(alpha)
-            return integrated_exponential(a, alpha, t) - amp * cmath.exp(x)
+            far = np.abs(x) > 45.0
+            return _by_regime([
+                (far, lambda t, x: -_pow(t, alpha) * _scaled_upper_u(alpha, x) / ga),
+                (~far, lambda t, x: integrated_exponential(a, alpha, t) - amp * np.exp(x)),
+            ], t, x)
 
         return [(amp, a)], smooth
+    w = cmath.sqrt(-a)
     if kind == "cosine":
-        w = cmath.sqrt(-a)
-        if w == 0.0:
-            return [], lambda t: 1.0 + 0.0j
         return [(0.5 + 0.0j, 1j * w), (0.5 + 0.0j, -1j * w)], None
     if kind == "integrated_cosine":
-        w = cmath.sqrt(-a)
-        if w == 0.0:
-            return [], lambda t: cpow(t, alpha) / gamma(alpha + 1.0)
         parts1, smooth1 = scalar_split("integrated_semigroup", alpha, 1j * w)
         parts2, smooth2 = scalar_split("integrated_semigroup", alpha, -1j * w)
         parts = [(0.5 * parts1[0][0], parts1[0][1]), (0.5 * parts2[0][0], parts2[0][1])]
@@ -137,35 +169,18 @@ def scalar_split(kind: str, alpha: float, a):
     raise ValueError(f"unknown family kind {kind!r}")
 
 
-def _scalar_for(kind: str, alpha: float):
-    if kind == "semigroup":
-        return lambda a, t: cmath.exp(a * t)
-    if kind == "integrated_semigroup":
-        return lambda a, t: integrated_exponential(a, alpha, t)
-    if kind == "cosine":
-        def cos_eval(a, t):
-            w = cmath.sqrt(-a)
-            return cmath.cos(w * t)
-        return cos_eval
-    if kind == "integrated_cosine":
-        def icos_eval(a, t):
-            w = cmath.sqrt(-a)
-            return 0.5 * (integrated_exponential(1j * w, alpha, t)
-                          + integrated_exponential(-1j * w, alpha, t))
-        return icos_eval
-    raise ValueError(f"unknown family kind {kind!r}")
-
-
 @dataclass
 class OperatorFamily:
-    """An evaluator t -> T_alpha(t) f (or C_alpha(t) f) with its generator."""
+    """An evaluator t -> T_alpha(t) f (or C_alpha(t) f) with its generator.
+
+    Without a vector evaluator the family is spectral: T_alpha(t) scales
+    each eigenvector of the generator by family_factor(kind, alpha, a, t).
+    """
 
     kind: str
     alpha: float
     generator: LinearOperator
-    _scalar: object = field(default=None, repr=False)
     _vector: object = field(default=None, repr=False)
-    _memo: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("semigroup", "integrated_semigroup") + _COSINE_KINDS:
@@ -179,38 +194,23 @@ class OperatorFamily:
 
     @property
     def has_scalar(self) -> bool:
-        return self._scalar is not None
-
-    def scalar_value(self, a, t):
-        if self._scalar is None:
-            raise ValueError("family has no scalar closed form")
-        if self.is_cosine:
-            t = -t if (isinstance(t, float) and t < 0) else t
-        return self._scalar(a, t)
+        return self._vector is None
 
     def evaluate(self, t, f) -> np.ndarray:
+        """T_alpha(t) f; an array of t gives one row per entry."""
         f = np.asarray(f, dtype=complex).reshape(-1)
-        if self.is_cosine and isinstance(t, (int, float)) and t < 0:
-            t = -t  # cosine families are even in t
-        key = (complex(t), f.tobytes())
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if self._scalar is not None:
-            eigs, basis, inv = spectral_eigendata(self.generator)
-            vals = np.array([self._scalar(a, t) for a in eigs])
-            out = basis @ (vals * (inv @ f))
-        else:
-            out = np.asarray(self._vector(t, f), dtype=complex).reshape(-1)
-        if len(self._memo) < 65536:
-            self._memo[key] = out
-        return out
+        t = np.asarray(t)
+        if self.is_cosine and np.isrealobj(t):
+            t = np.abs(t)  # cosine families are even in t
+        if self._vector is None:
+            eigs, _, _ = spectral_eigendata(self.generator)
+            vals = family_factor(self.kind, self.alpha, eigs, t[..., None])
+            return spectral_apply(self.generator, f, vals)
+        rows = [np.asarray(self._vector(tk, f), dtype=complex).reshape(-1)
+                for tk in t.reshape(-1).tolist()]
+        return rows[0] if t.ndim == 0 else np.stack(rows).reshape(t.shape + (-1,))
 
     def matrix_at(self, t) -> np.ndarray:
-        if self._scalar is not None:
-            eigs, basis, inv = spectral_eigendata(self.generator)
-            vals = np.array([self._scalar(a, t) for a in eigs])
-            return basis @ np.diag(vals) @ inv
         n = self.generator.dimension
         cols = [self.evaluate(t, e) for e in np.eye(n)]
         return np.stack(cols, axis=1)
@@ -221,7 +221,7 @@ def heat_semigroup(A: LinearOperator) -> OperatorFamily:
     scaling-and-squaring fallback for defective matrices."""
     try:
         spectral_decompose(A)
-        return OperatorFamily("semigroup", 0.0, A, _scalar=_scalar_for("semigroup", 0.0))
+        return OperatorFamily("semigroup", 0.0, A)
     except Exception:
         def vec(t, f, A=A):
             return _expm(complex(t) * A.matrix()) @ f
@@ -233,7 +233,7 @@ def cosine_family(A: LinearOperator, allow_nonselfadjoint: bool = False) -> Oper
     if not A.is_hermitian and not allow_nonselfadjoint:
         raise ValueError("cosine_family needs a self-adjoint generator "
                          "(pass allow_nonselfadjoint=True to override)")
-    return OperatorFamily("cosine", 0.0, A, _scalar=_scalar_for("cosine", 0.0))
+    return OperatorFamily("cosine", 0.0, A)
 
 
 def integrated_cosine(A: LinearOperator, alpha: float,
@@ -259,7 +259,7 @@ def integrate_family(base: OperatorFamily, beta: float, spectral: bool | None = 
     use_spectral = base.has_scalar if spectral is None else spectral
     if use_spectral and base.has_scalar:
         # the scalar closed form depends only on the target order
-        return OperatorFamily(kind, beta, base.generator, _scalar=_scalar_for(kind, beta))
+        return OperatorFamily(kind, beta, base.generator)
     mu = beta - base.alpha
 
     def vec(t, f, base=base, mu=mu):
@@ -269,8 +269,7 @@ def integrate_family(base: OperatorFamily, beta: float, spectral: bool | None = 
 
         def g(d):
             d = np.atleast_1d(d)
-            rows = [d_k ** (mu - 1.0) * base.evaluate(t - d_k, f) for d_k in d]
-            return np.stack(rows, axis=0) / gamma(mu)
+            return (d ** (mu - 1.0))[:, None] * base.evaluate(t - d, f) / gamma(mu)
 
         q = mu - 1.0 if mu < 1.0 else None
         res = _graded_interval(g, 0.0, t, tol, q_left=q)
@@ -351,9 +350,7 @@ def cosine_to_semigroup(C_alpha: OperatorFamily, z: complex, f,
 
     def integrand(s):
         s = np.atleast_1d(s)
-        k = np.asarray(wkernel(s))
-        rows = [k[i] * C_alpha.evaluate(float(sk), f) for i, sk in enumerate(s)]
-        return np.stack(rows, axis=0)
+        return np.asarray(wkernel(s))[:, None] * C_alpha.evaluate(s, f)
 
     res = integrate_interval(integrand, 0.0, s_max, tol=tol)
     return np.asarray(res.value).reshape(-1)
@@ -372,9 +369,8 @@ def verify_resolvent(family: OperatorFamily, lam: complex, f,
 
     def integrand(t):
         t = np.atleast_1d(t)
-        rows = [math.exp(-lam.real * tk) * cmath.exp(-1j * lam.imag * tk)
-                * family.evaluate(float(tk), f) for tk in t]
-        return np.stack(rows, axis=0)
+        damp = np.exp(-lam.real * t) * np.exp(-1j * lam.imag * t)
+        return damp[:, None] * family.evaluate(t, f)
 
     res = integrate_halfline(integrand, [DecayHint("exponential-at-infinity")], tol=tol)
     if family.is_cosine:

@@ -3,10 +3,11 @@
 pi_alpha(phi) f = int_0^inf W^alpha phi(t) T_alpha(t) f dt sends half-line
 kernels to bounded operators; plugging in the resolvent kernels, the
 power kernels, or the extension kernels yields (eps - A)^{-sigma}, the
-Balakrishnan power, and the extension solution respectively.  Families
-with per-eigenvalue closed forms are integrated componentwise (with
-oscillatory panel summation on imaginary spectra); black-box families go
-through vector quadrature.
+Balakrishnan power, and the extension solution respectively.  Every such
+integral goes through spectral_integral: a spectral family integrates all
+eigenvalues that share a route in one vector quadrature (oscillatory
+panel summation per frequency on purely oscillating modes); black-box
+families go through vector quadrature of T_alpha(t) f itself.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import (OperatorFamily, heat_semigroup, integrate_family,
-                       scalar_split, spectral_eigendata)
-from .kernels import ExprKernel, Kernel, weyl_derivative
+from .families import (OperatorFamily, family_factor, heat_semigroup, integrate_family,
+                       scalar_split, spectral_apply, spectral_eigendata)
+from .kernels import ExprKernel, Kernel, _halfline_hints, weyl_derivative
 from .operators import LinearOperator, apply, resolvent_solve
 from .quadrature import (
     DecayHint,
@@ -107,126 +108,125 @@ def _weyl_kernel_fn(phi, alpha: float, tol: float):
     return wfn, w_zero, w_tail
 
 
-def _family_oscillation(kind: str, a: complex):
-    """(oscillation rate, decay rate) of the scalar family factor."""
-    if kind in ("cosine", "integrated_cosine"):
-        mu = cmath.sqrt(-a)
-        return abs(mu.real), abs(mu.imag)
-    return abs(a.imag), abs(a.real)
+def spectral_integral(weight, family: OperatorFamily, f, tol: float,
+                      ray: float = 0.0, shift: float = 0.0):
+    """int_0^inf w(t) T_alpha(shift + t) f dt and its summed quadrature error
+    estimate, for weight = (w, zero exponent, tail) as _weyl_kernel_fn gives.
 
+    A spectral family integrates all eigenvalues that share a route in one
+    vector quadrature of w(t)[:, None] * s_a(shift + t): real eigenvalues
+    along the ray t = e^{i ray} s when ray != 0 (integer orders only);
+    eigenvalues whose factor decays, or all of them under an exponentially
+    decaying weight, through the log substitution; the other
+    non-oscillating ones with the weight's own hints; and each purely
+    oscillating eigenvalue by its own panel summation.  A black-box family
+    integrates w(t) T_alpha(shift + t) f directly.
+    """
+    wfn, w_zero, w_tail = weight
+    alpha = family.alpha
+    f = np.asarray(f, dtype=complex).reshape(-1)
+    prod_zero = None if w_zero is None else w_zero + alpha
+    if w_tail[0] == "exponential":
+        tail = w_tail
+    else:
+        # |T_alpha(t)| <= C t^alpha eats alpha powers of the weight's decay
+        p_eff = w_tail[1] - alpha
+        tail = ("algebraic", p_eff) if p_eff > 1.0 else None
+    hints = _halfline_hints(prod_zero, tail)
+    if not family.has_scalar:
+        def integrand(t):
+            return np.asarray(wfn(t))[:, None] * family.evaluate(shift + t, f)
 
-def _scalar_family_integral(wfn, w_zero, w_tail, family_kind: str, alpha: float,
-                            a: complex, tol: float) -> complex:
-    """int_0^inf W^alpha phi(t) * s_a(t) dt for one eigenvalue a."""
-
-    def integrand(t):
-        t = np.atleast_1d(t)
-        fam = np.array([_SCALAR_CACHE(family_kind, alpha, a, float(tk)) for tk in t])
-        return np.asarray(wfn(t)) * fam
-
-    osc, decay = _family_oscillation(family_kind, a)
-    prod_zero = (w_zero if w_zero is not None else 0.0) + alpha
-    if w_tail[0] == "exponential" or decay > 1e-9:
-        hints = []
-        if w_zero is None:
-            hints.append(DecayHint("essential-singularity-at-zero"))
-        elif prod_zero < 0:
-            hints.append(DecayHint("algebraic-singularity-at-zero", exponent=prod_zero))
-        hints.append(DecayHint("exponential-at-infinity"))
         res = integrate_halfline(integrand, hints, tol=tol)
-        return complex(np.asarray(res.value).reshape(-1)[0])
-    if osc > 1e-9:
-        # undamped oscillation with an algebraic kernel tail.  The head is
-        # integrated with the full product (the family factor ~ t^alpha keeps
-        # it integrable); past it the family splits into pure exponentials
-        # (panel acceleration) plus a smooth ~ t^{alpha-1} remainder.
-        parts, smooth = scalar_split(family_kind, alpha, a)
-        h = math.pi / osc
-        start = h * max(2, int(math.ceil(2.0 / h)))
-        q = prod_zero if (w_zero is not None and prod_zero < 0) else None
-        # kernels carry internal scales (|z|^2 etc.) that can sit far below
-        # the head span; dyadic seeding keeps them visible
-        r_head = _graded_interval(integrand, 0.0, start, tol, q_left=q, seeds=44)
-        total = complex(np.asarray(r_head.value).reshape(-1)[0])
-        for amp, rate in parts:
-            def g(t, rate=rate):
-                t = np.asarray(t)
-                return np.asarray(wfn(t)) * np.exp(rate * t)
+        return np.asarray(res.value).reshape(-1), res.error_estimate
 
-            r = integrate_oscillatory_halfline(g, omega=abs(rate.imag), tol=tol,
-                                               start=start)
-            total += amp * complex(np.asarray(r.value).reshape(-1)[0])
-        if smooth is not None:
-            def gs(tau):
-                tau = np.atleast_1d(tau)
-                t = start + tau
-                sm = np.array([smooth(float(tk)) for tk in t])
-                return np.asarray(wfn(t)) * sm
+    eigs = spectral_eigendata(family.generator)[0]
+    # s_a(t) oscillates and decays like e^{rate t}
+    rate = 1j * np.sqrt(-eigs) if family.is_cosine else eigs
+    rotated = (np.abs(eigs.imag) <= 1e-9) & (ray != 0.0)
+    decaying = ~rotated & ((w_tail[0] == "exponential") | (np.abs(rate.real) > 1e-9))
+    oscillating = ~rotated & ~decaying & (np.abs(rate.imag) > 1e-9)
+    still = ~(rotated | decaying | oscillating)
+    if rotated.any() and alpha != int(alpha):
+        raise ValueError("path rotation supports integer family orders")
+    exp_hints = _halfline_hints(prod_zero, ("exponential", 1.0))
+    vals = np.zeros(len(eigs), dtype=complex)
+    err = 0.0
+    for lanes, lane_hints, rot in ((rotated, exp_hints, cmath.exp(1j * ray)),
+                                   (decaying, exp_hints, 1.0),
+                                   (still, hints, 1.0)):
+        if not lanes.any():
+            continue
+        a = eigs[lanes]
 
-            p_smooth = w_tail[1] - alpha + 1.0
-            hints = [DecayHint("algebraic-at-infinity", power=p_smooth)] \
-                if p_smooth > 1.0 else []
-            r = integrate_halfline(gs, hints, tol=tol)
-            total += complex(np.asarray(r.value).reshape(-1)[0])
-        return total
-    hints = []
-    if w_zero is None:
-        hints.append(DecayHint("essential-singularity-at-zero"))
-    elif prod_zero < 0:
-        hints.append(DecayHint("algebraic-singularity-at-zero", exponent=prod_zero))
-    p_eff = w_tail[1] - alpha
-    if p_eff > 1.0:
-        hints.append(DecayHint("algebraic-at-infinity", power=p_eff))
-    res = integrate_halfline(integrand, hints, tol=tol)
-    return complex(np.asarray(res.value).reshape(-1)[0])
+        def integrand(s, a=a, rot=rot):
+            t = rot * np.asarray(s)
+            fam = family_factor(family.kind, alpha, a, shift + t[:, None])
+            return rot * np.asarray(wfn(t))[:, None] * fam
+
+        res = integrate_halfline(integrand, lane_hints, tol=tol)
+        vals[lanes] = res.value
+        err += res.error_estimate
+    for k in np.flatnonzero(oscillating):
+        vals[k], e = _oscillating_integral(wfn, prod_zero, w_tail, family, eigs[k],
+                                           abs(rate[k].imag), shift, tol)
+        err += e
+    return spectral_apply(family.generator, f, vals), err
 
 
-def _SCALAR_CACHE(kind, alpha, a, t, _memo={}):
-    key = (kind, alpha, a, t)
-    v = _memo.get(key)
-    if v is None:
-        from .families import _scalar_for
-        v = _scalar_for(kind, alpha)(a, t)
-        if len(_memo) > 2_000_000:
-            _memo.clear()
-        _memo[key] = v
-    return v
+def _oscillating_integral(wfn, prod_zero, w_tail, family: OperatorFamily, a: complex,
+                          omega: float, shift: float, tol: float):
+    """(int_0^inf w(t) s_a(shift + t) dt, error estimate) for an undamped
+    factor oscillating at angular frequency omega, under an algebraic
+    weight tail.
+
+    The head is integrated with the full product (the family factor ~
+    t^alpha keeps it integrable); past it the family splits into pure
+    exponentials (accelerated half-period panels) plus a smooth
+    ~ t^{alpha-1} remainder.
+    """
+    alpha = family.alpha
+    parts, smooth = scalar_split(family.kind, alpha, a)
+    h = math.pi / omega
+    start = h * max(2, int(math.ceil(2.0 / h)))
+    q = prod_zero if (prod_zero is not None and prod_zero < 0) else None
+
+    def head(t):
+        return np.asarray(wfn(t)) * family_factor(family.kind, alpha, a, shift + t)
+
+    # kernels carry internal scales (|z|^2 etc.) that can sit far below
+    # the head span; dyadic seeding keeps them visible
+    r = _graded_interval(head, 0.0, start, tol, q_left=q, seeds=44)
+    total = complex(np.asarray(r.value).reshape(-1)[0])
+    err = r.error_estimate
+    amps = np.array([amp for amp, _ in parts])
+    rates = np.array([rt for _, rt in parts])
+
+    def tail(t):
+        t = np.asarray(t)
+        return np.asarray(wfn(t))[:, None] * np.exp(rates * (shift + t[:, None]))
+
+    r = integrate_oscillatory_halfline(tail, omega=omega, tol=tol, start=start)
+    total += complex(amps @ np.asarray(r.value))
+    err += float(np.max(np.abs(amps))) * r.error_estimate
+    if smooth is not None:
+        def gs(tau):
+            t = start + np.asarray(tau)
+            return np.asarray(wfn(t)) * smooth(shift + t)
+
+        p_smooth = w_tail[1] - alpha + 1.0
+        r = integrate_halfline(
+            gs, _halfline_hints(0.0, ("algebraic", p_smooth) if p_smooth > 1.0 else None),
+            tol=tol)
+        total += complex(np.asarray(r.value).reshape(-1)[0])
+        err += r.error_estimate
+    return total, err
 
 
 def pi_alpha(phi, family: OperatorFamily, f, tol: float = 1e-11) -> np.ndarray:
     """The functional-calculus value int_0^inf W^alpha phi(t) T_alpha(t) f dt."""
-    f = np.asarray(f, dtype=complex).reshape(-1)
-    wfn, w_zero, w_tail = _weyl_kernel_fn(phi, family.alpha, tol)
-    if family.has_scalar:
-        eigs, basis, inv = spectral_eigendata(family.generator)
-        coords = inv @ f
-        vals = np.array([
-            _scalar_family_integral(wfn, w_zero, w_tail, family.kind, family.alpha,
-                                    complex(a), tol)
-            for a in eigs
-        ])
-        return basis @ (vals * coords)
-
-    def integrand(t):
-        t = np.atleast_1d(t)
-        w = np.asarray(wfn(t))
-        rows = [w[i] * family.evaluate(float(tk), f) for i, tk in enumerate(t)]
-        return np.stack(rows, axis=0)
-
-    prod_zero = (w_zero if w_zero is not None else 0.0) + family.alpha
-    hints = []
-    if w_zero is None:
-        hints.append(DecayHint("essential-singularity-at-zero"))
-    elif prod_zero < 0:
-        hints.append(DecayHint("algebraic-singularity-at-zero", exponent=prod_zero))
-    if w_tail[0] == "exponential":
-        hints.append(DecayHint("exponential-at-infinity"))
-    else:
-        p_eff = w_tail[1] - family.alpha
-        if p_eff > 1.0:
-            hints.append(DecayHint("algebraic-at-infinity", power=p_eff))
-    res = integrate_halfline(integrand, hints, tol=tol)
-    return np.asarray(res.value).reshape(-1)
+    weight = _weyl_kernel_fn(phi, family.alpha, tol)
+    return spectral_integral(weight, family, f, tol)[0]
 
 
 def cero_residual(phi, family: OperatorFamily, f, phi_zero=None,
@@ -310,79 +310,18 @@ def integrated_power(family: OperatorFamily, sigma, f, tol: float = 1e-11,
 
     def small(t):
         t = np.atleast_1d(t)
-        rows = [T_next.evaluate(float(tk), Af) * tk ** (-s - alpha - 1.0) for tk in t]
-        return np.stack(rows, axis=0)
+        return T_next.evaluate(t, Af) * (t ** (-s - alpha - 1.0))[:, None]
 
     r_small = _graded_interval(small, 0.0, 1.0, tol, q_left=-s.real)
-
-    err = r_small.error_estimate
-    ga1 = gamma(alpha + 1.0)
-    if family.has_scalar:
-        eigs, basis, inv = spectral_eigendata(family.generator)
-        coords = inv @ f
-        vals = np.empty(len(eigs), dtype=complex)
-        for i, a in enumerate(eigs):
-            a = complex(a)
-            osc, decay = _family_oscillation(family.kind, a)
-            if osc > 1e-9 and decay <= 1e-9:
-                parts, smooth = scalar_split(family.kind, alpha, a)
-                acc = 0.0 + 0.0j
-                for amp, rate in parts:
-                    def g(tau, rate=rate):
-                        t = 1.0 + np.asarray(tau)
-                        return np.exp(rate * t) * t ** (-s - alpha - 1.0)
-
-                    r = integrate_oscillatory_halfline(g, omega=abs(rate.imag), tol=tol)
-                    acc += amp * complex(np.asarray(r.value).reshape(-1)[0])
-                    err += abs(amp) * r.error_estimate
-                if smooth is not None:
-                    def gs(tau):
-                        tau = np.atleast_1d(tau)
-                        return np.array([
-                            smooth(1.0 + float(tk)) * (1.0 + float(tk)) ** (-s - alpha - 1.0)
-                            for tk in tau
-                        ])
-
-                    r = integrate_halfline(
-                        gs, [DecayHint("algebraic-at-infinity", power=2.0 + s.real)],
-                        tol=tol)
-                    acc += complex(np.asarray(r.value).reshape(-1)[0])
-                    err += r.error_estimate
-                vals[i] = acc
-            else:
-                def tail_term(tau, a=a):
-                    tau = np.atleast_1d(tau)
-                    return np.array([
-                        _SCALAR_CACHE(family.kind, alpha, a, 1.0 + float(tk))
-                        * (1.0 + float(tk)) ** (-s - alpha - 1.0) for tk in tau
-                    ])
-
-                # |T_alpha(t)| <= C t^alpha, so the term decays like t^{-sigma-1}
-                r = integrate_halfline(
-                    tail_term,
-                    [DecayHint("algebraic-at-infinity", power=1.0 + s.real)],
-                    tol=tol)
-                vals[i] = complex(np.asarray(r.value).reshape(-1)[0])
-                err += r.error_estimate
-        # subtract the closed-form int_1^inf t^{-sigma-1}/Gamma(alpha+1) dt = 1/(sigma Gamma(alpha+1))
-        tail_vec = basis @ (vals * coords) - f / (s * ga1)
-    else:
-        def large(tau):
-            tau = np.atleast_1d(tau)
-            rows = []
-            for tk in tau:
-                t = 1.0 + float(tk)
-                rows.append((family.evaluate(t, f) - t ** alpha / ga1 * f)
-                            * t ** (-s - alpha - 1.0))
-            return np.stack(rows, axis=0)
-
-        r_large = integrate_halfline(
-            large, [DecayHint("algebraic-at-infinity", power=1.0 + s.real)], tol=tol)
-        tail_vec = np.asarray(r_large.value).reshape(-1)
-        err += r_large.error_estimate
+    # past t = 1, T_alpha(t) f t^{-sigma-alpha-1}; the subtracted
+    # t^alpha f / Gamma(alpha+1) term integrates to f / (sigma Gamma(alpha+1))
+    weight = (lambda tau: (1.0 + tau) ** (-s - alpha - 1.0), 0.0,
+              ("algebraic", 1.0 + s.real + alpha))
+    tail, err = spectral_integral(weight, family, f, tol, shift=1.0)
+    tail_vec = tail - f / (s * gamma(alpha + 1.0))
     value = factor * (np.asarray(r_small.value).reshape(-1) + tail_vec)
     return FractionalPowerResult(value=value, method="integrated_formula",
-                                 error_estimate=abs(factor) * err)
+                                 error_estimate=abs(factor) * (r_small.error_estimate + err))
 
 
 def shifted_negative_power(A: LinearOperator, eps: float, sigma, f,

@@ -127,15 +127,25 @@ def _as_values(raw, n):
     return vals
 
 
+def _panels(f, los, his):
+    """[(Kronrod value, |Kronrod - Gauss|), ...] of the panels [lo, hi],
+    all sampled in one call of f."""
+    lo = np.asarray(los, dtype=float)
+    hi = np.asarray(his, dtype=float)
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    x = (c[:, None] + h[:, None] * _NODES).reshape(-1)
+    vals = _as_values(f(x), x.size)
+    vals = vals.reshape((lo.size, 15) + vals.shape[1:])
+    h = h.reshape((lo.size,) + (1,) * (vals.ndim - 2))
+    ik = h * np.tensordot(vals, _WK_FULL, axes=(1, 0))
+    ig = h * np.tensordot(vals[:, _GAUSS_IDX], _WG_FULL, axes=(1, 0))
+    err = np.max(np.abs(ik - ig).reshape(lo.size, -1), axis=1)
+    return [(ik[k], float(err[k])) for k in range(lo.size)]
+
+
 def _panel(f, a, b):
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    x = c + h * _NODES
-    vals = _as_values(f(x), 15)
-    ik = h * np.tensordot(_WK_FULL, vals, axes=(0, 0))
-    ig = h * np.tensordot(_WG_FULL, vals[_GAUSS_IDX], axes=(0, 0))
-    err = float(np.max(np.abs(ik - ig)))
-    return ik, err
+    return _panels(f, [a], [b])[0]
 
 
 def _maxabs(v):
@@ -157,16 +167,13 @@ def integrate_interval(f, a, b, tol: float = DEFAULT_TOL, max_panels: int = 4000
     if dyadic_from_left > 0:
         cuts = [a + (b - a) * 2.0 ** (-k) for k in range(dyadic_from_left, 0, -1)]
         edges = [a] + [c for c in cuts if a < c < b] + [b]
-        heap = []
-        evals = 0
-        counter = 0
-        for lo, hi in zip(edges, edges[1:]):
-            if hi <= lo:
-                continue
-            v, e = _panel(f, lo, hi)
-            evals += 15
-            heapq.heappush(heap, (-e, counter, lo, hi, v, e))
-            counter += 1
+        spans = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
+        results = _panels(f, [lo for lo, _ in spans], [hi for _, hi in spans])
+        heap = [(-e, k, lo, hi, v, e)
+                for k, ((lo, hi), (v, e)) in enumerate(zip(spans, results))]
+        heapq.heapify(heap)
+        evals = 15 * len(spans)
+        counter = len(spans)
     else:
         val, err = _panel(f, a, b)
         if np.all(np.asarray(val) == 0) and err == 0.0:
@@ -196,8 +203,7 @@ def integrate_interval(f, a, b, tol: float = DEFAULT_TOL, max_panels: int = 4000
             heapq.heappush(heap, (0.0, counter, lo, hi, v, e))
             counter += 1
             continue
-        v1, e1 = _panel(f, lo, mid)
-        v2, e2 = _panel(f, mid, hi)
+        (v1, e1), (v2, e2) = _panels(f, [lo, mid], [mid, hi])
         evals += 30
         heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
         heapq.heappush(heap, (-e2, counter + 1, mid, hi, v2, e2))

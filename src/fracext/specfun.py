@@ -151,105 +151,138 @@ def gamma(x) -> complex:
     return math.pi / (cmath.sin(math.pi * z) * _lanczos(1.0 - z))
 
 
-def _kummer_series(a: complex, x: complex, tol: float, maxiter: int) -> complex:
+def _pow(x, a):
+    # x^a on the principal branch, elementwise
+    return np.exp(a * np.log(x))
+
+
+# The series, continued fraction and asymptotic helpers below take a 1-d
+# array x and iterate every lane until all have met their own stopping
+# rule; lanes that are done keep their value.
+
+
+def _kummer_series(a: complex, x, tol: float, maxiter: int):
     # gamma_lower(a,x) = x^a e^{-x} sum_n x^n / (a (a+1) ... (a+n))
-    term = 1.0 / a
+    term = np.full(x.shape, 1.0 / a, dtype=complex)
     total = term
+    done = np.zeros(x.shape, dtype=bool)
     for n in range(1, maxiter):
-        term *= x / (a + n)
-        total += term
-        if abs(term) <= tol * abs(total):
-            return cpow(x, a) * cmath.exp(-x) * total
+        term = term * x / (a + n)
+        total = np.where(done, total, total + term)
+        done |= np.abs(term) <= tol * np.abs(total)
+        if done.all():
+            return _pow(x, a) * np.exp(-x) * total
     raise ConvergenceError("incomplete gamma series did not converge")
 
 
-def _direct_series(a: complex, x: complex, tol: float, maxiter: int) -> complex:
+def _direct_series(a: complex, x, tol: float, maxiter: int):
     # gamma_lower(a,x) = x^a sum_n (-x)^n / (n! (a+n)); no cancellation for
     # x near the negative real axis.
-    p = 1.0 + 0.0j
-    total = 1.0 / a
-    ax = abs(x)
+    p = np.ones(x.shape, dtype=complex)
+    total = np.full(x.shape, 1.0 / a, dtype=complex)
+    ax = np.abs(x)
+    done = np.zeros(x.shape, dtype=bool)
     for n in range(1, maxiter):
-        p *= -x / n
+        p = p * (-x / n)
         term = p / (a + n)
-        total += term
-        if n > ax and abs(term) <= tol * abs(total):
-            return cpow(x, a) * total
+        total = np.where(done, total, total + term)
+        done |= (n > ax) & (np.abs(term) <= tol * np.abs(total))
+        if done.all():
+            return _pow(x, a) * total
     raise ConvergenceError("incomplete gamma direct series did not converge")
 
 
-def _upper_cf_scaled(a: complex, x: complex, tol: float, maxiter: int) -> complex:
+def _upper_cf_scaled(a: complex, x, tol: float, maxiter: int):
     # Modified Lentz for U with Gamma(a,x) = e^{-x} x^a U(a,x).
     tiny = 1e-300
     b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
+    c = np.full(x.shape, 1.0 / tiny, dtype=complex)
+    d = 1.0 / np.where(b != 0, b, tiny)
     h = d
+    done = np.zeros(x.shape, dtype=bool)
     for i in range(1, maxiter):
         an = -i * (i - a)
-        b += 2.0
+        b = b + 2.0
         d = an * d + b
-        if d == 0:
-            d = tiny
+        d = np.where(d == 0, tiny, d)
         c = b + an / c
-        if c == 0:
-            c = tiny
+        c = np.where(c == 0, tiny, c)
         d = 1.0 / d
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < tol:
+        h = np.where(done, h, h * delta)
+        done |= np.abs(delta - 1.0) < tol
+        if done.all():
             return h
     raise ConvergenceError("incomplete gamma continued fraction did not converge")
 
 
-def _upper_asymptotic_scaled(a: complex, x: complex, tol: float) -> complex:
+def _upper_asymptotic_scaled(a: complex, x, tol: float):
     # U(a,x) ~ (1/x) sum_k (a-1)(a-2)...(a-k) / x^k, truncated at the
     # smallest term; adequate for |x| >~ 40.
-    term = 1.0 + 0.0j
+    term = np.ones(x.shape, dtype=complex)
     total = term
-    best = abs(term)
+    best = np.ones(x.shape)
+    live = np.ones(x.shape, dtype=bool)
     for k in range(1, 80):
-        term *= (a - k) / x
-        mag = abs(term)
-        if mag > best:
-            break
-        best = mag
-        total += term
-        if mag <= tol * abs(total):
+        term = term * (a - k) / x
+        mag = np.abs(term)
+        live &= mag <= best
+        best = np.where(live, mag, best)
+        total = np.where(live, total + term, total)
+        live &= mag > tol * np.abs(total)
+        if not live.any():
             break
     return total / x
 
 
-def _scaled_upper_u(a: complex, x: complex, tol: float = 1e-15, maxiter: int = 10000) -> complex:
+def _by_regime(regimes, *arrays):
+    """Evaluate each (mask, fn) on its lanes: fn gets the masked entries of
+    every (equally shaped) array.  0-d input gives a complex."""
+    shape = arrays[0].shape
+    flat = [v.reshape(-1) for v in arrays]
+    out = np.zeros(flat[0].shape, dtype=complex)
+    for mask, fn in regimes:
+        mask = mask.reshape(-1)
+        if mask.any():
+            out[mask] = fn(*(v[mask] for v in flat))
+    return complex(out[0]) if len(shape) == 0 else out.reshape(shape)
+
+
+def _scaled_upper_u(a: complex, x, tol: float = 1e-15, maxiter: int = 10000):
     """U(a,x) with Gamma(a,x) = e^{-x} x^a U(a,x), for |x| not small."""
-    if abs(x) > 45.0 and abs(cmath.phase(x)) > 0.75 * math.pi:
-        return _upper_asymptotic_scaled(a, x, tol)
-    return _upper_cf_scaled(a, x, tol, maxiter)
+    x = np.asarray(x, dtype=complex)
+    asym = (np.abs(x) > 45.0) & (np.abs(np.angle(x)) > 0.75 * math.pi)
+    return _by_regime([
+        (asym, lambda v: _upper_asymptotic_scaled(a, v, tol)),
+        (~asym, lambda v: _upper_cf_scaled(a, v, tol, maxiter)),
+    ], x)
 
 
-def lower_incomplete_gamma(a, x, tol: float = 1e-15, maxiter: int = 10000) -> complex:
+def lower_incomplete_gamma(a, x, tol: float = 1e-15, maxiter: int = 10000):
     """Lower incomplete gamma gamma(a, x) for complex a (Re a > 0) and complex x.
 
     Regimes: Kummer series for |x| <= Re(a)+1; Lentz continued fraction for
     larger |x| with |arg x| <= 3*pi/4; near the negative real axis a direct
     series (moderate |x|) or the asymptotic expansion of Gamma(a,x).
+    x may be an array; each entry takes its own regime.
     """
     a = complex(a)
-    x = complex(x)
     if a.real <= 0.0:
         raise ValueError(f"lower_incomplete_gamma needs Re a > 0, got a={a}")
-    if x == 0.0:
-        return 0.0 + 0.0j
-    crossover = max(a.real + 1.0, 1.0)
-    if abs(x) <= crossover:
-        return _kummer_series(a, x, tol, maxiter)
-    if abs(cmath.phase(x)) <= 0.75 * math.pi:
-        u = _scaled_upper_u(a, x, tol, maxiter)
-        return gamma(a) - cmath.exp(-x) * cpow(x, a) * u
-    if abs(x) <= 40.0:
-        return _direct_series(a, x, tol, maxiter)
-    u = _upper_asymptotic_scaled(a, x, tol)
-    return gamma(a) - cmath.exp(-x) * cpow(x, a) * u
+    x = np.asarray(x, dtype=complex)
+    ax = np.abs(x)
+    live = x != 0.0
+    series = live & (ax <= max(a.real + 1.0, 1.0))
+    cf = live & ~series & (np.abs(np.angle(x)) <= 0.75 * math.pi)
+    direct = live & ~series & ~cf & (ax <= 40.0)
+    asym = live & ~series & ~cf & ~direct
+    ga = gamma(a)
+    return _by_regime([
+        (series, lambda v: _kummer_series(a, v, tol, maxiter)),
+        (cf, lambda v: ga - np.exp(-v) * _pow(v, a) * _scaled_upper_u(a, v, tol, maxiter)),
+        (direct, lambda v: _direct_series(a, v, tol, maxiter)),
+        (asym, lambda v: ga - np.exp(-v) * _pow(v, a) * _upper_asymptotic_scaled(a, v, tol)),
+    ], x)
 
 
 def constants_for(sigma: FracOrder) -> NamedConstants:

@@ -184,15 +184,47 @@ def test_verify_quadrature_suite(capsys):
 
 
 def test_threads_env_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FRACEXT_THREADS", "1")
+    # FRACEXT_THREADS is no longer read: it changes neither exit code nor table
     path = write_config(tmp_path, base_config(method="semigroup", tol=1e-5))
+    monkeypatch.delenv("FRACEXT_THREADS", raising=False)
     code = main(["extend", "--config", path])
-    capsys.readouterr()
+    reference = capsys.readouterr().out
     assert code == EXIT_OK
-    monkeypatch.setenv("FRACEXT_THREADS", "zebra")
-    code = main(["extend", "--config", path])
-    capsys.readouterr()
+    for value in ("1", "zebra"):
+        monkeypatch.setenv("FRACEXT_THREADS", value)
+        code = main(["extend", "--config", path])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == reference
+
+
+def test_non_finite_f_is_config_error(tmp_path, capsys):
+    cfg = base_config(method="semigroup", f=[1.0, float("nan"), 0.0, 1.0])
+    code = main(["extend", "--config", write_config(tmp_path, cfg)])
+    captured = capsys.readouterr()
     assert code == EXIT_CONFIG
+    assert "f must hold finite numbers" in captured.err
+    assert captured.out == ""
+
+
+def test_non_finite_grids_are_config_errors(tmp_path, capsys):
+    cfg = base_config(method="semigroup", z_grid=[0.5, float("nan")])
+    code = main(["extend", "--config", write_config(tmp_path, cfg)])
+    assert code == EXIT_CONFIG
+    assert "z_grid" in capsys.readouterr().err
+    cfg = base_config(trace_grid={"y0": float("inf"), "ratio": 0.7, "count": 13})
+    code = main(["trace", "--config", write_config(tmp_path, cfg)])
+    assert code == EXIT_CONFIG
+    assert "trace_grid" in capsys.readouterr().err
+
+
+def test_non_finite_operator_entry_is_config_error(tmp_path, capsys):
+    cfg = base_config(method="semigroup",
+                      operator={"kind": "diagonal",
+                                "entries": [-1.0, float("-inf"), -2.0, -3.0]})
+    code = main(["extend", "--config", write_config(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert "operator.entries" in captured.err
 
 
 def test_console_entry_point(tmp_path):

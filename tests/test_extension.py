@@ -434,3 +434,37 @@ def test_black_box_family_route(laplacian3, f3):
     u_bb = solve_semigroup_form(fam_bb, 0.4, 0.8, f3, tol=1e-9).value
     u_sp = solve_semigroup_form(fam_sp, 0.4, 0.8, f3).value
     assert np.linalg.norm(u_bb - u_sp) <= 1e-7 * np.linalg.norm(u_sp)
+
+
+def _bessel_k_solution(eigs, f, sigma, z):
+    """u = 2^{1-sigma}/Gamma(sigma) (z sqrt(lam))^sigma K_sigma(z sqrt(lam)) f
+    per eigenvalue -lam of a diagonal generator, and u = f on zero modes."""
+    mpmath = pytest.importorskip("mpmath")
+    out = []
+    for a, fk in zip(eigs, f):
+        if a == 0:
+            out.append(fk)
+            continue
+        w = complex(z) * cmath.sqrt(-complex(a))
+        u = (2.0 ** (1.0 - sigma) / math.gamma(sigma)
+             * complex(mpmath.mpc(w) ** sigma * mpmath.besselk(sigma, mpmath.mpc(w))))
+        out.append(u * fk)
+    return np.array(out)
+
+
+def test_semigroup_form_mixed_spectrum_vs_bessel_k():
+    # zero mode, decaying real eigenvalues and a complex pair: every route
+    # group of the spectral integral, for the heat semigroup and its
+    # once-integrated family
+    sigma = 0.35
+    eigs = [0.0, -0.5, -3.0, -40.0, -1.0 + 2.0j, -1.0 - 2.0j]
+    f = np.array([1.0, -0.5, 2.0, 0.3, 1.0 + 0.5j, 0.7])
+    real = 4  # the zero mode and the real eigenvalues come first
+    cases = [(eigs, f, 0.8), (eigs[:real], f[:real], 0.6 * cmath.exp(1j * math.pi / 4))]
+    for ev, fv, z in cases:
+        A = LinearOperator("diagonal", ev)
+        ref = _bessel_k_solution(ev, fv, sigma, z)
+        for fam in (heat_semigroup(A), integrate_family(heat_semigroup(A), 1.0)):
+            got = solve_semigroup_form(fam, sigma, z, fv)
+            assert np.linalg.norm(got.value - ref) <= 1e-9 * np.linalg.norm(ref)
+            assert 0.0 < got.error_estimate < 1e-6

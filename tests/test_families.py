@@ -246,3 +246,25 @@ def test_cosine_to_semigroup_fractional_order():
     got = cosine_to_semigroup(fam, 1.0, f, tol=1e-8)
     ref = heat_semigroup(A).evaluate(1.0, f)
     assert np.linalg.norm(got - ref) <= 1e-7 * np.linalg.norm(ref)
+
+
+def test_integrated_exponential_array_regimes_vs_hyp1f1():
+    mpmath = pytest.importorskip("mpmath")
+    # x = a t in every regime: the series (|x| <= 12); the incomplete gamma
+    # (12 < |x| <= 45) away from the negative real axis (continued fraction)
+    # and near it (direct series, and its asymptotic tail past |x| = 40);
+    # the scaled asymptotics (|x| > 45) on both sides of arg x = 3 pi / 4
+    x = np.array([-0.3, 2j, -7.0 + 5.0j, 11.5, 20j, -20.0 + 25.0j,
+                  -25.0 + 1.0j, -38.0 - 0.5j, -42.0 + 1.0j,
+                  60j, -60.0 + 40.0j, -200.0])
+    t = np.linspace(0.5, 3.0, x.size)
+    a = x / t
+    for alpha in (0.5, 1.0, 1.5, 2.0):
+        got = integrated_exponential(a, alpha, t)
+        assert got.shape == x.shape
+        for k in range(x.size):
+            with mpmath.workdps(30):
+                ref = complex(mpmath.mpf(t[k]) ** alpha / mpmath.gamma(alpha + 1)
+                              * mpmath.hyp1f1(1, alpha + 1, mpmath.mpc(x[k])))
+            assert abs(got[k] - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert got[k] == integrated_exponential(a[k], alpha, t[k])
