@@ -270,12 +270,9 @@ _EXTEND_METHODS = ("semigroup", "regularized", "fractional_data",
                    "cosine", "cosine_fractional")
 
 
-def _extend_at(cfg, A, fam, f, z):
-    """{method: ExtensionEvaluation} at one z."""
+def _extend_at(cfg, A, fam, f, z, power):
+    """{method: ExtensionEvaluation} at one z; power is (-A)^sigma f or None."""
     wanted = _EXTEND_METHODS if cfg.method == "all" else (cfg.method,)
-    power = None
-    if any(m in ("regularized", "fractional_data", "cosine_fractional") for m in wanted):
-        power = balakrishnan_power(A, cfg.sigma, f, tol=1e-10).value
     evals = {}
     for m in wanted:
         if m == "semigroup":
@@ -309,10 +306,13 @@ def cmd_extend(cfg: ProblemConfig):
     wanted = _EXTEND_METHODS if cfg.method == "all" else (cfg.method,)
     columns = (["z", "component"] + [f"u_{m}" for m in wanted]
                + ["error_estimate", "max_pairwise_delta"])
+    power = None
+    if any(m in ("regularized", "fractional_data", "cosine_fractional") for m in wanted):
+        power = balakrishnan_power(A, cfg.sigma, f, tol=1e-10).value
     rows = []
     worst = 0.0
     for z in cfg.z_grid:
-        evals = _extend_at(cfg, A, fam, f, z)
+        evals = _extend_at(cfg, A, fam, f, z, power)
         arr = [evals[m].value for m in wanted]
         estimate = max(evals[m].error_estimate for m in wanted)
         delta = 0.0

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import OperatorFamily, spectral_eigendata
-from .funcalc import _weyl_kernel_fn, balakrishnan_power, spectral_integral
-from .kernels import ExprKernel, Kernel, SectorPoint, z_derivative_fn
+from .funcalc import balakrishnan_power, spectral_integral
+from .kernels import Kernel, SectorPoint, _KernelExpr, _weyl_kernel_fn, z_derivative_fn
 from .operators import LinearOperator, apply
 from .quadrature import richardson_multi
 from .specfun import FracOrder, constants_for, cpow
@@ -209,7 +209,7 @@ def _cpowm1(x, p):
     return cexpm1(val)
 
 
-class _CosTerms:
+class _CosTerms(_KernelExpr):
     """sum_k c_k * t^{m_k} (z^2+t^2)^{p_k}   ('prod' terms)
        + sum_k c_k * [t^{m_k} (z^2+t^2)^{p_k} - t^{m_k+2 p_k}]   ('diff' terms)
        + c_log * [2 log t - Log(z^2+t^2)],
@@ -272,13 +272,7 @@ class _CosTerms:
         if self.log_coef != 0:
             zeros.append(-0.05)  # integrable log singularity, graded gently
             decays.append(2.0)
-        zero = min(zeros)
-        return (zero if zero < 0 else zero), ("algebraic", min(decays))
-
-
-def _cos_kernel_wrap(expr: _CosTerms) -> ExprKernel:
-    zero, tail = expr.metadata()
-    return ExprKernel(expr, zero, tail)
+        return min(zeros), ("algebraic", min(decays))
 
 
 def _require_cosine(family: OperatorFamily):
@@ -312,7 +306,7 @@ def solve_cosine_form(family: OperatorFamily, sigma, z, f,
     s = order.sigma
     front = cpow(z, 2.0 * s, branch="positive")
     expr = _CosTerms(z * z, [(front, 0.0, -(s + 0.5), "prod")])
-    weight = _weyl_kernel_fn(_cos_kernel_wrap(expr), family.alpha, tol)
+    weight = _weyl_kernel_fn(expr, family.alpha, tol)
     value, err = spectral_integral(weight, family, f, tol)
     return ExtensionEvaluation(z=z, value=d_sig * value, error_estimate=abs(d_sig) * err,
                                formula="cosine")
@@ -340,7 +334,7 @@ def solve_cosine_fractional(family: OperatorFamily, sigma, z, f, power_input=Non
     else:
         expr = _CosTerms(z * z, [(1.0, 0.0, s - 0.5, "diff")])
         pref = constants_for(order).kappa_sigma
-    weight = _weyl_kernel_fn(_cos_kernel_wrap(expr), family.alpha, tol)
+    weight = _weyl_kernel_fn(expr, family.alpha, tol)
     dec_val, err = spectral_integral(weight, family, g, tol)
     return ExtensionEvaluation(z=z, value=f + pref * dec_val, error_estimate=abs(pref) * err,
                                formula="cosine_fractional")
@@ -373,8 +367,7 @@ class ExtensionSolver:
     def derivative(self, z) -> np.ndarray:
         z = complex(z)
         bk = Kernel("b", self.order, _sector_point(z, closed=True))
-        kernel = ExprKernel.from_expr(z_derivative_fn(bk, 1))
-        return _semigroup_pi(kernel, self.family, self.f, z, self.tol)[0]
+        return _semigroup_pi(z_derivative_fn(bk, 1), self.family, self.f, z, self.tol)[0]
 
 
 def _trace_exponents(s: complex):

@@ -340,9 +340,7 @@ def cosine_to_semigroup(C_alpha: OperatorFamily, z: complex, f,
         hinted = _HintedFn(gauss, 0.0, ("exponential", 1.0))
 
         def wkernel(s):
-            s = np.atleast_1d(s)
-            return np.array([weyl_derivative(hinted, alpha, float(sk), tol=tol)
-                             for sk in s])
+            return weyl_derivative(hinted, alpha, np.atleast_1d(s), tol=tol)
 
     # Gaussian truncation: |exp(-s^2/(4z))| drops below tol at s_max
     rate = (inv4z).real

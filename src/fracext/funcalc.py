@@ -20,7 +20,7 @@ import numpy as np
 
 from .families import (OperatorFamily, family_factor, heat_semigroup, integrate_family,
                        scalar_split, spectral_apply, spectral_eigendata)
-from .kernels import ExprKernel, Kernel, _halfline_hints, weyl_derivative
+from .kernels import Kernel, _KernelExpr, _halfline_hints, _weyl_kernel_fn
 from .operators import LinearOperator, apply, resolvent_solve
 from .quadrature import (
     DecayHint,
@@ -57,55 +57,6 @@ def _sigma_value(sigma) -> complex:
     if isinstance(sigma, FracOrder):
         return sigma.sigma
     return complex(sigma)
-
-
-def _weyl_kernel_fn(phi, alpha: float, tol: float):
-    """(vectorized W^alpha phi, zero exponent, tail) for a kernel-like phi."""
-    from .kernels import _as_fn, _expr_metadata
-
-    fn0, deriv, zero, tail = _as_fn(phi)
-    if tail is None:
-        if alpha != 0.0:
-            raise ValueError(
-                "plain callables need decay metadata for alpha > 0 families; "
-                "wrap them in a hinted function"
-            )
-        tail = ("exponential", 1.0)
-    if tail[0] == "nonintegrable":
-        name = getattr(phi, "kind", "expression")
-        raise ValueError(
-            f"kernel {name!r} is not integrable over (0, inf); multiply by e_eps first"
-        )
-    if alpha == int(alpha):
-        n = int(alpha)
-        base = deriv(n)
-        sign = (-1.0) ** n
-
-        def wfn(t):
-            return sign * np.asarray(base(t))
-
-        if isinstance(phi, (Kernel, ExprKernel)) and n > 0:
-            # exact metadata of the differentiated closed form
-            w_zero, w_tail = _expr_metadata(phi.fn(n))
-        elif n == 0:
-            w_zero, w_tail = zero, tail
-        else:
-            # sampled function: bounded parts stay bounded, power laws shift
-            w_zero = None if zero is None else (zero - n if zero < 0 else 0.0)
-            w_tail = tail if tail[0] == "exponential" else ("algebraic", tail[1] + n)
-        return wfn, w_zero, w_tail
-
-    def wfn(t):
-        t = np.atleast_1d(t)
-        return np.array([weyl_derivative(phi, alpha, float(tk), tol=max(tol, 1e-12))
-                         for tk in t])
-
-    if zero is None:
-        w_zero = None
-    else:
-        w_zero = zero - alpha if zero < 0 else max(zero - alpha, -0.5)
-    w_tail = tail if tail[0] == "exponential" else ("algebraic", tail[1] + alpha)
-    return wfn, w_zero, w_tail
 
 
 def spectral_integral(weight, family: OperatorFamily, f, tol: float,
@@ -241,11 +192,9 @@ def cero_residual(phi, family: OperatorFamily, f, phi_zero=None,
         else:
             raise ValueError("phi(0) is required for this kernel")
     lhs = -apply(family.generator, pi_alpha(phi, family, f, tol=tol))
-    if isinstance(phi, (Kernel, ExprKernel)):
-        phi_prime = ExprKernel.from_expr(phi.fn(1))
-    else:
+    if not isinstance(phi, (Kernel, _KernelExpr)):
         raise ValueError("cero_residual needs a Kernel phi")
-    rhs = pi_alpha(phi_prime, family, f, tol=tol) + complex(phi_zero) * f
+    rhs = pi_alpha(phi.fn(1), family, f, tol=tol) + complex(phi_zero) * f
     scale = max(float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)), 1e-300)
     return float(np.linalg.norm(lhs - rhs) / scale)
 

@@ -12,6 +12,15 @@ and products with e_eps.  Every time- and z-derivative has an exact
 closed form: the coefficient tables are generated by polynomial
 recurrences and feed the Weyl fractional calculus, the Sobolev-algebra
 norms, and the half-line convolution implemented here.
+
+Every kernel-like object speaks one protocol: fn(n) gives the closed-form
+n-th time derivative as a vectorized callable, zero_exponent() the
+algebraic exponent at t -> 0+ (None when essentially flat), and tail()
+the decay at infinity.  Kernel implements it from its kind; the
+expressions (_Expr, _BmhExpr here, extension._CosTerms) implement it
+from their own metadata(), so derived kernels need no wrapper.  This
+module alone decides what W^alpha phi is and how it decays
+(_weyl_kernel_fn).
 """
 
 from __future__ import annotations
@@ -29,7 +38,6 @@ from .specfun import FracOrder, cexpm1, cpow, gamma
 __all__ = [
     "SectorPoint",
     "Kernel",
-    "ExprKernel",
     "DerivativeCoefficients",
     "eval_kernel",
     "time_derivative",
@@ -157,7 +165,28 @@ def _falling(s: complex, n: int) -> complex:
 # internal closed-form function objects
 
 
-class _Expr:
+class _KernelExpr:
+    """Kernel protocol for closed-form expressions closed under d/dt.
+
+    Subclasses provide derivative() and metadata() -> (zero exponent, tail).
+    """
+
+    __slots__ = ()
+
+    def fn(self, n: int = 0):
+        f = self
+        for _ in range(n):
+            f = f.derivative()
+        return f
+
+    def zero_exponent(self):
+        return self.metadata()[0]
+
+    def tail(self):
+        return self.metadata()[1]
+
+
+class _Expr(_KernelExpr):
     """const * (sum_j poly[j] t^{-j}) * t^rho * exp(a/t) * exp(-eps t)."""
 
     __slots__ = ("const", "rho", "a", "eps", "poly")
@@ -196,8 +225,23 @@ class _Expr:
             new.pop()
         return _Expr(self.const, self.rho, self.a, self.eps, new)
 
+    def metadata(self):
+        nz = [j for j, c in enumerate(self.poly) if c != 0]
+        if not nz:
+            return 0.0, ("exponential", 1.0)  # identically zero
+        jmin, jmax = min(nz), max(nz)
+        if self.a != 0 and self.a.real < 0:
+            zero = None  # essentially flat at t -> 0+
+        else:
+            zero = self.rho.real - jmax
+        if self.eps > 0:
+            tail = ("exponential", self.eps)
+        else:
+            tail = ("algebraic", -self.rho.real + jmin)
+        return zero, tail
 
-class _BmhExpr:
+
+class _BmhExpr(_KernelExpr):
     """n-th time derivative of (B - h) e_eps, grouped for stable evaluation.
 
     The j = 0 block of the B-table collapses onto (B - h) itself, which is
@@ -236,21 +280,11 @@ class _BmhExpr:
     def derivative(self):
         return _BmhExpr(self.sigma, self.a, self.eps, self.n + 1)
 
-
-class _SumExpr:
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-
-    def __call__(self, t):
-        out = self.parts[0](t)
-        for p in self.parts[1:]:
-            out = out + p(t)
-        return out
-
-    def derivative(self):
-        return _SumExpr([p.derivative() for p in self.parts])
+    def metadata(self):
+        zero = self.sigma.real - 1.0 - self.n
+        if self.eps:
+            return zero, ("exponential", self.eps)
+        return zero, ("algebraic", 2.0 + self.n - self.sigma.real)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +359,7 @@ class Kernel:
             return None
         if self.kind == "exp_eps":
             return 0.0
-        s = self.sigma.sigma
-        if self.kind in ("h", "B", "B_minus_h"):
-            return s.real - 1.0
-        return 0.0
+        return self.sigma.sigma.real - 1.0
 
     def tail(self) -> tuple:
         """('exponential', rate) or ('algebraic', power) at t -> infinity."""
@@ -338,9 +369,7 @@ class Kernel:
             return ("algebraic", 1.0 + self.sigma.sigma.real)
         if self.kind == "B_minus_h":
             return ("algebraic", 2.0 - self.sigma.sigma.real)
-        if self.kind in ("h", "B"):
-            return ("nonintegrable", None)
-        return ("nonintegrable", None)  # bare exp_eps never reaches here
+        return ("nonintegrable", None)
 
 
 def eval_kernel(kernel: Kernel, t):
@@ -413,78 +442,6 @@ class _HintedFn:
         return self._fn(t)
 
 
-def _expr_metadata(expr):
-    """(zero exponent, tail) read off a closed-form kernel expression."""
-    if isinstance(expr, _BmhExpr):
-        s = complex(expr.sigma).real
-        zero = s - 1.0 - expr.n
-        if expr.eps:
-            tail = ("exponential", expr.eps)
-        else:
-            tail = ("algebraic", 2.0 + expr.n - s)
-        return zero, tail
-    if isinstance(expr, _SumExpr):
-        metas = [_expr_metadata(p) for p in expr.parts]
-        zeros = [m[0] for m in metas]
-        zero = None if any(z is None for z in zeros) else min(zeros)
-        if all(m[1][0] == "exponential" for m in metas):
-            tail = ("exponential", min(m[1][1] for m in metas))
-        else:
-            alg = [m[1][1] for m in metas if m[1][0] == "algebraic"]
-            tail = ("algebraic", min(alg))
-        return zero, tail
-    nz = [j for j, c in enumerate(expr.poly) if c != 0]
-    if not nz:
-        return 0.0, ("exponential", 1.0)  # identically zero
-    jmin, jmax = min(nz), max(nz)
-    if expr.a != 0 and expr.a.real < 0:
-        zero = None  # essentially flat at t -> 0+
-    else:
-        zero = expr.rho.real - jmax
-    if expr.eps > 0:
-        tail = ("exponential", expr.eps)
-    else:
-        tail = ("algebraic", -expr.rho.real + jmin)
-    return zero, tail
-
-
-class ExprKernel:
-    """A closed-form kernel expression with decay metadata.
-
-    Wraps the exact symbolic derivative chains, so derived kernels (z- or
-    time-derivatives of b and B, differences, e_eps products) keep the same
-    interface Kernel offers to pi_alpha and the Weyl calculus.
-    """
-
-    def __init__(self, expr, zero_exp, tail):
-        self._expr = expr
-        self._zero = zero_exp
-        self._tail = tail
-
-    @classmethod
-    def from_expr(cls, expr) -> "ExprKernel":
-        zero, tail = _expr_metadata(expr)
-        return cls(expr, zero, tail)
-
-    def __call__(self, t):
-        return self._expr(t)
-
-    def fn(self, n: int = 0):
-        f = self._expr
-        for _ in range(n):
-            f = f.derivative()
-        return f
-
-    def zero_exponent(self):
-        return self._zero
-
-    def tail(self):
-        return self._tail
-
-    def derived(self, n: int = 1) -> "ExprKernel":
-        return ExprKernel.from_expr(self.fn(n))
-
-
 def _fd_deriv_provider(fn):
     """Central-difference derivatives (orders 1 and 2) for sampled integrands."""
 
@@ -512,17 +469,10 @@ def _fd_deriv_provider(fn):
 
 def _as_fn(phi):
     """(value callable, derivative provider, zero exponent, tail) for phi."""
-    if isinstance(phi, (Kernel, ExprKernel)):
+    if isinstance(phi, (Kernel, _KernelExpr)):
         return phi.fn(0), phi.fn, phi.zero_exponent(), phi.tail()
     if isinstance(phi, _HintedFn):
         return phi._fn, _fd_deriv_provider(phi._fn), phi._zero, phi._tail
-    if isinstance(phi, (_Expr, _BmhExpr, _SumExpr)):
-        def deriv(n, phi=phi):
-            f = phi
-            for _ in range(n):
-                f = f.derivative()
-            return f
-        return phi, deriv, None, None
     if callable(phi):
         return phi, _fd_deriv_provider(phi), None, None
     raise TypeError(f"cannot interpret {phi!r} as a half-line function")
@@ -574,11 +524,14 @@ def weyl_integral(phi, beta: float, s: float, tol: float = 1e-12):
 
 
 def weyl_derivative(phi, alpha: float, s, tol: float = 1e-12):
-    """Weyl fractional derivative W^alpha phi(s) for alpha > 0.
+    """Weyl fractional derivative W^alpha phi(s) for alpha > 0, at a point s
+    or at every entry of an array s (the result then has the shape of s).
 
     Integer alpha is the exact (-1)^n phi^(n)(s); fractional alpha is
     computed derivative-first as W^{-(n-alpha)} applied to (-1)^n phi^(n)
-    with n = floor(alpha) + 1.
+    with n = floor(alpha) + 1.  That derivative and its decay hints are
+    built once per call; then one adaptive weyl_integral runs per point,
+    so each value carries its own relative accuracy.
     """
     if alpha < 0:
         raise ValueError("use weyl_integral for negative orders")
@@ -602,7 +555,55 @@ def weyl_derivative(phi, alpha: float, s, tol: float = 1e-12):
     if tail is not None and tail[0] == "algebraic":
         psi_tail = ("algebraic", tail[1] + n)
     wrapped = _HintedFn(psi, psi_zero, psi_tail)
-    return weyl_integral(wrapped, beta, s, tol=tol)
+    if np.ndim(s) == 0:
+        return weyl_integral(wrapped, beta, s, tol=tol)
+    vals = [weyl_integral(wrapped, beta, float(sk), tol=tol) for sk in np.ravel(s)]
+    return np.array(vals, dtype=complex).reshape(np.shape(s))
+
+
+def _weyl_kernel_fn(phi, alpha: float, tol: float):
+    """(vectorized W^alpha phi, zero exponent, tail) for a kernel-like phi."""
+    _, deriv, zero, tail = _as_fn(phi)
+    if tail is None:
+        if alpha != 0.0:
+            raise ValueError(
+                "plain callables need decay metadata for alpha > 0 families; "
+                "wrap them in a hinted function"
+            )
+        tail = ("exponential", 1.0)
+    if tail[0] == "nonintegrable":
+        name = getattr(phi, "kind", "expression")
+        raise ValueError(
+            f"kernel {name!r} is not integrable over (0, inf); multiply by e_eps first"
+        )
+    if alpha == int(alpha):
+        n = int(alpha)
+        base = deriv(n)
+        sign = (-1.0) ** n
+
+        def wfn(t):
+            return sign * np.asarray(base(t))
+
+        if isinstance(phi, (Kernel, _KernelExpr)) and n > 0:
+            # exact metadata of the differentiated closed form
+            w_zero, w_tail = base.metadata()
+        elif n == 0:
+            w_zero, w_tail = zero, tail
+        else:
+            # sampled function: bounded parts stay bounded, power laws shift
+            w_zero = None if zero is None else (zero - n if zero < 0 else 0.0)
+            w_tail = tail if tail[0] == "exponential" else ("algebraic", tail[1] + n)
+        return wfn, w_zero, w_tail
+
+    def wfn(t):
+        return weyl_derivative(phi, alpha, np.atleast_1d(t), tol=max(tol, 1e-12))
+
+    if zero is None:
+        w_zero = None
+    else:
+        w_zero = zero - alpha if zero < 0 else max(zero - alpha, -0.5)
+    w_tail = tail if tail[0] == "exponential" else ("algebraic", tail[1] + alpha)
+    return wfn, w_zero, w_tail
 
 
 def sobolev_norm(phi, alpha: float, tol: float = 1e-11) -> float:
@@ -610,20 +611,11 @@ def sobolev_norm(phi, alpha: float, tol: float = 1e-11) -> float:
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     _guard_integrable(phi)
-    _, deriv, zero_exp, tail = _as_fn(phi)
+    _, _, zero_exp, tail = _as_fn(phi)
     ga1 = gamma(alpha + 1.0)
-    if alpha == int(alpha):
-        n = int(alpha)
-        dn = deriv(n)
 
-        def integrand(t):
-            return np.abs(np.asarray(dn(t))) * t ** alpha / ga1
-    else:
-        def integrand(t):
-            t = np.atleast_1d(t)
-            vals = np.array([weyl_derivative(phi, alpha, float(tk), tol=tol * 10)
-                             for tk in t])
-            return np.abs(vals) * t ** alpha / ga1
+    def integrand(t):
+        return np.abs(weyl_derivative(phi, alpha, t, tol=tol * 10)) * t ** alpha / ga1
 
     q0 = None if zero_exp is None else min(zero_exp - int(alpha) + alpha, 0.0)
     t_hs = tail
@@ -655,10 +647,7 @@ def convolve_halfline(phi, psi, s: float, tol: float = 1e-11):
         return np.asarray(fphi(d)) * np.asarray(fpsi(s - d))
 
     total = 0.0 + 0.0j
-    err = 0.0
     for g, q in ((left, q_psi), (right, q_phi)):
         ql = q if (q is not None and q < 0) else None
-        res = _graded_interval(g, 0.0, mid, tol, q_left=ql)
-        total += res.value
-        err += res.error_estimate
+        total += _graded_interval(g, 0.0, mid, tol, q_left=ql).value
     return total

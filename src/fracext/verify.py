@@ -126,8 +126,7 @@ def run_kernels(seed: int = 0):
     e1 = kernels.Kernel("exp_eps", eps=1.0)
 
     def w_half(t):
-        return np.array([kernels.weyl_derivative(e1, 0.5, float(u), tol=1e-13)
-                         for u in np.atleast_1d(t)]).reshape(np.shape(t))
+        return kernels.weyl_derivative(e1, 0.5, t, tol=1e-13)
 
     comp = kernels.weyl_derivative(kernels._HintedFn(w_half, 0.0, ("exponential", 1.0)),
                                    0.5, 0.9, tol=1e-11)

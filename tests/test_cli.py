@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import fracext
 from fracext.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -229,9 +231,13 @@ def test_non_finite_operator_entry_is_config_error(tmp_path, capsys):
 
 def test_console_entry_point(tmp_path):
     path = write_config(tmp_path, base_config(method="semigroup", tol=1e-5))
+    # the child must import the same fracext, whatever the caller's PYTHONPATH
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracext.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "fracext.cli", "extend", "--config", path],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == EXIT_OK
     assert proc.stdout.startswith("z,component")
     assert proc.stderr == ""

@@ -468,3 +468,16 @@ def test_semigroup_form_mixed_spectrum_vs_bessel_k():
             got = solve_semigroup_form(fam, sigma, z, fv)
             assert np.linalg.norm(got.value - ref) <= 1e-9 * np.linalg.norm(ref)
             assert 0.0 < got.error_estimate < 1e-6
+
+
+def test_semigroup_form_fractional_alpha_vs_bessel_k():
+    # fractional-order integrated families weigh the kernel with W^alpha b,
+    # one Weyl quadrature per node
+    sigma, z = 0.35, 0.8
+    A = LinearOperator("diagonal", [-2.0])
+    f = np.array([1.0])
+    ref = _bessel_k_solution([-2.0], f, sigma, z)
+    for alpha in (0.5, 1.5):
+        got = solve_semigroup_form(integrate_family(heat_semigroup(A), alpha), sigma, z, f)
+        assert np.linalg.norm(got.value - ref) <= 1e-9 * np.linalg.norm(ref)
+        assert 0.0 < got.error_estimate < 1e-6

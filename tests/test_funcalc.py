@@ -13,7 +13,7 @@ from fracext.funcalc import (
     shifted_negative_power,
     spectral_power_oracle,
 )
-from fracext.kernels import ExprKernel, Kernel, SectorPoint, _Expr, _HintedFn
+from fracext.kernels import Kernel, SectorPoint, _Expr, _HintedFn
 from fracext.operators import LinearOperator, apply, spectral_decompose
 from fracext.specfun import FracOrder
 from tests.conftest import simpson_log
@@ -73,7 +73,7 @@ def test_cero_integrated_family(scalar_op):
 def test_cero_phi_vanishing_at_zero(scalar_op):
     # phi = t e^{-t}: phi(0) = 0, so -A pi(phi) f = pi(phi') f
     fam = heat_semigroup(scalar_op)
-    phi = ExprKernel.from_expr(_Expr(1.0, 1.0, 0.0, 1.0, (1.0,)))
+    phi = _Expr(1.0, 1.0, 0.0, 1.0, (1.0,))
     assert cero_residual(phi, fam, [1.0], phi_zero=0.0) < 1e-10
 
 

@@ -231,6 +231,19 @@ def test_weyl_integer_order_is_time_derivative():
     assert abs(weyl_derivative(k, 2.0, 0.8) - time_derivative(k, 2, 0.8)) == 0.0
 
 
+def test_weyl_derivative_array_matches_scalar():
+    # the array call runs one adaptive integral per point, so each entry
+    # keeps its own relative accuracy although the values span 1e-9..5e1
+    k = Kernel("b", FracOrder(0.35), SectorPoint(0.8))
+    ts = np.geomspace(1e-3, 1e3, 13)
+    for alpha in (0.5, 1.5, 2.0):
+        got = weyl_derivative(k, alpha, ts, tol=1e-11)
+        assert got.shape == ts.shape
+        for t, g in zip(ts, got):
+            ref = weyl_derivative(k, alpha, float(t), tol=1e-11)
+            assert abs(g - ref) <= 1e-11 * abs(ref)
+
+
 def test_weyl_composition_half_half():
     e1 = Kernel("exp_eps", eps=1.0)
 
