@@ -161,6 +161,9 @@ def scalar_split(kind: str, alpha: float, a):
         parts1, smooth1 = scalar_split("integrated_semigroup", alpha, 1j * w)
         parts2, smooth2 = scalar_split("integrated_semigroup", alpha, -1j * w)
         parts = [(0.5 * parts1[0][0], parts1[0][1]), (0.5 * parts2[0][0], parts2[0][1])]
+        if alpha == 1.0:
+            # the halves' remainders -1/(iw) and -1/(-iw) cancel exactly
+            return parts, None
 
         def smooth(t):
             return 0.5 * (smooth1(t) + smooth2(t))

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import DecayHint, _graded_interval, integrate_halfline
+from .quadrature import DecayHint, _graded_interval, _halfline, integrate_halfline
 from .specfun import FracOrder, cexpm1, cpow, gamma
 
 __all__ = [
@@ -493,34 +493,58 @@ def _halfline_hints(zero_exp, tail):
     return hints
 
 
-def weyl_integral(phi, beta: float, s: float, tol: float = 1e-12):
-    """Weyl fractional integral W^{-beta} phi(s) = (1/Gamma(beta))
-    int_s^inf (t-s)^{beta-1} phi(t) dt, for beta > 0."""
-    if beta <= 0:
-        raise ValueError("weyl_integral needs beta > 0")
-    _guard_integrable(phi)
-    fn, _, zero_exp, tail = _as_fn(phi)
+def _weyl_lanes(fn, zero_exp, tail, beta: float, s, tol: float, name: str):
+    """(1/Gamma(beta)) int_0^inf tau^{beta-1} fn(s + tau) dtau at every
+    entry of s, as one lane-batched half-line quadrature.
+
+    Each point is a lane with its own panels and its own error target;
+    points whose hints differ (the zero exponent of fn adds to the lower
+    endpoint's at s = 0) integrate in separate lane groups.  A failing
+    lane names its point and the operator name.
+    """
+    pts = np.asarray(s, dtype=float).reshape(-1)
     gb = gamma(beta)
-
-    def integrand(tau):
-        return tau ** (beta - 1.0) * np.asarray(fn(s + tau)) / gb
-
-    q0 = beta - 1.0
-    if s == 0.0 and zero_exp is not None:
-        q0 += zero_exp
-    if q0 <= -1.0:
+    q0 = np.full(pts.size, beta - 1.0)
+    if zero_exp is not None:
+        q0[pts == 0.0] += zero_exp
+    if np.any(q0 <= -1.0):
         raise ValueError("Weyl integral diverges at the lower endpoint")
     t_kind, t_par = tail if tail is not None else ("exponential", None)
     if t_kind == "algebraic":
         power = t_par - (beta - 1.0)
         if power <= 1.0:
             raise ValueError("Weyl integral diverges at infinity (tail bound fails)")
-        hints = [DecayHint("algebraic-singularity-at-zero", exponent=min(q0, 0.0)),
-                 DecayHint("algebraic-at-infinity", power=power)]
-    else:
-        hints = _halfline_hints(min(q0, 0.0), ("exponential", 1.0))
-    res = integrate_halfline(integrand, hints, tol=tol)
-    return res.value
+    out = np.zeros(pts.size, dtype=complex)
+    for q in np.unique(q0):
+        ids = np.flatnonzero(q0 == q)
+        at = pts[ids]
+        if t_kind == "algebraic":
+            hints = [DecayHint("algebraic-singularity-at-zero", exponent=min(float(q), 0.0)),
+                     DecayHint("algebraic-at-infinity", power=power)]
+        else:
+            hints = _halfline_hints(min(float(q), 0.0), ("exponential", 1.0))
+
+        def integrand(tau, lane, at=at):
+            return tau ** (beta - 1.0) * np.asarray(fn(at[lane] + tau)) / gb
+
+        out[ids] = _halfline(integrand, ids.size, hints, tol,
+                             label=lambda k, at=at: f"{name} at s = {float(at[k])!r}")[0]
+    return out[0] if np.ndim(s) == 0 else out.reshape(np.shape(s))
+
+
+def weyl_integral(phi, beta: float, s, tol: float = 1e-12):
+    """Weyl fractional integral W^{-beta} phi(s) = (1/Gamma(beta))
+    int_s^inf (t-s)^{beta-1} phi(t) dt, for beta > 0, at a point s or at
+    every entry of an array s (the result then has the shape of s).
+
+    All points integrate in one lane-batched quadrature, each to its own
+    relative accuracy.
+    """
+    if beta <= 0:
+        raise ValueError("weyl_integral needs beta > 0")
+    _guard_integrable(phi)
+    fn, _, zero_exp, tail = _as_fn(phi)
+    return _weyl_lanes(fn, zero_exp, tail, beta, s, tol, f"W^-{beta:g}")
 
 
 def weyl_derivative(phi, alpha: float, s, tol: float = 1e-12):
@@ -530,8 +554,8 @@ def weyl_derivative(phi, alpha: float, s, tol: float = 1e-12):
     Integer alpha is the exact (-1)^n phi^(n)(s); fractional alpha is
     computed derivative-first as W^{-(n-alpha)} applied to (-1)^n phi^(n)
     with n = floor(alpha) + 1.  That derivative and its decay hints are
-    built once per call; then one adaptive weyl_integral runs per point,
-    so each value carries its own relative accuracy.
+    built once per call, and all points go to one lane-batched quadrature
+    in which each keeps its own panels and relative accuracy.
     """
     if alpha < 0:
         raise ValueError("use weyl_integral for negative orders")
@@ -543,7 +567,6 @@ def weyl_derivative(phi, alpha: float, s, tol: float = 1e-12):
             return complex(out)
         return out
     n = int(math.floor(alpha)) + 1
-    beta = n - alpha
     dn = deriv(n)
     sign = (-1.0) ** n
 
@@ -554,11 +577,7 @@ def weyl_derivative(phi, alpha: float, s, tol: float = 1e-12):
     psi_tail = tail
     if tail is not None and tail[0] == "algebraic":
         psi_tail = ("algebraic", tail[1] + n)
-    wrapped = _HintedFn(psi, psi_zero, psi_tail)
-    if np.ndim(s) == 0:
-        return weyl_integral(wrapped, beta, s, tol=tol)
-    vals = [weyl_integral(wrapped, beta, float(sk), tol=tol) for sk in np.ravel(s)]
-    return np.array(vals, dtype=complex).reshape(np.shape(s))
+    return _weyl_lanes(psi, psi_zero, psi_tail, n - alpha, s, tol, f"W^{alpha:g}")
 
 
 def _weyl_kernel_fn(phi, alpha: float, tol: float):

@@ -9,11 +9,17 @@ half-period panels with Wynn-epsilon acceleration of the partial sums.
 
 Integrands are vectorized: f(t: ndarray) -> ndarray whose leading axis
 matches t; trailing axes (vector values) are carried through.
+
+One adaptive Gauss-Kronrod driver (_adaptive) does all the bisection, for
+independent lanes at once: each lane has its own interval, panels and
+stopping test, and each round samples every unconverged lane in one call
+f(t, lane), lane[i] naming the lane of node t[i].  integrate_interval is
+its one-lane call; _halfline takes lanes through both half-line routes, so
+a Weyl derivative at many points costs one integrand call per round.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -118,105 +124,166 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 _WG_FULL = np.concatenate([_WG[:3], _WG[::-1]])
 
 
-def _as_values(raw, n):
-    vals = np.asarray(raw)
-    if vals.ndim == 0 or vals.shape[0] != n:
-        raise QuadratureError("integrand must return one value per node")
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("NaN/Inf sample detected")
-    return vals
-
-
-def _panels(f, los, his):
-    """[(Kronrod value, |Kronrod - Gauss|), ...] of the panels [lo, hi],
-    all sampled in one call of f."""
-    lo = np.asarray(los, dtype=float)
-    hi = np.asarray(his, dtype=float)
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    x = (c[:, None] + h[:, None] * _NODES).reshape(-1)
-    vals = _as_values(f(x), x.size)
-    vals = vals.reshape((lo.size, 15) + vals.shape[1:])
-    h = h.reshape((lo.size,) + (1,) * (vals.ndim - 2))
-    ik = h * np.tensordot(vals, _WK_FULL, axes=(1, 0))
-    ig = h * np.tensordot(vals[:, _GAUSS_IDX], _WG_FULL, axes=(1, 0))
-    err = np.max(np.abs(ik - ig).reshape(lo.size, -1), axis=1)
-    return [(ik[k], float(err[k])) for k in range(lo.size)]
-
-
-def _panel(f, a, b):
-    return _panels(f, [a], [b])[0]
-
-
 def _maxabs(v):
     return float(np.max(np.abs(v)))
 
 
+def _rowmax(v):
+    """max |v[i, ...]| for every leading index i."""
+    return np.max(np.abs(v.reshape(v.shape[0], -1)), axis=1)
+
+
+def _with_jacobian(vals, jac):
+    vals = np.asarray(vals)
+    return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - 1))
+
+
+_LANE0 = np.zeros(1, dtype=int)
+
+
+def _unary(f):
+    # a one-lane integrand f(t) in the lane calling convention f(t, lane)
+    return lambda t, lane: f(t)
+
+
+def _failure(label, lane, msg):
+    return QuadratureError(msg if label is None else f"{label(lane)}: {msg}")
+
+
+def _sample(f, x, owner, label=None):
+    """f at the nodes x (owner[i] is the lane of x[i]): one finite value each."""
+    vals = np.asarray(f(x, owner))
+    if vals.ndim == 0 or vals.shape[0] != x.size:
+        raise QuadratureError("integrand must return one value per node")
+    if not np.isfinite(vals).all():
+        bad = ~np.isfinite(vals.reshape(x.size, -1)).all(axis=1)
+        raise _failure(label, owner[np.argmax(bad)], "NaN/Inf sample detected")
+    return vals
+
+
+def _panels(f, lo, hi, lane, label=None):
+    """Kronrod values and |Kronrod - Gauss| estimates of the panels
+    [lo[i], hi[i]] of the lanes lane[i], all sampled in one call of f."""
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    x = (c[:, None] + h[:, None] * _NODES).reshape(-1)
+    vals = _sample(f, x, np.repeat(lane, 15), label)
+    shape = (lo.size,) + vals.shape[1:]
+    # one row of 15 node values per panel and value component
+    rows = np.moveaxis(vals.reshape((lo.size, 15) + shape[1:]), 1, -1).reshape(-1, 15)
+    h = h.reshape((lo.size,) + (1,) * (vals.ndim - 1))
+    ik = h * np.dot(rows, _WK_FULL).reshape(shape)
+    ig = h * np.dot(rows[:, _GAUSS_IDX], _WG_FULL).reshape(shape)
+    return ik, _rowmax(ik - ig)
+
+
+def _adaptive(f, lanes, a, b, tol, atol, max_panels, seeds=0, label=None):
+    """Globally adaptive Gauss-Kronrod quadrature of independent lanes.
+
+    Lane lanes[k] integrates f(., lanes[k]) over [a[k], b[k]] until its
+    summed error estimate falls below max(tol*|I_k|, atol[k], 1e-15 * the
+    sum of its |panel|); that roundoff floor keeps cancellation-dominated
+    integrals from refining forever.  Each round, every lane still above
+    its target bisects its worst panel, and the halves of all lanes are
+    sampled in one call f(x, lane) (x the 1-D nodes, lane[i] the lane of
+    x[i]).  A lane's choices depend on its own samples only, so it refines
+    exactly the panels it would refine alone.  seeds > 0 plants that many
+    geometric panels toward a[k].  A failure names its lane through
+    label(lane).  Returns (values, error estimates, evaluations) per lane.
+    """
+    L = a.size
+    rows, slots, count = np.arange(L), np.zeros(L, dtype=int), np.ones(L, dtype=int)
+    los, his = a, b
+    if seeds:
+        cuts = a[:, None] + (b - a)[:, None] * 2.0 ** -np.arange(seeds, 0, -1.0)
+        edges = np.concatenate([a[:, None], cuts, b[:, None]], axis=1)
+        keep = edges[:, :-1] < edges[:, 1:]
+        rows, slots = np.nonzero(keep)
+        slots = np.cumsum(keep, axis=1)[rows, slots] - 1
+        los, his, count = edges[:, :-1][keep], edges[:, 1:][keep], keep.sum(axis=1)
+    ik, e = _panels(f, los, his, lanes[rows], label)
+    cap = int(count.max()) + 16
+    lo, hi, err, mag = (np.zeros((L, cap)) for _ in range(4))
+    val = np.zeros((L, cap) + ik.shape[1:], dtype=ik.dtype)
+    lo[rows, slots], hi[rows, slots] = los, his
+    val[rows, slots], err[rows, slots], mag[rows, slots] = ik, e, _rowmax(ik)
+    evals = 15 * count
+    if seeds == 0:
+        # a panel whose nodes all read zero gets a second look between
+        # them; mass seen there becomes its error, so it is bisected
+        z = np.flatnonzero((mag[:, 0] == 0.0) & (err[:, 0] == 0.0))
+        if z.size:
+            x = (a[z, None] + ((b - a)[z, None] / 16.0) * np.arange(1.0, 16.0)).reshape(-1)
+            seen = _rowmax(_sample(f, x, lanes[np.repeat(z, 15)], label))
+            err[z, 0] = seen.reshape(z.size, 15).max(axis=1) * (b - a)[z]
+            evals[z] += 15
+    evals -= 30 * count  # each bisection adds one panel and 30 evaluations
+    pick = err.copy()  # bisection priority; -1 marks a panel never to split
+    top, rounds = int(count.max()), 0  # every open lane takes one step a round
+    r = np.arange(L)
+    while True:
+        errsum = err[r].sum(axis=1)
+        target = np.fmax(np.fmax(tol * _rowmax(val[r].sum(axis=1)), atol[r]),
+                         1e-15 * mag[r].sum(axis=1))
+        go = errsum > target
+        if not go.all():
+            r, errsum, target = r[go], errsum[go], target[go]
+            if not r.size:
+                break
+        key = pick[r]
+        worst = key.argmax(axis=1)
+        # at the cap, or with nothing left to bisect, accept within 10x
+        stuck = key[np.arange(r.size), worst] <= 0.0
+        if rounds >= max_panels or stuck.any():
+            stuck |= rounds >= max_panels
+            fail = np.flatnonzero(stuck & (errsum > 10.0 * np.fmax(target, 1e-300)))
+            if fail.size:
+                k = fail[0]
+                raise _failure(label, lanes[r[k]], f"refinement cap exceeded: error "
+                               f"{errsum[k]:.3e} vs target {target[k]:.3e}")
+            r, worst = r[~stuck], worst[~stuck]
+            if not r.size:
+                break
+        rounds += 1
+        plo, phi = lo[r, worst], hi[r, worst]
+        mid = 0.5 * (plo + phi)
+        s = r
+        split = (mid > plo) & (mid < phi)
+        if not split.all():
+            # interval exhausted at machine resolution: keep its estimate
+            pick[r[~split], worst[~split]] = -1.0
+            s, worst, plo, phi, mid = (v[split] for v in (r, worst, plo, phi, mid))
+            if not s.size:
+                continue
+        if top >= lo.shape[1]:
+            lo, hi, err, pick, mag, val = (np.concatenate([v, np.zeros_like(v)], axis=1)
+                                           for v in (lo, hi, err, pick, mag, val))
+        top += 1
+        ss, at = np.concatenate([s, s]), np.concatenate([worst, count[s]])
+        los, his = np.concatenate([plo, mid]), np.concatenate([mid, phi])
+        ik, e = _panels(f, los, his, lanes[ss], label)
+        lo[ss, at], hi[ss, at] = los, his
+        val[ss, at], err[ss, at], pick[ss, at], mag[ss, at] = ik, e, e, _rowmax(ik)
+        count[s] += 1
+    return val.sum(axis=1), err.sum(axis=1), evals + 30 * count
+
+
 def integrate_interval(f, a, b, tol: float = DEFAULT_TOL, max_panels: int = 4000,
                        atol: float = 0.0, dyadic_from_left: int = 0) -> QuadratureResult:
-    """Adaptive Gauss-Kronrod integration of f over [a, b].
+    """Adaptive Gauss-Kronrod integration of f over [a, b]: the one-lane
+    call of the lane driver.
 
-    Globally adaptive: the panel with the worst embedded error estimate is
-    bisected until the summed estimate falls below max(tol*|I|, atol).
-    dyadic_from_left seeds that many geometric panels toward a, so features
-    living on scales far below (b - a) cannot hide between the nodes of a
-    single wide panel.
+    The panel with the worst embedded error estimate is bisected until the
+    summed estimate falls below max(tol*|I|, atol).  dyadic_from_left seeds
+    that many geometric panels toward a, so features living on scales far
+    below (b - a) cannot hide between the nodes of a single wide panel.
     """
     if not (a < b):
         raise ValueError("integrate_interval needs a < b")
-    if dyadic_from_left > 0:
-        cuts = [a + (b - a) * 2.0 ** (-k) for k in range(dyadic_from_left, 0, -1)]
-        edges = [a] + [c for c in cuts if a < c < b] + [b]
-        spans = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
-        results = _panels(f, [lo for lo, _ in spans], [hi for _, hi in spans])
-        heap = [(-e, k, lo, hi, v, e)
-                for k, ((lo, hi), (v, e)) in enumerate(zip(spans, results))]
-        heapq.heapify(heap)
-        evals = 15 * len(spans)
-        counter = len(spans)
-    else:
-        val, err = _panel(f, a, b)
-        if np.all(np.asarray(val) == 0) and err == 0.0:
-            probe = _as_values(f(np.linspace(a, b, 17)[1:-1]), 15)
-            if np.all(probe == 0):
-                return QuadratureResult(val, 0.0, 30)
-        heap = [(-err, 0, a, b, val, err)]
-        counter = 1
-        evals = 15
-
-    def _target(total, abssum):
-        # the roundoff floor keeps cancellation-dominated integrals
-        # (|I| << sum of |panel| masses) from refining forever
-        return max(tol * _maxabs(total), atol, 1e-15 * abssum)
-
-    for _ in range(max_panels):
-        total = sum(item[4] for item in heap)
-        errsum = sum(item[5] for item in heap)
-        abssum = sum(_maxabs(item[4]) for item in heap)
-        if errsum <= _target(total, abssum):
-            return QuadratureResult(total, errsum, evals)
-        _, _, lo, hi, _, _ = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # interval exhausted at machine resolution; keep its estimate
-            v, e = _panel(f, lo, hi)
-            heapq.heappush(heap, (0.0, counter, lo, hi, v, e))
-            counter += 1
-            continue
-        (v1, e1), (v2, e2) = _panels(f, [lo, mid], [mid, hi])
-        evals += 30
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, counter + 1, mid, hi, v2, e2))
-        counter += 2
-    total = sum(item[4] for item in heap)
-    errsum = sum(item[5] for item in heap)
-    abssum = sum(_maxabs(item[4]) for item in heap)
-    if errsum > 10.0 * max(_target(total, abssum), 1e-300):
-        raise QuadratureError(
-            f"refinement cap exceeded: error {errsum:.3e} vs target "
-            f"{_target(total, abssum):.3e}"
-        )
-    return QuadratureResult(total, errsum, evals)
+    vals, errs, evals = _adaptive(_unary(f), _LANE0, np.array([a], float),
+                                  np.array([b], float), tol, np.array([atol], float),
+                                  max_panels, dyadic_from_left)
+    return QuadratureResult(vals[0], float(errs[0]), int(evals[0]))
 
 
 def _graded_interval(f, a, b, tol, q_left=None, q_right=None, seeds: int = 0, **kw):
@@ -232,10 +299,6 @@ def _graded_interval(f, a, b, tol, q_left=None, q_right=None, seeds: int = 0, **
         raise ValueError("left exponent must be > -1")
     if q_right is not None and q_right <= -1.0:
         raise ValueError("right exponent must be > -1")
-    def _with_jacobian(vals, jac):
-        vals = np.asarray(vals)
-        return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - 1))
-
     mid = 0.5 * (a + b)
     spans = []
     if q_left is not None and q_left < 0.0:
@@ -284,87 +347,95 @@ def _parse_hints(hints):
     return zero_kind, q, inf_kind, p
 
 
-def _log_substituted(f, tol, max_panels):
-    """t = e^u route: probe the window where the integrand matters, then
-    integrate g(u) = f(e^u) e^u adaptively."""
+_PROBE_U = np.linspace(-6.0, 6.0, 25)
+_WIDE_U = np.concatenate([np.linspace(-120, -6, 20), np.linspace(6, 120, 20)])
+_WALK = np.array([0.0, 3.0, 6.0])
 
-    def g(u):
+
+def _log_substituted(f, lanes, tol, max_panels, label=None):
+    """t = e^u route: each lane probes the window where its integrand
+    matters, then all lanes integrate g(u) = f(e^u) e^u adaptively."""
+
+    def g(u, lane):
         t = np.exp(u)
-        vals = np.asarray(f(t))
-        return vals * t.reshape(t.shape + (1,) * (vals.ndim - 1))
+        return _with_jacobian(f(t, lane), t)
 
-    probe_u = np.linspace(-6.0, 6.0, 25)
-    mags = np.max(np.abs(np.asarray(g(probe_u)).reshape(25, -1)), axis=1)
-    scale = float(np.max(mags))
-    lo, hi = -6.0, 6.0
-    step = 3.0
-    if scale == 0.0:
+    ids = np.arange(lanes)
+    probe = np.asarray(g(np.tile(_PROBE_U, lanes), np.repeat(ids, 25)))
+    scale = _rowmax(probe).reshape(lanes, 25).max(axis=1)
+    half = np.full(lanes, 6.0)
+    quiet = np.flatnonzero(scale == 0.0)
+    if quiet.size:
         # expand the probe before concluding the integrand vanishes
-        wide = np.concatenate([np.linspace(-120, -6, 20), np.linspace(6, 120, 20)])
-        wmags = np.max(np.abs(np.asarray(g(wide)).reshape(40, -1)), axis=1)
-        if float(np.max(wmags)) == 0.0:
-            return QuadratureResult(np.asarray(f(np.array([1.0])))[0] * 0.0, 0.0, 65)
-        scale = float(np.max(wmags))
-        lo, hi = -120.0, 120.0
-    cut = max(scale * tol * 1e-2, 1e-290)
-    consec = 0
-    while lo > -690.0:
-        mag = float(np.max(np.abs(np.asarray(g(np.array([lo]))))))
-        consec = consec + 1 if mag < cut else 0
-        if consec >= 3:
-            break
-        lo -= step
-    consec = 0
-    while hi < 690.0:
-        mag = float(np.max(np.abs(np.asarray(g(np.array([hi]))))))
-        consec = consec + 1 if mag < cut else 0
-        if consec >= 3:
-            break
-        hi += step
-    return integrate_interval(g, lo, hi, tol=tol, max_panels=max_panels,
-                              atol=cut * (hi - lo))
+        wmags = _rowmax(np.asarray(g(np.tile(_WIDE_U, quiet.size), np.repeat(quiet, 40))))
+        scale[quiet] = wmags.reshape(quiet.size, 40).max(axis=1)
+        half[quiet] = 120.0
+    cut = np.maximum(scale * tol * 1e-2, 1e-290)
+    live = np.flatnonzero(scale != 0.0)
+    # walk both window edges of every lane outward in steps of 3 until
+    # three consecutive samples fall below the cut, never past |u| = 690;
+    # each call samples the next three steps of every edge still walking
+    owner = np.concatenate([live, live])
+    way = np.repeat([-1.0, 1.0], live.size)
+    edge = way * half[owner]
+    last2 = np.zeros((owner.size, 2), dtype=bool)  # were the last two below?
+    w = np.arange(owner.size)
+    while w.size:
+        u = edge[w, None] + way[w, None] * _WALK
+        inside = way[w, None] * u < 690.0
+        who = np.broadcast_to(owner[w, None], u.shape)[inside]
+        below = np.zeros(u.shape, dtype=bool)
+        below[inside] = _rowmax(np.asarray(g(u[inside], who))) < cut[who]
+        seq = np.concatenate([last2[w], below], axis=1)
+        three = seq[:, :3] & seq[:, 1:4] & seq[:, 2:]
+        hit = three.any(axis=1)
+        last2[w] = seq[:, 3:]
+        edge[w] += 3.0 * way[w] * np.where(hit, three.argmax(axis=1), inside.sum(axis=1))
+        w = w[~hit & (way[w] * edge[w] < 690.0)]
+    vals = np.zeros((lanes,) + probe.shape[1:], dtype=probe.dtype)
+    errs = np.zeros(lanes)
+    evals = np.full(lanes, 65)
+    if live.size:
+        lo, hi = edge[:live.size], edge[live.size:]
+        vals[live], errs[live], evals[live] = _adaptive(
+            g, live, lo, hi, tol, cut[live] * (hi - lo), max_panels, label=label)
+    return vals, errs, evals
 
 
-def integrate_halfline(f, hints=(), tol: float = DEFAULT_TOL,
-                       max_panels: int = 6000) -> QuadratureResult:
-    """Integrate f over (0, inf), choosing the substitution from the hints."""
+def _halfline(f, lanes, hints, tol, max_panels=6000, label=None):
+    """Lane-batched integrate_halfline: lane k integrates f(., k) over
+    (0, inf); returns (values, error estimates, evaluations) per lane."""
     zero_kind, q, inf_kind, p = _parse_hints(hints)
     if zero_kind == "algebraic" and inf_kind == "algebraic":
         # power grading on [0,1], inversion + grading on [1,inf)
         m = 1.0 / (1.0 + q) if q < 0.0 else 1.0
 
-        def g0(s):
-            t = s ** m
-            vals = np.asarray(f(t))
-            jac = m * s ** (m - 1.0)
-            return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - 1))
+        def g0(s, lane):
+            return _with_jacobian(f(s ** m, lane), m * s ** (m - 1.0))
 
-        r0 = integrate_interval(g0, 0.0, 1.0, tol=tol, max_panels=max_panels)
+        def ginv(s, lane):
+            return _with_jacobian(f(1.0 / s, lane), 1.0 / s ** 2)
 
-        def ginv(s):
-            t = 1.0 / s
-            vals = np.asarray(f(t))
-            jac = 1.0 / s ** 2
-            return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - 1))
-
-        # ginv ~ s^{p-2} near 0; grade if p < 3
+        # ginv ~ s^{p-2} near 0, graded out when that is singular
         qinv = p - 2.0
-        if qinv < 0.0:
-            mi = 1.0 / (1.0 + qinv)
+        mi = 1.0 / (1.0 + qinv)
 
-            def g1(w):
-                s = w ** mi
-                vals = np.asarray(ginv(s))
-                jac = mi * w ** (mi - 1.0)
-                return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - 1))
+        def graded(w, lane):
+            return _with_jacobian(ginv(w ** mi, lane), mi * w ** (mi - 1.0))
 
-            r1 = integrate_interval(g1, 0.0, 1.0, tol=tol, max_panels=max_panels)
-        else:
-            r1 = integrate_interval(ginv, 0.0, 1.0, tol=tol, max_panels=max_panels)
-        return QuadratureResult(r0.value + r1.value,
-                                r0.error_estimate + r1.error_estimate,
-                                r0.evaluations + r1.evaluations)
-    return _log_substituted(f, tol, max_panels)
+        g1 = graded if qinv < 0.0 else ginv
+        ids, zero, one = np.arange(lanes), np.zeros(lanes), np.ones(lanes)
+        r0 = _adaptive(g0, ids, zero, one, tol, zero, max_panels, label=label)
+        r1 = _adaptive(g1, ids, zero, one, tol, zero, max_panels, label=label)
+        return tuple(x + y for x, y in zip(r0, r1))
+    return _log_substituted(f, lanes, tol, max_panels, label)
+
+
+def integrate_halfline(f, hints=(), tol: float = DEFAULT_TOL,
+                       max_panels: int = 6000) -> QuadratureResult:
+    """Integrate f over (0, inf), choosing the substitution from the hints."""
+    vals, errs, evals = _halfline(_unary(f), 1, hints, tol, max_panels)
+    return QuadratureResult(vals[0], float(errs[0]), int(evals[0]))
 
 
 def _wynn_epsilon(partials):
@@ -443,11 +514,11 @@ def integrate_oscillatory_halfline(f, omega, tol: float = DEFAULT_TOL,
     consec_ok = 0
     a = t1
     for k in range(max_panels):
-        v, e = _panel(f, a, a + h)
+        v, e = _panels(_unary(f), np.array([a]), np.array([a + h]), _LANE0)
         evals += 15
-        err += e
+        err += float(e[0])
         a += h
-        total = total + v
+        total = total + v[0]
         partials.append(total)
         if len(partials) >= 6:
             flat = [np.asarray(s).reshape(-1) for s in partials[-40:]]

@@ -198,8 +198,7 @@ def test_ac4_kernel_identity_suite(corpus):
     e1 = Kernel("exp_eps", eps=1.0)
 
     def half(u):
-        return np.array([weyl_derivative(e1, 0.5, float(v), tol=1e-13)
-                         for v in np.atleast_1d(u)]).reshape(np.shape(u))
+        return weyl_derivative(e1, 0.5, np.atleast_1d(u), tol=1e-13).reshape(np.shape(u))
 
     comp = weyl_derivative(_HintedFn(half, 0.0, ("exponential", 1.0)), 0.5, 0.9,
                            tol=1e-11)

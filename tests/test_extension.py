@@ -16,7 +16,7 @@ from fracext.extension import (
     solve_regularized,
     solve_semigroup_form,
 )
-from fracext.families import cosine_family, heat_semigroup, integrate_family
+from fracext.families import cosine_family, heat_semigroup, integrate_family, integrated_cosine
 from fracext.funcalc import balakrishnan_power, spectral_power_oracle
 from fracext.operators import LinearOperator, spectral_decompose
 from fracext.specfun import FracOrder, constants_for
@@ -147,6 +147,14 @@ def test_cosine_form_poisson(scalar_op):
     for y in (0.5, 1.0, 2.0):
         u = solve_cosine_form(c0, 0.5, y, [1.0]).value[0]
         assert abs(u - math.exp(-y)) < 1e-9
+
+
+def test_cosine_form_integrated_orders(scalar_op):
+    # at alpha = 1 the smooth remainders of the two exponential halves of
+    # the integrated cosine cancel exactly, leaving no remainder integral
+    for alpha in (1.0, 2.0):
+        u = solve_cosine_form(integrated_cosine(scalar_op, alpha), 0.5, 0.9, [1.0]).value[0]
+        assert abs(u - math.exp(-0.9)) < 1e-12
 
 
 def test_cosine_form_vs_semigroup_quarter(scalar_op):
@@ -472,7 +480,7 @@ def test_semigroup_form_mixed_spectrum_vs_bessel_k():
 
 def test_semigroup_form_fractional_alpha_vs_bessel_k():
     # fractional-order integrated families weigh the kernel with W^alpha b,
-    # one Weyl quadrature per node
+    # all nodes of one call in one lane-batched Weyl quadrature
     sigma, z = 0.35, 0.8
     A = LinearOperator("diagonal", [-2.0])
     f = np.array([1.0])

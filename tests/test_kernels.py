@@ -18,7 +18,7 @@ from fracext.kernels import (
     z_derivative,
     z_derivative_coefficients,
 )
-from fracext.quadrature import DecayHint, integrate_halfline
+from fracext.quadrature import DecayHint, QuadratureError, integrate_halfline
 from fracext.specfun import FracOrder, cpow, gamma
 
 SQRT_PI = math.sqrt(math.pi)
@@ -232,24 +232,41 @@ def test_weyl_integer_order_is_time_derivative():
 
 
 def test_weyl_derivative_array_matches_scalar():
-    # the array call runs one adaptive integral per point, so each entry
-    # keeps its own relative accuracy although the values span 1e-9..5e1
-    k = Kernel("b", FracOrder(0.35), SectorPoint(0.8))
-    ts = np.geomspace(1e-3, 1e3, 13)
-    for alpha in (0.5, 1.5, 2.0):
-        got = weyl_derivative(k, alpha, ts, tol=1e-11)
-        assert got.shape == ts.shape
-        for t, g in zip(ts, got):
-            ref = weyl_derivative(k, alpha, float(t), tol=1e-11)
+    # each point of the array call is a lane of one batched quadrature with
+    # its own panels and error target, so each entry keeps its own relative
+    # accuracy although the values span 1e-9..5e1; exp_eps takes the log
+    # route, whose probe sees only zeros at s = 1e5
+    cases = [(Kernel("b", FracOrder(0.35), SectorPoint(0.8)), np.geomspace(1e-3, 1e3, 13)),
+             (Kernel("exp_eps", eps=0.7), np.array([1e-3, 0.5, 4.0, 1e5]))]
+    for k, ts in cases:
+        for alpha in (0.5, 1.5, 2.0):
+            got = weyl_derivative(k, alpha, ts, tol=1e-11)
+            assert got.shape == ts.shape
+            for t, g in zip(ts, got):
+                ref = weyl_derivative(k, alpha, float(t), tol=1e-11)
+                assert abs(g - ref) <= 1e-11 * abs(ref)
+    # s = 0 adds the kernel's zero exponent to the endpoint's (a lane group
+    # of its own for h, whose exponent is -0.4)
+    pts = [0.0, 0.3, 2.0]
+    for k in (Kernel("exp_eps", eps=1.0), Kernel("h", FracOrder(0.6), eps=1.0)):
+        got = weyl_integral(k, 0.5, pts)
+        for t, g in zip(pts, got):
+            ref = weyl_integral(k, 0.5, t)
             assert abs(g - ref) <= 1e-11 * abs(ref)
+
+
+def test_weyl_failure_names_its_point():
+    k = Kernel("b", FracOrder(0.35), SectorPoint(0.8))
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(QuadratureError, match=r"W\^0\.5 at s = nan"):
+        weyl_derivative(k, 0.5, np.array([0.5, np.nan, 2.0]))
 
 
 def test_weyl_composition_half_half():
     e1 = Kernel("exp_eps", eps=1.0)
 
     def half(t):
-        return np.array([weyl_derivative(e1, 0.5, float(u), tol=1e-13)
-                         for u in np.atleast_1d(t)]).reshape(np.shape(t))
+        return weyl_derivative(e1, 0.5, np.atleast_1d(t), tol=1e-13).reshape(np.shape(t))
 
     inner = _HintedFn(half, 0.0, ("exponential", 1.0))
     comp = weyl_derivative(inner, 0.5, 0.9, tol=1e-11)

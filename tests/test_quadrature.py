@@ -91,6 +91,16 @@ def test_halfline_zero_integrand():
     assert r.error_estimate == 0.0
 
 
+def test_interval_sees_mass_between_first_nodes():
+    # a narrow hat between the 15 nodes of the only panel: the interior
+    # probe finds it, so the panel is refined instead of read as zero
+    def hat(x):
+        return np.maximum(0.0, 1.0 - np.abs(x - 0.125) / 0.05)
+
+    r = integrate_interval(hat, -1.0, 1.0)
+    assert abs(r.value - 0.05) < 1e-10
+
+
 def test_halfline_nan_detection():
     def f(t):
         return np.where(t > 10.0, np.nan, np.exp(-t))
