@@ -12,6 +12,7 @@ quadrature of the defining fractional integral.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -66,8 +67,8 @@ def spectral_apply(op, f, vals):
 
 
 def _series_sum(alpha: float, x):
-    # sum_n x^n / Gamma(alpha+n+1) for |x| <= 12, each lane summed up to the
-    # first term n > |x| below 1e-17 of its partial sum
+    # sum_n x^n / Gamma(alpha+n+1) for |x| <= 12 at fractional alpha, each
+    # lane summed up to the first term n > |x| below 1e-17 of its partial sum
     n = np.arange(1, min(400, 64 + int(2.0 * np.max(np.abs(x), initial=0.0))))
     first = 1.0 / gamma(alpha + 1.0)
     terms = np.cumprod(x[:, None] / (alpha + n), axis=1) * first
@@ -78,25 +79,57 @@ def _series_sum(alpha: float, x):
     return partial[np.arange(x.size), np.argmax(stop, axis=1)]
 
 
+@functools.lru_cache(maxsize=64)
+def _phi_taylor(m: int):
+    """(radius r, coefficients 1/(n+m)! for n = N..0) of phi_m near zero.
+
+    Past r the recurrence of _phi_far loses at most a factor e^r m! / r^m
+    to cancellation, under 20 for m <= 60 (e^x has nothing to cancel at
+    m = 0); within it the dropped tail is below 1e-17 of the leading term.
+    """
+    radius = 0.0 if m == 0 else max(1.0, m - 2.0)
+    coef = [1.0 / math.factorial(m)]
+    while radius ** len(coef) * coef[-1] / (m + len(coef)) > 1e-17 * coef[0]:
+        coef.append(coef[-1] / (m + len(coef)))
+    return radius, tuple(coef[::-1])
+
+
+def _phi_far(m: int, x):
+    # phi_{k+1} = (phi_k - 1/k!) / x from phi_1 = expm1(x) / x
+    if m == 0:
+        return np.exp(x)
+    phi = np.expm1(x) / x
+    for k in range(1, m):
+        phi = (phi - 1.0 / math.factorial(k)) / x
+    return phi
+
+
 def integrated_exponential(a, alpha: float, t):
     """The alpha-fold integral of the scalar exponential:
     (1/Gamma(alpha)) int_0^t (t-s)^{alpha-1} e^{a s} ds.
 
-    Equals t^alpha sum_n (a t)^n / Gamma(alpha+n+1); evaluated through the
-    entire series, the incomplete gamma, or its scaled asymptotics
-    depending on |a t|.  Valid for complex a and complex t off the
-    negative real axis (t^alpha on the principal branch).  a and t
-    broadcast against each other, each entry taking its own regime;
+    Equals t^alpha sum_n (a t)^n / Gamma(alpha+n+1).  At an integer order
+    m this is t^m phi_m(a t) with phi_m(x) = (e^x - sum_{k<m} x^k/k!) / x^m,
+    evaluated in closed form: a Taylor sum for small |a t|, where the
+    subtraction would cancel, and the recurrence from expm1 elsewhere.  A
+    fractional order takes the entire series, the incomplete gamma, or its
+    scaled asymptotics depending on |a t|.  Valid for complex a and complex
+    t off the negative real axis (t^alpha on the principal branch).  a and
+    t broadcast against each other, each entry taking its own regime;
     scalar arguments give a complex.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     a, t = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(t, dtype=complex))
-    if alpha == 0.0:
-        out = np.exp(a * t)
-        return complex(out) if out.ndim == 0 else out
     x = a * t
     ax = np.abs(x)
+    if alpha == int(alpha):
+        m = int(alpha)
+        near = ax <= _phi_taylor(m)[0]
+        return _by_regime([
+            (near, lambda t, x: t ** m * np.polyval(_phi_taylor(m)[1], x)),
+            (~near, lambda t, x: t ** m * _phi_far(m, x)),
+        ], t, x)
     live = t != 0.0
     return _by_regime([
         (live & (a == 0.0), lambda a, t, x: _pow(t, alpha) / gamma(alpha + 1.0)),
@@ -134,14 +167,19 @@ def scalar_split(kind: str, alpha: float, a):
 
     The exponential parts carry all the oscillation (amplitudes constant in
     t); the remainder decays like t^{alpha-1}/|a| without oscillating, which
-    is what tail quadratures need for imaginary spectra.  smooth takes an
-    array of t.
+    is what tail quadratures need for imaginary spectra.  At an integer
+    order it is a polynomial of degree alpha - 1.  smooth takes an array of
+    t, and is None where the remainder vanishes.
     """
     a = complex(a)
     if kind == "semigroup":
         return [(1.0 + 0.0j, a)], None
     if kind == "integrated_semigroup":
         amp = cpow(a, -alpha)
+        if alpha == int(alpha):
+            # t^m phi_m(a t) = a^{-m} e^{a t} - sum_{k<m} a^{k-m} t^k / k!
+            coef = [-amp * a ** k / math.factorial(k) for k in reversed(range(int(alpha)))]
+            return [(amp, a)], lambda t: np.polyval(coef, np.asarray(t, dtype=complex))
         ga = gamma(alpha)
 
         def smooth(t):

@@ -214,12 +214,8 @@ def balakrishnan_power(A: LinearOperator, sigma, f, tol: float = 1e-11) -> Fract
     scale = max(A.norm(), 1e-12)
 
     def integrand(u):
-        u = np.atleast_1d(u)
-        rows = []
-        for uk in u:
-            lam = scale * float(uk)
-            rows.append(cpow(lam, s - 1.0) * resolvent_solve(A, lam, mAf))
-        return np.stack(rows, axis=0) * scale
+        lam = scale * np.atleast_1d(u).astype(float)
+        return np.exp((s - 1.0) * np.log(lam))[:, None] * resolvent_solve(A, lam, mAf) * scale
 
     hints = [DecayHint("algebraic-singularity-at-zero", exponent=s.real - 1.0)]
     res = integrate_halfline(integrand, hints, tol=tol)

@@ -149,13 +149,16 @@ def apply(op: LinearOperator, f) -> np.ndarray:
     return op.data @ f
 
 
-def resolvent_solve(op: LinearOperator, lam: complex, f) -> np.ndarray:
-    """(lam - A)^{-1} f."""
+def resolvent_solve(op: LinearOperator, lam, f) -> np.ndarray:
+    """(lam - A)^{-1} f; an array of lam gives one row per entry (one
+    broadcast division for a diagonal A, one LU solve per lam otherwise)."""
     f = np.asarray(f, dtype=complex).reshape(-1)
-    lam = complex(lam)
+    lam = np.asarray(lam, dtype=complex)
     if op.kind == "diagonal":
-        denom = lam - op.data
-        if np.any(np.abs(denom) == 0.0):
+        denom = lam[..., None] - op.data
+        if np.any(denom == 0.0):
             raise np.linalg.LinAlgError("lam is in the spectrum")
         return f / denom
-    return np.linalg.solve(lam * np.eye(op.dimension) - op.data, f)
+    rows = [np.linalg.solve(lk * np.eye(op.dimension) - op.data, f)
+            for lk in lam.reshape(-1).tolist()]
+    return rows[0] if lam.ndim == 0 else np.stack(rows).reshape(lam.shape + (-1,))

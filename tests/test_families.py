@@ -12,6 +12,7 @@ from fracext.families import (
     integrated_cosine,
     integrated_exponential,
     measure_growth,
+    scalar_split,
     temperedness_profile,
     verify_resolvent,
 )
@@ -250,16 +251,21 @@ def test_cosine_to_semigroup_fractional_order():
 
 def test_integrated_exponential_array_regimes_vs_hyp1f1():
     mpmath = pytest.importorskip("mpmath")
-    # x = a t in every regime: the series (|x| <= 12); the incomplete gamma
-    # (12 < |x| <= 45) away from the negative real axis (continued fraction)
-    # and near it (direct series, and its asymptotic tail past |x| = 40);
-    # the scaled asymptotics (|x| > 45) on both sides of arg x = 3 pi / 4
+    # x = a t in every fractional-order regime: the series (|x| <= 12); the
+    # incomplete gamma (12 < |x| <= 45) away from the negative real axis
+    # (continued fraction) and near it (direct series, and its asymptotic
+    # tail past |x| = 40); the scaled asymptotics (|x| > 45) on both sides
+    # of arg x = 3 pi / 4.  Integer orders take the Taylor sum within
+    # |x| <= max(1, m - 2) and the expm1 recurrence outside, including at
+    # the zero 2 pi i of e^x - 1 and far down the negative real axis.
     x = np.array([-0.3, 2j, -7.0 + 5.0j, 11.5, 20j, -20.0 + 25.0j,
                   -25.0 + 1.0j, -38.0 - 0.5j, -42.0 + 1.0j,
-                  60j, -60.0 + 40.0j, -200.0])
+                  60j, -60.0 + 40.0j, -200.0,
+                  -2e-5, 3e-7j, -0.999, 1.001j, 0.7 - 0.7j,
+                  -1.001, 1.0 + 0.01j, 0.02 - 0.99j, 2j * math.pi, -1e3])
     t = np.linspace(0.5, 3.0, x.size)
     a = x / t
-    for alpha in (0.5, 1.0, 1.5, 2.0):
+    for alpha in (0.5, 1.0, 1.5, 2.0, 3.0):
         got = integrated_exponential(a, alpha, t)
         assert got.shape == x.shape
         for k in range(x.size):
@@ -268,3 +274,30 @@ def test_integrated_exponential_array_regimes_vs_hyp1f1():
                               * mpmath.hyp1f1(1, alpha + 1, mpmath.mpc(x[k])))
             assert abs(got[k] - ref) <= 1e-12 * max(1.0, abs(ref))
             assert got[k] == integrated_exponential(a[k], alpha, t[k])
+
+
+def test_integrated_exponential_at_zero_time():
+    # T_m(0) is the identity at m = 0 and exactly zero at m >= 1
+    a = np.array([0.0, -2.0, 3j, -1e3 + 5.0j])
+    for m in range(4):
+        got = integrated_exponential(a, float(m), np.zeros(a.size))
+        assert np.all(got == (1.0 if m == 0 else 0.0))
+        assert integrated_exponential(-2.0, float(m), 0.0) == (1.0 if m == 0 else 0.0)
+
+
+def test_integer_split_remainder_vs_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    # s_a(t) - a^{-m} e^{a t} on both sides of |a t| = 45, for real-negative
+    # and imaginary rates
+    t = np.array([0.5, 3.0, 20.0, 90.0])
+    for a in (-0.8, -3.0, 0.7j, -2.5j):
+        for m in (1, 2, 3):
+            parts, smooth = scalar_split("integrated_semigroup", float(m), a)
+            assert [rate for _, rate in parts] == [a]
+            got = smooth(t)
+            for k in range(t.size):
+                with mpmath.workdps(40):
+                    tk, ak = mpmath.mpf(t[k]), mpmath.mpc(a)
+                    ref = complex(tk ** m / mpmath.factorial(m) * mpmath.hyp1f1(1, m + 1, ak * tk)
+                                  - ak ** (-m) * mpmath.exp(ak * tk))
+                assert abs(got[k] - ref) <= 1e-12 * max(1.0, abs(ref))

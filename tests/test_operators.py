@@ -105,6 +105,18 @@ def test_resolvent_residual(laplacian8, rng):
     assert np.linalg.norm(res) <= 1e-12 * (abs(lam) + laplacian8.norm()) * np.linalg.norm(x)
 
 
+def test_resolvent_array_matches_scalar(laplacian8, rng):
+    f = rng.normal(size=8)
+    lam = np.array([0.3, 2.0 + 1.5j, 17.0, 1e4])
+    for op in (laplacian8, LinearOperator("diagonal", -np.arange(1.0, 9.0) + 0.5j)):
+        got = resolvent_solve(op, lam, f)
+        assert got.shape == (lam.size, 8)
+        for k in range(lam.size):
+            assert np.array_equal(got[k], resolvent_solve(op, lam[k], f))
+    with pytest.raises(np.linalg.LinAlgError):
+        resolvent_solve(LinearOperator("diagonal", [-1.0, -2.0]), np.array([1.0, -2.0]), [1.0, 1.0])
+
+
 def test_resolvent_identity(laplacian8, rng):
     f = rng.normal(size=8)
     lam, mu = 0.6, 2.1
