@@ -31,6 +31,7 @@ from .extension import (
     solve_fractional_data,
     solve_regularized,
     solve_semigroup_form,
+    trace_grid,
 )
 from .families import cosine_family, heat_semigroup, integrate_family, integrated_cosine
 from .funcalc import balakrishnan_power, integrated_power, spectral_power_oracle
@@ -80,8 +81,7 @@ class ProblemConfig:
     family: dict = field(default_factory=lambda: {"kind": "semigroup", "alpha": 0.0})
     method: str = "all"
     z_grid: list = field(default_factory=list)
-    trace_grid: dict = field(default_factory=lambda: {
-        "y0": 0.5, "ratio": 0.7, "count": 13, "theta": 0.0})
+    trace_grid: dict = field(default_factory=dict)
     f: object = None
     tol: float = 1e-6
     seed: int = 0
@@ -128,8 +128,7 @@ def parse_config(data: dict) -> ProblemConfig:
         family=dict(data.get("family", {"kind": "semigroup", "alpha": 0.0})),
         method=str(data.get("method", "all")),
         z_grid=_finite([_decode_complex(z) for z in data.get("z_grid", [])], "z_grid"),
-        trace_grid=dict(data.get("trace_grid", {"y0": 0.5, "ratio": 0.7,
-                                                "count": 13, "theta": 0.0})),
+        trace_grid=dict(data.get("trace_grid", {})),
         f=data.get("f"),
         tol=float(data.get("tol", 1e-6)),
         seed=int(data.get("seed", 0)),
@@ -279,7 +278,7 @@ def _extend_at(cfg, A, fam, f, z, power):
             evals[m] = solve_semigroup_form(fam, cfg.sigma, z, f, tol=1e-10)
         elif m == "regularized":
             evals[m] = solve_regularized(fam, cfg.sigma, z, f,
-                                         (0.1, 0.01, 0.001, 1e-4, 1e-5, 1e-6),
+                                         (1e-2, 1e-3, 1e-4, 1e-5),
                                          power_input=power, tol=1e-10)
         elif m == "fractional_data":
             evals[m] = solve_fractional_data(fam, cfg.sigma, z, f,
@@ -334,13 +333,14 @@ def cmd_trace(cfg: ProblemConfig):
     if fam.is_cosine:
         raise ConfigError("traces run on semigroup-side families")
     gspec = cfg.trace_grid
-    y0 = float(gspec.get("y0", 0.5))
-    ratio = float(gspec.get("ratio", 0.7))
-    count = int(gspec.get("count", 13))
     theta = float(gspec.get("theta", 0.0))
-    if not (0 < ratio < 1) or count < 3 or not (0 < y0 < math.inf):
-        raise ConfigError("trace_grid needs finite y0 > 0, 0 < ratio < 1, count >= 3")
-    grid = [y0 * ratio ** k for k in range(count)]
+    try:
+        shape = {k: float(gspec[k]) for k in ("y0", "ratio") if k in gspec}
+        if "count" in gspec:
+            shape["count"] = int(gspec["count"])
+        grid = trace_grid(A, **shape)  # y0 defaults to the operator's scale
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad trace_grid {gspec!r}: {exc}")
     sol = ExtensionSolver(fam, cfg.sigma, f, tol=1e-11)
     oracle = spectral_power_oracle(A, cfg.sigma, f).value
     scale = max(float(np.linalg.norm(oracle)), 1e-300)

@@ -46,6 +46,7 @@ __all__ = [
     "solve_cosine_fractional",
     "neumann_trace",
     "quotient_trace",
+    "trace_grid",
     "pde_residual",
     "rotate_imaginary",
 ]
@@ -120,10 +121,7 @@ def solve_semigroup_form(family: OperatorFamily, sigma, z, f,
     int_0^inf W^alpha(e^{-z^2/(4t)} t^{-1-sigma}) T_alpha(t) f dt."""
     order = _sigma_checked(sigma)
     z = complex(z)
-    zp = _sector_point(z, closed=True)
-    if abs(cmath.phase(z)) >= math.pi / 4.0 - 1e-12 and not family.has_scalar:
-        raise ValueError("|arg z| must be < pi/4 for black-box families")
-    kernel = Kernel("b", order, zp)
+    kernel = Kernel("b", order, _sector_point(z, closed=True))
     value, err = _semigroup_pi(kernel, family, f, z, tol)
     return ExtensionEvaluation(z=z, value=value, error_estimate=err,
                                formula="semigroup")
@@ -137,27 +135,33 @@ def _power_input(family: OperatorFamily, sigma, f, power_input, tol):
 
 def solve_regularized(family: OperatorFamily, sigma, z, f, eps_sequence=(1.0, 0.1, 0.01),
                       power_input=None, tol: float = 1e-11) -> ExtensionEvaluation:
-    """u(z) = lim_{eps -> 0+} pi_alpha(B^{sigma,z} e_eps) (-A)^sigma f,
-    returned as the last member of the Cauchy sequence with the final
-    increment as diagnostic."""
+    """u(z) = lim_{eps -> 0+} pi_alpha(B^{sigma,z} e_eps) (-A)^sigma f.
+
+    The bias of each member is a power series in eps with integer
+    exponents, so the limit is Richardson's over the geometric eps_sequence
+    (>= 3 entries), eliminating eps^1 ... eps^{n-1}.  The error estimate is
+    the last Richardson correction plus the largest quadrature error
+    estimate of the members."""
     order = _sigma_checked(sigma)
     z = complex(z)
     zp = _sector_point(z, closed=True)
     eps_sequence = [float(e) for e in eps_sequence]
-    if len(eps_sequence) < 2 or any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
-        raise ValueError("eps_sequence must be strictly decreasing with >= 2 entries")
+    if len(eps_sequence) < 3 or any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
+        raise ValueError("eps_sequence must be strictly decreasing with >= 3 entries")
     g = _power_input(family, order, f, power_input, tol)
-    values = []
+    values, quad_err = [], 0.0
     for eps in eps_sequence:
-        kernel = Kernel("B", order, zp, eps=eps)
-        values.append(_semigroup_pi(kernel, family, g, z, tol)[0])
+        value, err = _semigroup_pi(Kernel("B", order, zp, eps=eps), family, g, z, tol)
+        values.append(value)
+        quad_err = max(quad_err, err)
     increments = [float(np.max(np.abs(v2 - v1)))
                   for v1, v2 in zip(values, values[1:])]
-    if len(increments) >= 2 and increments[-1] > 2.0 * increments[0] + 10 * tol:
+    if increments[-1] > 2.0 * increments[0] + 10 * tol:
         raise ValueError("regularized sequence is not Cauchy (temperedness breach?)")
-    return ExtensionEvaluation(z=z, value=values[-1],
-                               error_estimate=increments[-1] + tol,
-                               formula="regularized")
+    limit, diag = richardson_multi(list(zip(eps_sequence, values)),
+                                   range(1, len(values)))
+    return ExtensionEvaluation(z=z, value=np.asarray(limit).reshape(-1),
+                               error_estimate=diag + quad_err, formula="regularized")
 
 
 def solve_fractional_data(family: OperatorFamily, sigma, z, f, power_input=None,
@@ -344,9 +348,6 @@ def solve_cosine_fractional(family: OperatorFamily, sigma, z, f, power_input=Non
 # trace extraction, PDE residual, rotation corollary
 
 
-DEFAULT_TRACE_GRID = tuple(0.5 * 0.7 ** k for k in range(13))
-
-
 class ExtensionSolver:
     """Semigroup-representation solver bundling (family, sigma, f).
 
@@ -375,45 +376,47 @@ def _trace_exponents(s: complex):
     return [2.0 - 2.0 * s, 2.0, 4.0 - 2.0 * s]
 
 
-def neumann_trace(solver: ExtensionSolver, theta: float = 0.0, grid=None) -> TraceEstimate:
-    """Extrapolated lim z^{1-2 sigma} u'(z) along the ray arg z = theta,
-    with the recovered (-A)^sigma f = limit / (2 sigma c_sigma)."""
+def trace_grid(A: LinearOperator, y0=None, ratio: float = 0.7, count: int = 13) -> list:
+    """The geometric trace grid y0 * ratio^k, k < count.  The default
+    y0 = min(0.5, 2/sqrt(||A||)) keeps the samples inside the boundary layer
+    of the stiffest mode, whose width is 1/sqrt(||A||)."""
+    if y0 is None:
+        y0 = min(0.5, 2.0 / math.sqrt(max(A.norm(), 1e-300)))
+    if not (0 < ratio < 1) or count < 3 or not (0 < y0 < math.inf):
+        raise ValueError("trace_grid needs finite y0 > 0, 0 < ratio < 1, count >= 3")
+    return [y0 * ratio ** k for k in range(count)]
+
+
+def _ray_trace(solver: ExtensionSolver, kind: str, sample, factor, theta, grid):
+    """Richardson limit of sample(z) along the ray arg z = theta, with the
+    recovered (-A)^sigma f = limit / factor."""
     if abs(theta) >= math.pi / 4.0:
         raise ValueError("trace rays need |theta| < pi/4")
-    ys = list(grid) if grid is not None else list(DEFAULT_TRACE_GRID)
-    s = solver.order.sigma
+    ys = list(grid) if grid is not None else trace_grid(solver.family.generator)
     direction = cmath.exp(1j * theta)
-    samples = []
-    for y in ys:
-        zc = direction * y
-        w = cpow(zc, 1.0 - 2.0 * s) * solver.derivative(zc)
-        samples.append((y, w))
-    limit, diag = richardson_multi(samples, _trace_exponents(s))
+    samples = [(y, sample(direction * y)) for y in ys]
+    limit, diag = richardson_multi(samples, _trace_exponents(solver.order.sigma))
     limit = np.asarray(limit).reshape(-1)
-    factor = constants_for(solver.order).neumann_factor
-    return TraceEstimate(kind="neumann", limit=limit, diagnostic=diag,
-                         samples_used=len(ys), fractional_power=limit / factor,
-                         samples=samples)
+    return TraceEstimate(kind=kind, limit=limit, diagnostic=diag, samples_used=len(ys),
+                         fractional_power=limit / factor, samples=samples)
+
+
+def neumann_trace(solver: ExtensionSolver, theta: float = 0.0, grid=None) -> TraceEstimate:
+    """Extrapolated lim z^{1-2 sigma} u'(z) = 2 sigma c_sigma (-A)^sigma f."""
+    def sample(z, s=solver.order.sigma):
+        return cpow(z, 1.0 - 2.0 * s) * solver.derivative(z)
+
+    return _ray_trace(solver, "neumann", sample, constants_for(solver.order).neumann_factor,
+                      theta, grid)
 
 
 def quotient_trace(solver: ExtensionSolver, theta: float = 0.0, grid=None) -> TraceEstimate:
     """Extrapolated lim (u(z) - f)/z^{2 sigma} = c_sigma (-A)^sigma f."""
-    if abs(theta) >= math.pi / 4.0:
-        raise ValueError("trace rays need |theta| < pi/4")
-    ys = list(grid) if grid is not None else list(DEFAULT_TRACE_GRID)
-    s = solver.order.sigma
-    direction = cmath.exp(1j * theta)
-    samples = []
-    for y in ys:
-        zc = direction * y
-        w = (solver.value(zc) - solver.f) * cpow(zc, -2.0 * s)
-        samples.append((y, w))
-    limit, diag = richardson_multi(samples, _trace_exponents(s))
-    limit = np.asarray(limit).reshape(-1)
-    c_sig = constants_for(solver.order).c_sigma
-    return TraceEstimate(kind="quotient", limit=limit, diagnostic=diag,
-                         samples_used=len(ys), fractional_power=limit / c_sig,
-                         samples=samples)
+    def sample(z, s=solver.order.sigma):
+        return (solver.value(z) - solver.f) * cpow(z, -2.0 * s)
+
+    return _ray_trace(solver, "quotient", sample, constants_for(solver.order).c_sigma,
+                      theta, grid)
 
 
 def pde_residual(solver: ExtensionSolver, A: LinearOperator, sigma, z,

@@ -21,7 +21,7 @@ import numpy as np
 from .families import (OperatorFamily, family_factor, heat_semigroup, integrate_family,
                        scalar_split, spectral_apply, spectral_eigendata)
 from .kernels import Kernel, _KernelExpr, _halfline_hints, _weyl_kernel_fn
-from .operators import LinearOperator, apply, resolvent_solve
+from .operators import DefectiveOperatorError, LinearOperator, apply, resolvent_solve
 from .quadrature import (
     DecayHint,
     _graded_interval,
@@ -204,23 +204,35 @@ def balakrishnan_power(A: LinearOperator, sigma, f, tol: float = 1e-11) -> Fract
 
     The integration variable is scaled by ||A|| (split point of the
     lam^{sigma-1} / lam^{sigma-2} regimes) and run through the exponential
-    substitution.
+    substitution.  A diagonalizable A integrates the scalar factors
+    (-a)/(lam - a) of all eigenvalues as one vector and assembles once, so
+    a zero mode contributes exactly 0; a defective A solves the resolvent
+    at every node.
     """
     s = _sigma_value(sigma)
     if not (0.0 < s.real < 1.0):
         raise ValueError("balakrishnan_power needs 0 < Re sigma < 1")
     f = np.asarray(f, dtype=complex).reshape(-1)
-    mAf = -apply(A, f)
     scale = max(A.norm(), 1e-12)
+    try:
+        eigs = spectral_eigendata(A)[0]
+    except DefectiveOperatorError:
+        eigs = None
+        mAf = -apply(A, f)
 
     def integrand(u):
         lam = scale * np.atleast_1d(u).astype(float)
-        return np.exp((s - 1.0) * np.log(lam))[:, None] * resolvent_solve(A, lam, mAf) * scale
+        w = (np.exp((s - 1.0) * np.log(lam)) * scale)[:, None]
+        if eigs is None:
+            return w * resolvent_solve(A, lam, mAf)
+        return w * (-eigs / (lam[:, None] - eigs))
 
     hints = [DecayHint("algebraic-singularity-at-zero", exponent=s.real - 1.0)]
     res = integrate_halfline(integrand, hints, tol=tol)
     pref = cmath.sin(cmath.pi * s) / math.pi
     value = pref * np.asarray(res.value).reshape(-1)
+    if eigs is not None:
+        value = spectral_apply(A, f, value)
     return FractionalPowerResult(value=value, method="balakrishnan",
                                  error_estimate=abs(pref) * res.error_estimate)
 

@@ -153,14 +153,6 @@ def z_derivative_coefficients(kind: str, n: int, sigma) -> DerivativeCoefficient
     return DerivativeCoefficients(order=n, table=_z_poly(w, n))
 
 
-def _falling(s: complex, n: int) -> complex:
-    # (s-1)(s-2)...(s-n); equals 1 for n = 0
-    out = 1.0 + 0.0j
-    for i in range(1, n + 1):
-        out *= s - i
-    return out
-
-
 # ---------------------------------------------------------------------------
 # internal closed-form function objects
 

@@ -286,50 +286,33 @@ def integrate_interval(f, a, b, tol: float = DEFAULT_TOL, max_panels: int = 4000
     return QuadratureResult(vals[0], float(errs[0]), int(evals[0]))
 
 
-def _graded_interval(f, a, b, tol, q_left=None, q_right=None, seeds: int = 0, **kw):
-    """Integrate over [a, b] with algebraic endpoint singularities graded out.
+def _graded_interval(f, a, b, tol, q_left=None, seeds: int = 0):
+    """Integrate over [a, b] with an algebraic left-endpoint singularity
+    graded out.
 
-    q_left / q_right are the exponents of |f| ~ (t-a)^q resp. (b-t)^q near
-    the endpoints (q > -1).  Grading substitutes the exact power that
-    removes the singularity.  seeds > 0 plants that many dyadic panels
-    toward the left endpoint (for integrands with internal scales far below
-    the span, which a single wide panel would never sample).
+    q_left is the exponent of |f| ~ (t-a)^q near a (q > -1).  Grading
+    substitutes the exact power that removes the singularity.  seeds > 0
+    plants that many dyadic panels toward the left endpoint (for integrands
+    with internal scales far below the span, which a single wide panel
+    would never sample).
     """
     if q_left is not None and q_left <= -1.0:
         raise ValueError("left exponent must be > -1")
-    if q_right is not None and q_right <= -1.0:
-        raise ValueError("right exponent must be > -1")
     mid = 0.5 * (a + b)
-    spans = []
     if q_left is not None and q_left < 0.0:
         m = 1.0 / (1.0 + q_left)
-        w_hi = (mid - a) ** (1.0 / m)
 
         def g_left(s, m=m, a=a):
             return _with_jacobian(f(a + s ** m), m * s ** (m - 1.0))
 
-        spans.append((g_left, 0.0, w_hi, seeds))
+        left = integrate_interval(g_left, 0.0, (mid - a) ** (1.0 / m), tol=tol,
+                                  dyadic_from_left=seeds)
     else:
-        spans.append((f, a, mid, seeds))
-    if q_right is not None and q_right < 0.0:
-        m = 1.0 / (1.0 + q_right)
-        w_hi = (b - mid) ** (1.0 / m)
-
-        def g_right(s, m=m, b=b):
-            return _with_jacobian(f(b - s ** m), m * s ** (m - 1.0))
-
-        spans.append((g_right, 0.0, w_hi, seeds))
-    else:
-        spans.append((f, mid, b, 0))
-    total = None
-    err = 0.0
-    evals = 0
-    for g, lo, hi, seeds in spans:
-        r = integrate_interval(g, lo, hi, tol=tol, dyadic_from_left=seeds, **kw)
-        total = r.value if total is None else total + r.value
-        err += r.error_estimate
-        evals += r.evaluations
-    return QuadratureResult(total, err, evals)
+        left = integrate_interval(f, a, mid, tol=tol, dyadic_from_left=seeds)
+    right = integrate_interval(f, mid, b, tol=tol)
+    return QuadratureResult(left.value + right.value,
+                            left.error_estimate + right.error_estimate,
+                            left.evaluations + right.evaluations)
 
 
 def _parse_hints(hints):

@@ -1,7 +1,10 @@
-"""Named invariant suites, shared by the CLI verify command and the tests.
+"""The paper's identities as one registry of invariants.
 
-Each check returns (name, passed, detail); a suite is a list of checks run
-with a fixed seed so reports are reproducible.
+Each invariant is one function that takes its inputs (operator, data,
+sigma, draws, grids, steps) and returns the measured error, or the measured
+sequence for a rate or a monotone decay.  The suites behind `fracext
+verify` call them with seeded inputs and report rows (name, passed,
+detail); the acceptance tests call them with their own inputs.
 """
 
 from __future__ import annotations
@@ -13,14 +16,179 @@ import numpy as np
 
 from . import extension, families, funcalc, kernels, operators, quadrature, specfun
 
-SUITES = ("specfun", "quadrature", "kernels", "operators", "families",
-          "funcalc", "extension")
+
+def _check(name, err, tol):
+    return (name, bool(err <= tol), f"err={err:.3e} tol={tol:.1e}")
 
 
-def _check(name, err, tol, extra=""):
-    passed = bool(err <= tol)
-    detail = f"err={err:.3e} tol={tol:.1e}" + (f" {extra}" if extra else "")
-    return (name, passed, detail)
+def _rel(a, b) -> float:
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def _kernel(kind, s, z=None):
+    point = None if z is None else kernels.SectorPoint(z)
+    return kernels.Kernel(kind, specfun.FracOrder(s), point)
+
+
+def heat_family(A, alpha: float):
+    """exp(tA) integrated alpha times."""
+    fam = families.heat_semigroup(A)
+    return fam if alpha == 0.0 else families.integrate_family(fam, alpha)
+
+
+def decreasing(values) -> bool:
+    return all(a > b for a, b in zip(values, values[1:]))
+
+
+def normalization_error(draws) -> float:
+    """max |int_0^inf b^{sigma,z}(t) dt - 1| over draws (sigma, z)."""
+    err = 0.0
+    for s, z in draws:
+        hints = [quadrature.DecayHint("essential-singularity-at-zero"),
+                 quadrature.DecayHint("algebraic-at-infinity", power=1 + s)]
+        r = quadrature.integrate_halfline(_kernel("b", s, z).fn(0), hints, tol=1e-11)
+        err = max(err, abs(r.value - 1.0))
+    return err
+
+
+def kernel_pde_errors(draws):
+    """(ODE, Euler) worst residuals over draws (sigma, z, t) for k = b and B:
+    |d_z^2 k + (1-2 sigma)/z d_z k - d_t k| / |d_t k| and
+    |2t d_t k + z d_z k - c k| / |k|, with c = -2 for b and -2(1-sigma) for B."""
+    ode = euler = 0.0
+    for s, z, t in draws:
+        for kind, coef in (("b", -2.0), ("B", -2.0 * (1 - s))):
+            k = _kernel(kind, s, z)
+            val, dt = kernels.eval_kernel(k, t), kernels.time_derivative(k, 1, t)
+            dz, dzz = kernels.z_derivative(k, 1, t), kernels.z_derivative(k, 2, t)
+            ode = max(ode, abs(dzz + (1 - 2 * s) / z * dz - dt) / max(abs(dt), 1e-30))
+            euler = max(euler, abs(2 * t * dt + z * dz - coef * val) / max(abs(val), 1e-30))
+    return ode, euler
+
+
+def derB_error(s, z, t) -> float:
+    """Relative residual of z^{1-2 sigma} d_z B^sigma = sigma Gamma(-sigma)
+    / (2^{2 sigma-1} Gamma(sigma)) b^{1-sigma}."""
+    lhs = specfun.cpow(z, 1 - 2 * s) * kernels.z_derivative(_kernel("B", s, z), 1, t)
+    rhs = (s * specfun.gamma(-s) / (2 ** (2 * s - 1) * specfun.gamma(s))
+           * kernels.eval_kernel(_kernel("b", 1 - s, z), t))
+    return abs(lhs - rhs) / abs(rhs)
+
+
+def convolution_error(draws) -> float:
+    """max relative gap of B = h * b over draws (sigma, z) at t = 1/2, 1, 2."""
+    err = 0.0
+    for s, z in draws:
+        for t in (0.5, 1.0, 2.0):
+            conv = kernels.convolve_halfline(_kernel("h", s), _kernel("b", s, z), t)
+            ref = kernels.eval_kernel(_kernel("B", s, z), t)
+            err = max(err, abs(conv - ref) / max(abs(ref), 1e-30))
+    return err
+
+
+def weyl_composition_error(t) -> float:
+    """|W^{1/2} W^{1/2} e_1 - W^1 e_1| at t."""
+    e1 = kernels.Kernel("exp_eps", eps=1.0)
+
+    def half(u):
+        return kernels.weyl_derivative(e1, 0.5, np.atleast_1d(u), tol=1e-13).reshape(np.shape(u))
+
+    comp = kernels.weyl_derivative(kernels._HintedFn(half, 0.0, ("exponential", 1.0)), 0.5, t,
+                                   tol=1e-11)
+    return abs(comp - kernels.weyl_derivative(e1, 1.0, t))
+
+
+def laplace_error(A, f, cosine: bool = False) -> float:
+    """Worst Laplace-transform residual of T_a or C_a, a in {0, 1, 1.5}, lam in {1/2, 1, 2}."""
+    fams = [families.integrated_cosine(A, a) if cosine else heat_family(A, a)
+            for a in (0.0, 1.0, 1.5)]
+    return max(families.verify_resolvent(fam, lam, f) for fam in fams for lam in (0.5, 1.0, 2.0))
+
+
+def integration_error(A, f) -> float:
+    """Worst residual of T_a(t) f - t^a f / Gamma(a+1) = T_{a+1}(t) A f."""
+    return max(families.integra_identity_residual(heat_family(A, a), f, t)
+               for a in (0.0, 1.0) for t in (0.5, 1.0))
+
+
+def cosine_semigroup_error(A, f, t, alpha: float) -> float:
+    """Relative gap between exp(tA) f and its recovery from C_alpha."""
+    got = families.cosine_to_semigroup(families.integrated_cosine(A, alpha), t, f)
+    return _rel(got, families.heat_semigroup(A).evaluate(t, f))
+
+
+def method_agreement(A, f) -> float:
+    """Worst pairwise gap, relative to the oracle, of the routes to (-A)^{1/2} f:
+    oracle, Balakrishnan, integrated formula at alpha in {0, 1, 1.5}."""
+    oracle = funcalc.spectral_power_oracle(A, 0.5, f).value
+    vals = [oracle, funcalc.balakrishnan_power(A, 0.5, f).value]
+    vals += [funcalc.integrated_power(heat_family(A, a), 0.5, f, tol=1e-9).value
+             for a in (0.0, 1.0, 1.5)]
+    return max(float(np.linalg.norm(u - v) / np.linalg.norm(oracle))
+               for i, u in enumerate(vals) for v in vals[i + 1:])
+
+
+def cero_error(A, f, alpha: float) -> float:
+    """Residual of -A pi_alpha(e_eps) f = pi_alpha(e_eps') f + f at eps = 0.7."""
+    return funcalc.cero_residual(kernels.Kernel("exp_eps", eps=0.7), heat_family(A, alpha), f)
+
+
+def unoss_error(A, f) -> float:
+    """Relative gap of (1/2 - A)^{-0.3} f against the eigenbasis."""
+    dec = operators.spectral_decompose(A)
+    ref = dec.basis @ ((0.5 - dec.eigenvalues) ** -0.3 * (dec.inverse_basis @ f))
+    return _rel(funcalc.shifted_negative_power(A, 0.5, 0.3, f), ref)
+
+
+def msm_residuals(A, f) -> list:
+    """||(eps-A)^{-1/2} (-A)^{1/2} f - f|| / ||f|| for eps = 1 ... 1e-3."""
+    return funcalc.msm_limit_residual(A, 0.5, f, [1.0, 0.1, 0.01, 0.001])
+
+
+def poisson_error(ys) -> float:
+    """max relative gap of u(y) = e^{-y} for A = -1, f = 1, sigma = 1/2."""
+    fam = families.heat_semigroup(operators.LinearOperator("diagonal", [-1.0]))
+    return max(abs(extension.solve_semigroup_form(fam, 0.5, y, [1.0]).value[0] - math.exp(-y))
+               / math.exp(-y) for y in ys)
+
+
+def trace_errors(A, f, sigma):
+    """(Neumann trace vs the oracle, quotient trace vs Neumann), relative."""
+    sol = extension.ExtensionSolver(families.heat_semigroup(A), sigma, f)
+    tr, qt = extension.neumann_trace(sol), extension.quotient_trace(sol)
+    oracle = funcalc.spectral_power_oracle(A, sigma, f).value
+    return _rel(tr.fractional_power, oracle), _rel(qt.fractional_power, tr.fractional_power)
+
+
+def wave_heat_error(A, f, sigmas, ys) -> float:
+    """Worst gap, relative to ||f||, of both wave-side solvers (log kernel at
+    sigma = 1/2) against the heat-side u(y)."""
+    heat, cos = families.heat_semigroup(A), families.cosine_family(A)
+    err = 0.0
+    for s in sigmas:
+        for y in ys:
+            base = extension.solve_semigroup_form(heat, s, y, f).value
+            for solve in (extension.solve_cosine_form, extension.solve_cosine_fractional):
+                err = max(err, float(np.linalg.norm(solve(cos, s, y, f).value - base)
+                                     / np.linalg.norm(f)))
+    return err
+
+
+def pde_ratios(A, f, sigma, zs, h) -> list:
+    """r(h) / r(h/2) of the PDE residual at each z: 4 for O(h^2)."""
+    sol = extension.ExtensionSolver(families.heat_semigroup(A), sigma, f)
+    return [extension.pde_residual(sol, A, sigma, z, h)
+            / extension.pde_residual(sol, A, sigma, z, h / 2) for z in zs]
+
+
+def rotation_error(lam, f, sigma, ys) -> float:
+    """Worst relative gap between u(y) for iH (alpha = 1, direct solve) and
+    v(e^{i pi/4} y) for H = diag(lam)."""
+    H = families.heat_semigroup(operators.LinearOperator("diagonal", lam))
+    v = extension.ExtensionSolver(H, sigma, f)
+    fam = heat_family(operators.LinearOperator("diagonal", 1j * np.asarray(lam)), 1.0)
+    return max(_rel(extension.rotate_imaginary(v, y),
+                    extension.solve_semigroup_form(fam, sigma, y, f).value) for y in ys)
 
 
 def run_specfun(seed: int = 0):
@@ -62,11 +230,7 @@ def run_quadrature(seed: int = 0):
          quadrature.DecayHint("exponential-at-infinity")])
     out.append(_check("int t^-1/2 e^-t = sqrt(pi)",
                       abs(r.value - math.sqrt(math.pi)), 1e-9))
-    kb = kernels.Kernel("b", specfun.FracOrder(0.5), kernels.SectorPoint(1.0))
-    r = quadrature.integrate_halfline(
-        kb.fn(0), [quadrature.DecayHint("essential-singularity-at-zero"),
-                   quadrature.DecayHint("algebraic-at-infinity", power=1.5)])
-    out.append(_check("int b^{1/2,1} = 1", abs(r.value - 1.0), 1e-9))
+    out.append(_check("int b^{1/2,1} = 1", normalization_error([(0.5, 1.0)]), 1e-9))
     samples = [(0.5 * 0.7 ** k, math.exp(-0.5 * 0.7 ** k)) for k in range(10)]
     L, diag = quadrature.richardson_limit(samples, 1.0)
     out.append(_check("richardson e^-y -> 1", abs(L - 1.0), 1e-10))
@@ -75,71 +239,24 @@ def run_quadrature(seed: int = 0):
 
 def run_kernels(seed: int = 0):
     rng = np.random.default_rng(seed)
-    out = []
-    err = 0.0
-    for _ in range(20):
-        s = rng.uniform(0.05, 0.95)
-        ang = rng.uniform(-math.pi / 4 * 0.9, math.pi / 4 * 0.9)
-        z = rng.uniform(0.3, 2.0) * cmath.exp(1j * ang)
-        kb = kernels.Kernel("b", specfun.FracOrder(s), kernels.SectorPoint(z))
-        r = quadrature.integrate_halfline(
-            kb.fn(0), [quadrature.DecayHint("essential-singularity-at-zero"),
-                       quadrature.DecayHint("algebraic-at-infinity", power=1 + s)])
-        err = max(err, abs(r.value - 1.0))
-    out.append(_check("normalization int b = 1 (20 draws)", err, 1e-9))
-    err_ode = 0.0
-    err_euler = 0.0
-    for _ in range(10):
-        s = rng.uniform(0.05, 0.95)
-        z = rng.uniform(0.4, 1.5) * cmath.exp(1j * rng.uniform(-0.7, 0.7))
-        t = rng.uniform(0.2, 3.0)
-        kb = kernels.Kernel("b", specfun.FracOrder(s), kernels.SectorPoint(z))
-        kB = kernels.Kernel("B", specfun.FracOrder(s), kernels.SectorPoint(z))
-        for k, rhs_coef in ((kb, -2.0), (kB, -2.0 * (1 - s))):
-            ode = (kernels.z_derivative(k, 2, t)
-                   + (1 - 2 * s) / z * kernels.z_derivative(k, 1, t)
-                   - kernels.time_derivative(k, 1, t))
-            scale = max(abs(kernels.time_derivative(k, 1, t)), 1e-30)
-            err_ode = max(err_ode, abs(ode) / scale)
-            euler = (2 * t * kernels.time_derivative(k, 1, t)
-                     + z * kernels.z_derivative(k, 1, t)
-                     - rhs_coef * kernels.eval_kernel(k, t))
-            err_euler = max(err_euler, abs(euler) / max(abs(kernels.eval_kernel(k, t)), 1e-30))
-    out.append(_check("kernel ODE (b and B)", err_ode, 1e-10))
-    out.append(_check("Euler identity (b and B)", err_euler, 1e-10))
-    s, z, t = 0.25, complex(1.0, 0.2), 0.7
-    kB = kernels.Kernel("B", specfun.FracOrder(s), kernels.SectorPoint(z))
-    lhs = specfun.cpow(z, 1 - 2 * s) * kernels.z_derivative(kB, 1, t)
-    b1 = kernels.Kernel("b", specfun.FracOrder(1 - s), kernels.SectorPoint(z))
-    rhs = (s * specfun.gamma(-s) / (2 ** (2 * s - 1) * specfun.gamma(s))
-           * kernels.eval_kernel(b1, t))
-    out.append(_check("derB identity", abs(lhs - rhs) / abs(rhs), 1e-10))
-    err = 0.0
-    for sv in (0.5, 1.0, 2.0):
-        conv = kernels.convolve_halfline(
-            kernels.Kernel("h", specfun.FracOrder(0.3)),
-            kernels.Kernel("b", specfun.FracOrder(0.3), kernels.SectorPoint(1.0)), sv)
-        ref = kernels.eval_kernel(
-            kernels.Kernel("B", specfun.FracOrder(0.3), kernels.SectorPoint(1.0)), sv)
-        err = max(err, abs(conv - ref) / abs(ref))
-    out.append(_check("B = h * b (convolution)", err, 1e-8))
-    e1 = kernels.Kernel("exp_eps", eps=1.0)
-
-    def w_half(t):
-        return kernels.weyl_derivative(e1, 0.5, t, tol=1e-13)
-
-    comp = kernels.weyl_derivative(kernels._HintedFn(w_half, 0.0, ("exponential", 1.0)),
-                                   0.5, 0.9, tol=1e-11)
-    once = kernels.weyl_derivative(e1, 1.0, 0.9)
-    out.append(_check("W^{1/2} W^{1/2} = W^1 on e_1", abs(comp - once), 1e-9))
-    norms = [kernels.sobolev_norm(kernels.Kernel("b", specfun.FracOrder(0.4),
-                                                 kernels.SectorPoint(1.0), eps=e), 1.0)
-             for e in (1.0, 0.1, 0.01)]
-    base = kernels.sobolev_norm(kernels.Kernel("b", specfun.FracOrder(0.4),
-                                               kernels.SectorPoint(1.0)), 1.0)
+    draws = [(rng.uniform(0.05, 0.95),
+              cmath.exp(1j * rng.uniform(-math.pi / 4 * 0.9, math.pi / 4 * 0.9))
+              * rng.uniform(0.3, 2.0)) for _ in range(20)]
+    out = [_check("normalization int b = 1 (20 draws)", normalization_error(draws), 1e-9)]
+    draws = [(rng.uniform(0.05, 0.95),
+              rng.uniform(0.4, 1.5) * cmath.exp(1j * rng.uniform(-0.7, 0.7)),
+              rng.uniform(0.2, 3.0)) for _ in range(10)]
+    ode, euler = kernel_pde_errors(draws)
+    out.append(_check("kernel ODE (b and B)", ode, 1e-10))
+    out.append(_check("Euler identity (b and B)", euler, 1e-10))
+    out.append(_check("derB identity", derB_error(0.25, complex(1.0, 0.2), 0.7), 1e-10))
+    out.append(_check("B = h * b (convolution)", convolution_error([(0.3, 1.0)]), 1e-8))
+    out.append(_check("W^{1/2} W^{1/2} = W^1 on e_1", weyl_composition_error(0.9), 1e-9))
+    base, *norms = [kernels.sobolev_norm(kernels.Kernel("b", specfun.FracOrder(0.4),
+                                                        kernels.SectorPoint(1.0), eps=e), 1.0)
+                    for e in (None, 1.0, 0.1, 0.01)]
     gaps = [abs(n - base) for n in norms]
-    mono = gaps[0] > gaps[1] > gaps[2]
-    out.append(("||b e_eps - b||_(1) decreasing", mono,
+    out.append(("||b e_eps - b||_(1) decreasing", decreasing(gaps),
                 "gaps " + ", ".join(f"{g:.2e}" for g in gaps)))
     return out
 
@@ -164,9 +281,7 @@ def run_operators(seed: int = 0):
         err = max(err, lam * np.linalg.norm(x) / np.linalg.norm(f) - 1.0)
     out.append(_check("||lam (lam-A)^{-1}|| <= 1", max(err, 0.0), 1e-12))
     lam1, lam2 = 0.7, 1.9
-    r1 = operators.resolvent_solve(A, lam1, f)
-    r2 = operators.resolvent_solve(A, lam2, f)
-    lhs = r1 - r2
+    lhs = operators.resolvent_solve(A, lam1, f) - operators.resolvent_solve(A, lam2, f)
     rhs = (lam2 - lam1) * operators.resolvent_solve(A, lam1,
                                                     operators.resolvent_solve(A, lam2, f))
     out.append(_check("resolvent identity",
@@ -176,55 +291,27 @@ def run_operators(seed: int = 0):
 
 def _corpus(seed: int):
     rng = np.random.default_rng(seed)
-    scalar = operators.LinearOperator("diagonal", [-1.0])
-    imag = operators.build_fourier_multiplier(lambda xi: 1j * xi ** 3,
-                                              [-2.0, -1.0, 1.0, 2.0])
-    lap = operators.build_laplacian_1d(8, 1.0)
-    return [
-        ("scalar", scalar, np.array([1.0])),
-        ("diag-imag", imag, rng.normal(size=4)),
-        ("laplacian8", lap, rng.normal(size=8)),
-    ]
+    imag = operators.build_fourier_multiplier(lambda xi: 1j * xi ** 3, [-2.0, -1.0, 1.0, 2.0])
+    return [("scalar", operators.LinearOperator("diagonal", [-1.0]), np.array([1.0])),
+            ("diag-imag", imag, rng.normal(size=4)),
+            ("laplacian8", operators.build_laplacian_1d(8, 1.0), rng.normal(size=8))]
 
 
 def run_families(seed: int = 0):
-    out = []
-    err = 0.0
-    for name, A, f in _corpus(seed):
-        for alpha in (0.0, 1.0, 1.5):
-            fam = families.heat_semigroup(A) if alpha == 0.0 else \
-                families.integrate_family(families.heat_semigroup(A), alpha)
-            for lam in (0.5, 1.0, 2.0):
-                err = max(err, families.verify_resolvent(fam, lam, f))
-    out.append(_check("Laplace transform (resolv), corpus x alpha x lam", err, 1e-8))
-    err = 0.0
+    corpus = _corpus(seed)
     lap = operators.build_laplacian_1d(8, 1.0)
-    rng = np.random.default_rng(seed)
-    f8 = rng.normal(size=8)
-    for alpha in (0.0, 1.0, 1.5):
-        fam = families.integrated_cosine(lap, alpha)
-        for lam in (0.5, 1.0, 2.0):
-            err = max(err, families.verify_resolvent(fam, lam, f8))
-    out.append(_check("Laplace transform (resolcos), alpha x lam", err, 1e-8))
-    err = 0.0
-    for name, A, f in _corpus(seed):
-        for alpha in (0.0, 1.0):
-            fam = families.heat_semigroup(A) if alpha == 0.0 else \
-                families.integrate_family(families.heat_semigroup(A), alpha)
-            for t in (0.5, 1.0):
-                err = max(err, families.integra_identity_residual(fam, f, t))
-    out.append(_check("integration identity (T_a - t^a/G = T_{a+1} A)", err, 1e-8))
-    fam = families.cosine_family(lap)
-    c1 = families.cosine_to_semigroup(families.integrate_family(fam, 1.0), 1.0, f8)
-    ref = families.heat_semigroup(lap).evaluate(1.0, f8)
-    out.append(_check("cosine->semigroup alpha=1",
-                      float(np.linalg.norm(c1 - ref) / np.linalg.norm(ref)), 1e-7))
+    f8 = np.random.default_rng(seed).normal(size=8)
+    out = [_check("Laplace transform (resolv), corpus x alpha x lam",
+                  max(laplace_error(A, f) for _, A, f in corpus), 1e-8),
+           _check("Laplace transform (resolcos), alpha x lam",
+                  laplace_error(lap, f8, cosine=True), 1e-8),
+           _check("integration identity (T_a - t^a/G = T_{a+1} A)",
+                  max(integration_error(A, f) for _, A, f in corpus), 1e-8),
+           _check("cosine->semigroup alpha=1", cosine_semigroup_error(lap, f8, 1.0, 1.0), 1e-7)]
     worst = 0.0
-    for name, A, f in _corpus(seed):
+    for name, A, f in corpus:
         for alpha in (0.0, 1.0):
-            fam = families.heat_semigroup(A) if alpha == 0.0 else \
-                families.integrate_family(families.heat_semigroup(A), alpha)
-            prof = families.temperedness_profile(fam)
+            prof = families.temperedness_profile(heat_family(A, alpha))
             worst = max(worst, prof["max"] / max(prof["median"], 1e-300))
     out.append(("temperedness sup within 10x median", worst <= 10.0,
                 f"max/median = {worst:.3f}"))
@@ -233,102 +320,63 @@ def run_families(seed: int = 0):
 
 def run_funcalc(seed: int = 0):
     out = []
-    rng = np.random.default_rng(seed)
-    err = 0.0
     for name, A, f in _corpus(seed):
         tol_m = 1e-5 if name == "diag-imag" else 1e-6
-        oracle = funcalc.spectral_power_oracle(A, 0.5, f).value
-        vals = [funcalc.balakrishnan_power(A, 0.5, f).value]
-        for alpha in (0.0, 1.0, 1.5):
-            fam = families.heat_semigroup(A) if alpha == 0.0 else \
-                families.integrate_family(families.heat_semigroup(A), alpha)
-            vals.append(funcalc.integrated_power(fam, 0.5, f, tol=1e-9).value)
-        vals.append(oracle)
-        worst = 0.0
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                worst = max(worst, float(np.linalg.norm(vals[i] - vals[j])
-                                         / np.linalg.norm(oracle)))
-        passed = worst <= tol_m
-        out.append((f"method agreement ({name})", passed,
+        worst = method_agreement(A, f)
+        out.append((f"method agreement ({name})", worst <= tol_m,
                     f"worst pairwise {worst:.2e} tol {tol_m:.0e}"))
     A1 = operators.LinearOperator("diagonal", [-1.0])
-    f1 = np.array([1.0])
-    fam0 = families.heat_semigroup(A1)
-    err = funcalc.cero_residual(kernels.Kernel("exp_eps", eps=0.7), fam0, f1)
-    out.append(_check("(cero) alpha=0", err, 1e-8))
-    fam1 = families.integrate_family(fam0, 1.0)
-    err = funcalc.cero_residual(kernels.Kernel("exp_eps", eps=0.7), fam1, f1)
-    out.append(_check("(cero) alpha=1", err, 1e-8))
+    for alpha in (0.0, 1.0):
+        out.append(_check(f"(cero) alpha={alpha:g}", cero_error(A1, np.array([1.0]), alpha), 1e-8))
     lap = operators.build_laplacian_1d(8, 1.0)
-    f8 = rng.normal(size=8)
-    v = funcalc.shifted_negative_power(lap, 0.5, 0.3, f8)
-    dec = operators.spectral_decompose(lap)
-    ref = dec.basis @ ((0.5 - dec.eigenvalues) ** -0.3 * (dec.inverse_basis @ f8))
-    out.append(_check("(unoss) vs oracle",
-                      float(np.linalg.norm(v - ref) / np.linalg.norm(ref)), 1e-8))
-    res = funcalc.msm_limit_residual(lap, 0.5, f8, [1.0, 0.1, 0.01, 0.001])
-    mono = all(a > b for a, b in zip(res, res[1:]))
-    out.append(("(msm) monotone decay", mono,
+    f8 = np.random.default_rng(seed).normal(size=8)
+    out.append(_check("(unoss) vs oracle", unoss_error(lap, f8), 1e-8))
+    res = msm_residuals(lap, f8)
+    out.append(("(msm) monotone decay", decreasing(res),
                 "residuals " + ", ".join(f"{r:.2e}" for r in res)))
     return out
 
 
 def run_extension(seed: int = 0):
-    out = []
     rng = np.random.default_rng(seed)
-    A1 = operators.LinearOperator("diagonal", [-1.0])
-    f1 = np.array([1.0])
-    fam0 = families.heat_semigroup(A1)
-    err = 0.0
-    for y in (0.25, 1.0, 2.0):
-        u = extension.solve_semigroup_form(fam0, 0.5, y, f1).value[0]
-        err = max(err, abs(u - math.exp(-y)) / math.exp(-y))
-    out.append(_check("scalar Poisson u(y) = e^-y", err, 1e-8))
+    out = [_check("scalar Poisson u(y) = e^-y", poisson_error((0.25, 1.0, 2.0)), 1e-8)]
     lap = operators.build_laplacian_1d(8, 1.0)
     f8 = rng.normal(size=8)
-    famL = families.heat_semigroup(lap)
-    err = 0.0
-    errq = 0.0
-    for s in (0.25, 0.5, 0.75):
-        oracle = funcalc.spectral_power_oracle(lap, s, f8).value
-        sol = extension.ExtensionSolver(famL, s, f8)
-        tr = extension.neumann_trace(sol)
-        err = max(err, float(np.linalg.norm(tr.fractional_power - oracle)
-                             / np.linalg.norm(oracle)))
-        qt = extension.quotient_trace(sol)
-        errq = max(errq, float(np.linalg.norm(qt.fractional_power - tr.fractional_power)
-                               / np.linalg.norm(tr.fractional_power)))
-    out.append(_check("neumann trace vs oracle (3 sigmas)", err, 1e-4))
-    out.append(_check("quotient/neumann consistency", errq, 1e-4))
+    errs = [trace_errors(lap, f8, s) for s in (0.25, 0.5, 0.75)]
+    out.append(_check("neumann trace vs oracle (3 sigmas)", max(e[0] for e in errs), 1e-4))
+    out.append(_check("quotient/neumann consistency", max(e[1] for e in errs), 1e-4))
+    A1, f1 = operators.LinearOperator("diagonal", [-1.0]), np.array([1.0])
     c0 = families.cosine_family(A1)
     uc = extension.solve_cosine_form(c0, 0.5, 1.0, f1).value[0]
     out.append(_check("cosine Poisson u(1) = e^-1", abs(uc - math.exp(-1)), 1e-8))
     ucl = extension.solve_cosine_fractional(c0, 0.5, 1.0, f1).value[0]
     out.append(_check("cosine log branch (sigma=1/2)", abs(ucl - math.exp(-1)), 1e-6))
-    sol = extension.ExtensionSolver(famL, 0.3, f8)
-    rh = extension.pde_residual(sol, lap, 0.3, 0.8, 0.05)
-    rh2 = extension.pde_residual(sol, lap, 0.3, 0.8, 0.025)
-    ratio = rh / rh2
+    (ratio,) = pde_ratios(lap, f8, 0.3, [0.8], 0.05)
     out.append(("PDE residual O(h^2)", 3.5 <= ratio <= 4.5, f"ratio {ratio:.3f}"))
+    lap3 = operators.build_laplacian_1d(3, 1.0)
+    f3 = rng.normal(size=3)
+    err = max(wave_heat_error(A, f, (0.25, 0.5, 0.75), (0.7, 1.3))
+              for A, f in ((A1, f1), (lap3, f3)))
+    out.append(_check("wave-side vs heat-side (log branch at sigma=1/2)", err, 1e-6))
+    ratios = (pde_ratios(lap, f8, 0.3, [0.8 * cmath.exp(1j * math.pi / 8)], 0.04)
+              + pde_ratios(operators.LinearOperator("diagonal", [-1.0, -2.0]),
+                           np.array([1.0, 0.5]), complex(0.4, 0.2), [0.6, 0.9], 0.04))
+    out.append(("PDE residual O(h^2), off-axis z and complex sigma",
+                all(3.5 <= r <= 4.5 for r in ratios),
+                "ratios " + ", ".join(f"{r:.3f}" for r in ratios)))
+    err = rotation_error(np.linalg.eigvalsh(lap3.matrix()), f3, 0.3, (0.25, 0.5))
+    out.append(_check("rotation u(y) = v(e^{i pi/4} y)", err, 1e-5))
     return out
 
 
+_RUNNERS = {"specfun": run_specfun, "quadrature": run_quadrature, "kernels": run_kernels,
+            "operators": run_operators, "families": run_families, "funcalc": run_funcalc,
+            "extension": run_extension}
+SUITES = tuple(_RUNNERS)
+
+
 def run_suite(name: str, seed: int = 0):
-    table = {
-        "specfun": run_specfun,
-        "quadrature": run_quadrature,
-        "kernels": run_kernels,
-        "operators": run_operators,
-        "families": run_families,
-        "funcalc": run_funcalc,
-        "extension": run_extension,
-    }
-    if name == "all":
-        out = []
-        for suite in SUITES:
-            out.extend((suite, *row) for row in table[suite](seed))
-        return out
-    if name not in table:
+    if name != "all" and name not in _RUNNERS:
         raise KeyError(name)
-    return [(name, *row) for row in table[name](seed)]
+    names = SUITES if name == "all" else (name,)
+    return [(suite, *row) for suite in names for row in _RUNNERS[suite](seed)]

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +126,38 @@ def test_extend_and_trace_run(tmp_path, capsys):
                 "oracle", "rel_error", "consistency"):
         assert col in header
     assert "neumann" in out and "quotient" in out
+
+
+def test_readme_config_runs(tmp_path, capsys):
+    # the JSON example of the README, verbatim, through every config command
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    path = tmp_path / "readme.json"
+    path.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    for command in ("fracpow", "extend", "trace"):
+        code = main([command, "--config", str(path)])
+        capsys.readouterr()
+        assert code == EXIT_OK, command
+
+
+@pytest.mark.parametrize("size, spacing", [(8, 0.5), (32, 0.228)])
+def test_periodic_fracpow(tmp_path, capsys, size, spacing):
+    # the zero mode of a periodic Laplacian adds exactly 0 to Balakrishnan's
+    # integral in the eigenbasis
+    operator = {"kind": "laplacian", "size": size, "spacing": spacing, "boundary": "periodic"}
+    path = write_config(tmp_path, base_config(operator=operator, sigma=0.3, tol=1e-8))
+    code = main(["fracpow", "--config", path])
+    capsys.readouterr()
+    assert code == EXIT_OK
+
+
+def test_stiff_trace_default_grid(tmp_path, capsys):
+    # without a y0 the trace grid starts at 2/sqrt(||A||) = 0.01 here
+    cfg = base_config(operator={"kind": "laplacian", "size": 16, "spacing": 0.01,
+                                "boundary": "dirichlet"}, tol=1e-6)
+    del cfg["trace_grid"]
+    code = main(["trace", "--config", write_config(tmp_path, cfg)])
+    capsys.readouterr()
+    assert code == EXIT_OK
 
 
 def test_output_determinism(tmp_path, capsys):

@@ -102,14 +102,8 @@ def test_regularized_scalar_and_rate(scalar_op):
     ev = solve_regularized(fam, 0.5, 1.0, [1.0], (1.0, 0.1, 0.01, 0.001, 1e-4, 1e-5))
     assert abs(ev.value[0] - math.exp(-1.0)) < 1e-4
     assert ev.error_estimate < 1e-3
-    # increment ratio between eps = 0.1 and eps = 0.01 at least the
-    # eps^sigma-predicted factor (the bound is an upper estimate)
-    vals = []
-    for eps_pair in ((1.0, 0.1), (0.1, 0.01)):
-        e = solve_regularized(fam, 0.5, 1.0, [1.0], eps_pair)
-        vals.append(e.error_estimate)
-    ratio = vals[0] / vals[1]
-    assert ratio >= 10.0 ** 0.5 / 2.0
+    # the Richardson estimate bounds the true error
+    assert ev.error_estimate >= abs(ev.value[0] - math.exp(-1.0))
 
 
 def test_regularized_agreement_laplacian(laplacian8, f8):
@@ -118,6 +112,20 @@ def test_regularized_agreement_laplacian(laplacian8, f8):
     u_reg = solve_regularized(fam, 0.3, 0.7, f8,
                               (0.1, 0.01, 0.001, 1e-4, 1e-5, 1e-6, 1e-7)).value
     assert np.linalg.norm(u_reg - u_semi) <= 1e-6 * np.linalg.norm(u_semi)
+
+
+def test_regularized_richardson_vs_semigroup(laplacian8, f8):
+    # Richardson over the eps ladder removes the integer-power eps bias, and
+    # its estimate bounds the error left
+    fam = integrate_family(heat_semigroup(laplacian8), 1.0)
+    for sigma in (0.2, complex(0.5, 0.3), 0.8):
+        power = spectral_power_oracle(laplacian8, sigma, f8).value
+        for z in (0.3, 1.2):
+            ev = solve_regularized(fam, sigma, z, f8, (1e-2, 1e-3, 1e-4, 1e-5),
+                                   power_input=power, tol=1e-10)
+            ref = solve_semigroup_form(fam, sigma, z, f8).value
+            assert np.linalg.norm(ev.value - ref) <= 1e-10 * np.linalg.norm(ref)
+            assert ev.error_estimate >= np.max(np.abs(ev.value - ref))
 
 
 def test_fractional_data_scalar(scalar_op):

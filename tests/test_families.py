@@ -25,6 +25,15 @@ def test_heat_semigroup_scalar(scalar_op):
     assert abs(fam.evaluate(1.0, [1.0])[0] - math.exp(-1.0)) < 1e-15
 
 
+def test_heat_semigroup_defective_fallback():
+    # a Jordan block has no eigenbasis, so exp(tA) comes from the Pade fallback
+    fam = heat_semigroup(LinearOperator("dense", [[-1.0, 1.0], [0.0, -1.0]]))
+    assert not fam.has_scalar
+    for t in (0.0, 0.3, 1.0, 2.5, 7.5):
+        ref = math.exp(-t) * np.array([[1.0, t], [0.0, 1.0]])
+        assert np.max(np.abs(fam.matrix_at(t) - ref)) <= 1e-13
+
+
 def test_semigroup_law(rng):
     m = rng.normal(size=(8, 8))
     A = LinearOperator("dense", -(m @ m.T) - 0.5 * np.eye(8))

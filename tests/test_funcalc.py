@@ -84,6 +84,14 @@ def test_balakrishnan_scalar_values():
     assert r.method == "balakrishnan"
 
 
+def test_balakrishnan_defective_fallback():
+    # the Jordan block -1 + N (N^2 = 0) has no eigenbasis and goes through
+    # the resolvent solves; (1 - N)^sigma = 1 - sigma N
+    f = np.array([0.3, -1.2])
+    v = balakrishnan_power(LinearOperator("dense", [[-1.0, 1.0], [0.0, -1.0]]), 0.4, f).value
+    assert np.max(np.abs(v - (f - 0.4 * np.array([f[1], 0.0])))) <= 1e-9
+
+
 def test_balakrishnan_beta_integral_grid():
     # (sin(pi s)/pi) int lam^{s-1} mu/(lam+mu) dlam = mu^s; brute-force check
     # of one cell plus the full grid against the closed form
