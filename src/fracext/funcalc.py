@@ -20,7 +20,7 @@ import numpy as np
 
 from .families import (OperatorFamily, family_factor, heat_semigroup, integrate_family,
                        scalar_split, spectral_apply, spectral_eigendata)
-from .kernels import Kernel, _KernelExpr, _halfline_hints, _weyl_kernel_fn
+from .kernels import Kernel, _HintedFn, _KernelExpr, _halfline_hints, _weyl_kernel_fn
 from .operators import DefectiveOperatorError, LinearOperator, apply, resolvent_solve
 from .quadrature import (
     DecayHint,
@@ -62,7 +62,8 @@ def _sigma_value(sigma) -> complex:
 def spectral_integral(weight, family: OperatorFamily, f, tol: float,
                       ray: float = 0.0, shift: float = 0.0):
     """int_0^inf w(t) T_alpha(shift + t) f dt and its summed quadrature error
-    estimate, for weight = (w, zero exponent, tail) as _weyl_kernel_fn gives.
+    estimate, for a weight w that speaks the kernel protocol (as
+    _weyl_kernel_fn gives) with a known tail.
 
     A spectral family integrates all eigenvalues that share a route in one
     vector quadrature of w(t)[:, None] * s_a(shift + t): real eigenvalues
@@ -73,7 +74,7 @@ def spectral_integral(weight, family: OperatorFamily, f, tol: float,
     oscillating eigenvalue by its own panel summation.  A black-box family
     integrates w(t) T_alpha(shift + t) f directly.
     """
-    wfn, w_zero, w_tail = weight
+    wfn, (w_zero, w_tail) = weight.fn(0), weight.metadata()
     alpha = family.alpha
     f = np.asarray(f, dtype=complex).reshape(-1)
     prod_zero = None if w_zero is None else w_zero + alpha
@@ -192,7 +193,7 @@ def cero_residual(phi, family: OperatorFamily, f, phi_zero=None,
         else:
             raise ValueError("phi(0) is required for this kernel")
     lhs = -apply(family.generator, pi_alpha(phi, family, f, tol=tol))
-    if not isinstance(phi, (Kernel, _KernelExpr)):
+    if not isinstance(phi, _KernelExpr):
         raise ValueError("cero_residual needs a Kernel phi")
     rhs = pi_alpha(phi.fn(1), family, f, tol=tol) + complex(phi_zero) * f
     scale = max(float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)), 1e-300)
@@ -272,8 +273,8 @@ def integrated_power(family: OperatorFamily, sigma, f, tol: float = 1e-11,
     r_small = _graded_interval(small, 0.0, 1.0, tol, q_left=-s.real)
     # past t = 1, T_alpha(t) f t^{-sigma-alpha-1}; the subtracted
     # t^alpha f / Gamma(alpha+1) term integrates to f / (sigma Gamma(alpha+1))
-    weight = (lambda tau: (1.0 + tau) ** (-s - alpha - 1.0), 0.0,
-              ("algebraic", 1.0 + s.real + alpha))
+    weight = _HintedFn(lambda tau: (1.0 + tau) ** (-s - alpha - 1.0), 0.0,
+                       ("algebraic", 1.0 + s.real + alpha))
     tail, err = spectral_integral(weight, family, f, tol, shift=1.0)
     tail_vec = tail - f / (s * gamma(alpha + 1.0))
     value = factor * (np.asarray(r_small.value).reshape(-1) + tail_vec)

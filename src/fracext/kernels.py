@@ -13,12 +13,15 @@ closed form: the coefficient tables are generated by polynomial
 recurrences and feed the Weyl fractional calculus, the Sobolev-algebra
 norms, and the half-line convolution implemented here.
 
-Every kernel-like object speaks one protocol: fn(n) gives the closed-form
-n-th time derivative as a vectorized callable, zero_exponent() the
-algebraic exponent at t -> 0+ (None when essentially flat), and tail()
-the decay at infinity.  Kernel implements it from its kind; the
-expressions (_Expr, _BmhExpr here, extension._CosTerms) implement it
-from their own metadata(), so derived kernels need no wrapper.  This
+Every function of t that the Weyl calculus or the spectral integral sees
+speaks one protocol (_KernelExpr): fn(n) gives the n-th time derivative
+as a vectorized callable, and metadata() its decay, read back through
+zero_exponent() (the algebraic exponent at t -> 0+, None when flat along
+the integration ray) and tail() (('exponential', rate) or ('algebraic',
+power) at infinity, None when unknown).  Kernel takes both from its
+closed form; the expressions (_Expr, _BmhExpr here, extension._CosTerms)
+compute them from their own terms; a sampled function (_HintedFn) states
+them and differences its samples for derivatives up to order 2.  This
 module alone decides what W^alpha phi is and how it decays
 (_weyl_kernel_fn).
 """
@@ -158,9 +161,10 @@ def z_derivative_coefficients(kind: str, n: int, sigma) -> DerivativeCoefficient
 
 
 class _KernelExpr:
-    """Kernel protocol for closed-form expressions closed under d/dt.
+    """The kernel protocol: fn(n), zero_exponent() and tail().
 
-    Subclasses provide derivative() and metadata() -> (zero exponent, tail).
+    Subclasses provide metadata() -> (zero exponent, tail) and either
+    derivative() or fn() itself.
     """
 
     __slots__ = ()
@@ -222,8 +226,8 @@ class _Expr(_KernelExpr):
         if not nz:
             return 0.0, ("exponential", 1.0)  # identically zero
         jmin, jmax = min(nz), max(nz)
-        if self.a != 0 and self.a.real < 0:
-            zero = None  # essentially flat at t -> 0+
+        if self.a != 0 and self.a.real <= 0:
+            zero = None  # flat; Re a = 0 (sector edge) is integrated on a rotated ray
         else:
             zero = self.rho.real - jmax
         if self.eps > 0:
@@ -287,8 +291,10 @@ _KINDS = ("b", "B", "B_minus_h", "h", "exp_eps")
 
 
 @dataclass(frozen=True)
-class Kernel:
-    """A member of the kernel family; eps != None multiplies by e_eps."""
+class Kernel(_KernelExpr):
+    """A member of the kernel family; eps != None multiplies by e_eps.
+
+    Its derivatives and decay are those of its closed form."""
 
     kind: str
     sigma: FracOrder | None = None
@@ -338,52 +344,29 @@ class Kernel:
             raise ValueError(
                 f"derivative order {n} exceeds the supported cap {MAX_DERIVATIVE_ORDER}"
             )
-        f = self._fn0()
-        for _ in range(n):
-            f = f.derivative()
-        return f
+        return self._fn0().fn(n)
 
-    # asymptotics used to drive quadrature ---------------------------------
+    def metadata(self):
+        return self._fn0().metadata()
 
-    def zero_exponent(self) -> float | None:
-        """Algebraic exponent at t -> 0+, or None for the essentially flat b."""
-        if self.kind == "b":
-            return None
-        if self.kind == "exp_eps":
-            return 0.0
-        return self.sigma.sigma.real - 1.0
 
-    def tail(self) -> tuple:
-        """('exponential', rate) or ('algebraic', power) at t -> infinity."""
-        if self.eps:
-            return ("exponential", self.eps)
-        if self.kind == "b":
-            return ("algebraic", 1.0 + self.sigma.sigma.real)
-        if self.kind == "B_minus_h":
-            return ("algebraic", 2.0 - self.sigma.sigma.real)
-        return ("nonintegrable", None)
+def _at(fn, t, what: str | None = None):
+    """fn at t, a complex scalar for scalar t; `what` demands real t > 0."""
+    t_arr = np.asarray(t)
+    if what and np.any(np.real(t_arr) <= 0) and np.all(np.imag(t_arr) == 0):
+        raise ValueError(f"{what} needs t > 0")
+    out = fn(t_arr)
+    return complex(out) if np.ndim(t) == 0 else out
 
 
 def eval_kernel(kernel: Kernel, t):
     """Pointwise kernel value at t > 0 (scalar or array)."""
-    t_arr = np.asarray(t)
-    if np.any(np.real(t_arr) <= 0) and np.all(np.imag(t_arr) == 0):
-        raise ValueError("kernel evaluation needs t > 0")
-    out = kernel.fn(0)(t_arr)
-    if np.ndim(t) == 0:
-        return complex(out)
-    return out
+    return _at(kernel.fn(0), t, "kernel evaluation")
 
 
 def time_derivative(kernel: Kernel, n: int, t):
     """Exact n-th time derivative at t (closed form, no differencing)."""
-    t_arr = np.asarray(t)
-    if np.any(np.real(t_arr) <= 0) and np.all(np.imag(t_arr) == 0):
-        raise ValueError("kernel derivative needs t > 0")
-    out = kernel.fn(n)(t_arr)
-    if np.ndim(t) == 0:
-        return complex(out)
-    return out
+    return _at(kernel.fn(n), t, "kernel derivative")
 
 
 def z_derivative_fn(kernel: Kernel, n: int):
@@ -403,27 +386,23 @@ def z_derivative_fn(kernel: Kernel, n: int):
 
 def z_derivative(kernel: Kernel, n: int, t):
     """Exact n-th z-derivative value at t."""
-    out = z_derivative_fn(kernel, n)(np.asarray(t))
-    if np.ndim(t) == 0:
-        return complex(out)
-    return out
+    return _at(z_derivative_fn(kernel, n), t)
 
 
 # ---------------------------------------------------------------------------
 # Weyl fractional calculus
 
 
-def _guard_integrable(kernel_like):
-    if isinstance(kernel_like, Kernel):
-        if kernel_like.tail()[0] == "nonintegrable":
-            raise ValueError(
-                f"kernel {kernel_like.kind!r} without exponential weight is not "
-                "integrable over (0, inf)"
-            )
+_STENCILS = {1: ((1 / 12, -8 / 12, 8 / 12, -1 / 12), (-2, -1, 1, 2)),
+             2: ((-1 / 12, 16 / 12, -30 / 12, 16 / 12, -1 / 12), (-2, -1, 0, 1, 2))}
 
 
-class _HintedFn:
-    """A callable with explicit decay metadata for the Weyl machinery."""
+class _HintedFn(_KernelExpr):
+    """A sampled function of t with stated decay; fn(n), n <= 2, differences
+    it by a fourth-order central stencil (a bounded zero stays bounded, an
+    algebraic tail gains n)."""
+
+    __slots__ = ("_fn", "_zero", "_tail")
 
     def __init__(self, fn, zero_exp, tail):
         self._fn = fn
@@ -433,41 +412,49 @@ class _HintedFn:
     def __call__(self, t):
         return self._fn(t)
 
-
-def _fd_deriv_provider(fn):
-    """Central-difference derivatives (orders 1 and 2) for sampled integrands."""
-
-    def deriv(n):
+    def fn(self, n: int = 0):
         if n == 0:
-            return fn
+            return self
         if n > 2:
             raise ValueError("sampled integrands support derivatives up to order 2")
-        # fourth-order stencils keep the step large enough that quadrature
-        # noise in fn does not dominate
-        stencil = {1: ([1 / 12, -8 / 12, 8 / 12, -1 / 12], [-2, -1, 1, 2]),
-                   2: ([-1 / 12, 16 / 12, -30 / 12, 16 / 12, -1 / 12], [-2, -1, 0, 1, 2])}
-        w, off = stencil[n]
+        w, off = _STENCILS[n]
+        base = self._fn
 
-        def fd(t, n=n):
+        def fd(t):
             t = np.asarray(t, dtype=float)
+            # the step stays large enough that quadrature noise in fn does
+            # not dominate
             h = np.maximum(3e-3 * np.abs(t), 1e-5)
-            out = sum(c * np.asarray(fn(t + k * h)) for c, k in zip(w, off))
+            out = sum(c * np.asarray(base(t + k * h)) for c, k in zip(w, off))
             return out / h ** n
 
-        return fd
+        zero, tail = self._zero, self._tail
+        if zero is not None:
+            zero = zero - n if zero < 0 else 0.0
+        if tail is not None and tail[0] == "algebraic":
+            tail = ("algebraic", tail[1] + n)
+        return _HintedFn(fd, zero, tail)
 
-    return deriv
+    def metadata(self):
+        return self._zero, self._tail
 
 
-def _as_fn(phi):
-    """(value callable, derivative provider, zero exponent, tail) for phi."""
-    if isinstance(phi, (Kernel, _KernelExpr)):
-        return phi.fn(0), phi.fn, phi.zero_exponent(), phi.tail()
-    if isinstance(phi, _HintedFn):
-        return phi._fn, _fd_deriv_provider(phi._fn), phi._zero, phi._tail
+def _kernel_like(phi) -> _KernelExpr:
+    """phi itself, or a bare callable wrapped without decay metadata."""
+    if isinstance(phi, _KernelExpr):
+        return phi
     if callable(phi):
-        return phi, _fd_deriv_provider(phi), None, None
+        return _HintedFn(phi, None, None)
     raise TypeError(f"cannot interpret {phi!r} as a half-line function")
+
+
+def _require_integrable(phi: _KernelExpr):
+    tail = phi.tail()
+    if tail is not None and tail[0] == "algebraic" and tail[1] <= 1.0:
+        name = getattr(phi, "kind", "expression")
+        raise ValueError(
+            f"kernel {name!r} is not integrable over (0, inf); multiply by e_eps first"
+        )
 
 
 def _halfline_hints(zero_exp, tail):
@@ -534,9 +521,8 @@ def weyl_integral(phi, beta: float, s, tol: float = 1e-12):
     """
     if beta <= 0:
         raise ValueError("weyl_integral needs beta > 0")
-    _guard_integrable(phi)
-    fn, _, zero_exp, tail = _as_fn(phi)
-    return _weyl_lanes(fn, zero_exp, tail, beta, s, tol, f"W^-{beta:g}")
+    phi = _kernel_like(phi)
+    return _weyl_lanes(phi.fn(0), *phi.metadata(), beta, s, tol, f"W^-{beta:g}")
 
 
 def weyl_derivative(phi, alpha: float, s, tol: float = 1e-12):
@@ -545,36 +531,28 @@ def weyl_derivative(phi, alpha: float, s, tol: float = 1e-12):
 
     Integer alpha is the exact (-1)^n phi^(n)(s); fractional alpha is
     computed derivative-first as W^{-(n-alpha)} applied to (-1)^n phi^(n)
-    with n = floor(alpha) + 1.  That derivative and its decay hints are
+    with n = ceil(alpha).  That derivative and its decay hints are
     built once per call, and all points go to one lane-batched quadrature
     in which each keeps its own panels and relative accuracy.
     """
     if alpha < 0:
         raise ValueError("use weyl_integral for negative orders")
-    _, deriv, zero_exp, tail = _as_fn(phi)
-    if alpha == int(alpha):
-        n = int(alpha)
-        out = np.asarray(deriv(n)(np.asarray(s))) * (-1.0) ** n
-        if np.ndim(s) == 0:
-            return complex(out)
-        return out
-    n = int(math.floor(alpha)) + 1
-    dn = deriv(n)
+    n = math.ceil(alpha)
+    dn = _kernel_like(phi).fn(n)
     sign = (-1.0) ** n
 
     def psi(t):
         return sign * np.asarray(dn(t))
 
-    psi_zero = None if zero_exp is None else zero_exp - n
-    psi_tail = tail
-    if tail is not None and tail[0] == "algebraic":
-        psi_tail = ("algebraic", tail[1] + n)
-    return _weyl_lanes(psi, psi_zero, psi_tail, n - alpha, s, tol, f"W^{alpha:g}")
+    if n == alpha:
+        return _at(psi, s)
+    return _weyl_lanes(psi, *dn.metadata(), n - alpha, s, tol, f"W^{alpha:g}")
 
 
-def _weyl_kernel_fn(phi, alpha: float, tol: float):
-    """(vectorized W^alpha phi, zero exponent, tail) for a kernel-like phi."""
-    _, deriv, zero, tail = _as_fn(phi)
+def _weyl_kernel_fn(phi, alpha: float, tol: float) -> _HintedFn:
+    """W^alpha phi of an integrable kernel-like phi, with its decay."""
+    phi = _kernel_like(phi)
+    zero, tail = phi.metadata()
     if tail is None:
         if alpha != 0.0:
             raise ValueError(
@@ -582,29 +560,17 @@ def _weyl_kernel_fn(phi, alpha: float, tol: float):
                 "wrap them in a hinted function"
             )
         tail = ("exponential", 1.0)
-    if tail[0] == "nonintegrable":
-        name = getattr(phi, "kind", "expression")
-        raise ValueError(
-            f"kernel {name!r} is not integrable over (0, inf); multiply by e_eps first"
-        )
+    _require_integrable(phi)
     if alpha == int(alpha):
         n = int(alpha)
-        base = deriv(n)
+        base = phi.fn(n)
         sign = (-1.0) ** n
 
         def wfn(t):
             return sign * np.asarray(base(t))
 
-        if isinstance(phi, (Kernel, _KernelExpr)) and n > 0:
-            # exact metadata of the differentiated closed form
-            w_zero, w_tail = base.metadata()
-        elif n == 0:
-            w_zero, w_tail = zero, tail
-        else:
-            # sampled function: bounded parts stay bounded, power laws shift
-            w_zero = None if zero is None else (zero - n if zero < 0 else 0.0)
-            w_tail = tail if tail[0] == "exponential" else ("algebraic", tail[1] + n)
-        return wfn, w_zero, w_tail
+        w_zero, w_tail = base.metadata()
+        return _HintedFn(wfn, w_zero, w_tail or tail)
 
     def wfn(t):
         return weyl_derivative(phi, alpha, np.atleast_1d(t), tol=max(tol, 1e-12))
@@ -614,15 +580,16 @@ def _weyl_kernel_fn(phi, alpha: float, tol: float):
     else:
         w_zero = zero - alpha if zero < 0 else max(zero - alpha, -0.5)
     w_tail = tail if tail[0] == "exponential" else ("algebraic", tail[1] + alpha)
-    return wfn, w_zero, w_tail
+    return _HintedFn(wfn, w_zero, w_tail)
 
 
 def sobolev_norm(phi, alpha: float, tol: float = 1e-11) -> float:
     """Weighted-L1 norm (1/Gamma(alpha+1)) int_0^inf |W^alpha phi(t)| t^alpha dt."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    _guard_integrable(phi)
-    _, _, zero_exp, tail = _as_fn(phi)
+    phi = _kernel_like(phi)
+    _require_integrable(phi)
+    zero_exp, tail = phi.metadata()
     ga1 = gamma(alpha + 1.0)
 
     def integrand(t):
@@ -647,8 +614,9 @@ def convolve_halfline(phi, psi, s: float, tol: float = 1e-11):
     if s <= 0:
         raise ValueError("convolution needs s > 0")
     s = float(s)
-    fphi, _, q_phi, _ = _as_fn(phi)
-    fpsi, _, q_psi, _ = _as_fn(psi)
+    phi, psi = _kernel_like(phi), _kernel_like(psi)
+    fphi, q_phi = phi.fn(0), phi.zero_exponent()
+    fpsi, q_psi = psi.fn(0), psi.zero_exponent()
     mid = 0.5 * s
 
     def left(t):  # t near 0: psi's singularity
