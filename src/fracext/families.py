@@ -104,6 +104,22 @@ def _phi_far(m: int, x):
     return phi
 
 
+def _times_power(t, m: int, phi):
+    """t^m phi.  Where t^m overflows at real t, the factors of t multiply in
+    one at a time, real and imaginary parts apart, so a finite product stays
+    finite and an overflowing one becomes inf rather than NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        tm = t ** m
+        out = tm * phi
+        big = ~np.isfinite(tm) & (t.imag == 0.0)
+        if big.any():
+            re, im, s = phi[big].real, phi[big].imag, t[big].real
+            for _ in range(m):
+                re, im = re * s, im * s
+            out.real[big], out.imag[big] = re, im
+    return out
+
+
 def integrated_exponential(a, alpha: float, t):
     """The alpha-fold integral of the scalar exponential:
     (1/Gamma(alpha)) int_0^t (t-s)^{alpha-1} e^{a s} ds.
@@ -127,8 +143,8 @@ def integrated_exponential(a, alpha: float, t):
         m = int(alpha)
         near = ax <= _phi_taylor(m)[0]
         return _by_regime([
-            (near, lambda t, x: t ** m * np.polyval(_phi_taylor(m)[1], x)),
-            (~near, lambda t, x: t ** m * _phi_far(m, x)),
+            (near, lambda t, x: _times_power(t, m, np.polyval(_phi_taylor(m)[1], x))),
+            (~near, lambda t, x: _times_power(t, m, _phi_far(m, x))),
         ], t, x)
     live = t != 0.0
     return _by_regime([

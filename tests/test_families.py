@@ -112,6 +112,30 @@ def test_integrated_exponential_extreme_argument():
     assert abs(integrated_exponential(-1.0, 1.0, 1000.0) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("a", [-1.0, -2.5 + 1j])
+@pytest.mark.parametrize("t", [1e160, 1e300])
+def test_integrated_exponential_huge_t_integer_order(m, a, t):
+    # t^m overflows before phi_m(a t) ~ 1/t^(m-1) scales it back: finite
+    # values must stay accurate and overflowing parts must be inf, not NaN
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x = mpmath.mpc(a) * t
+        ref = ((mpmath.exp(x) - sum(x ** k / mpmath.factorial(k) for k in range(m)))
+               / mpmath.mpc(a) ** m)
+    got = integrated_exponential(a, float(m), t)
+    assert not (math.isnan(got.real) or math.isnan(got.imag))
+    big = 1.7976931348623157e308
+    if abs(ref) < big:
+        assert abs(got - complex(ref)) <= 1e-12 * float(abs(ref))
+        return
+    for part, exact in ((got.real, ref.real), (got.imag, ref.imag)):
+        if abs(exact) > big:
+            assert part == math.copysign(math.inf, float(mpmath.sign(exact)))
+        else:
+            assert abs(part - float(exact)) <= 1e-12 * abs(float(exact))
+
+
 def test_cosine_family_values():
     A = LinearOperator("diagonal", [-4.0])
     cf = cosine_family(A)
