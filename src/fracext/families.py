@@ -66,6 +66,14 @@ def spectral_apply(op, f, vals):
     return (vals * coords) @ basis.T
 
 
+def spectral_error(op, f, err: float) -> float:
+    """Max-norm error bound of spectral_apply(op, f, vals) when no entry of
+    vals is off by more than err: err ||V||_inf ||V^{-1} f||_inf."""
+    _, basis, inv = spectral_eigendata(op)
+    coords = inv @ np.asarray(f, dtype=complex).reshape(-1)
+    return err * float(np.abs(basis).sum(axis=1).max() * np.abs(coords).max())
+
+
 def _series_sum(alpha: float, x):
     # sum_n x^n / Gamma(alpha+n+1) for |x| <= 12 at fractional alpha, each
     # lane summed up to the first term n > |x| below 1e-17 of its partial sum

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import (OperatorFamily, family_factor, heat_semigroup, integrate_family,
-                       scalar_split, spectral_apply, spectral_eigendata)
+                       scalar_split, spectral_apply, spectral_eigendata, spectral_error)
 from .kernels import Kernel, _HintedFn, _KernelExpr, _halfline_hints, _weyl_kernel_fn
 from .operators import DefectiveOperatorError, LinearOperator, apply, resolvent_solve
 from .quadrature import (
@@ -61,9 +61,9 @@ def _sigma_value(sigma) -> complex:
 
 def spectral_integral(weight, family: OperatorFamily, f, tol: float,
                       ray: float = 0.0, shift: float = 0.0):
-    """int_0^inf w(t) T_alpha(shift + t) f dt and its summed quadrature error
-    estimate, for a weight w that speaks the kernel protocol (as
-    _weyl_kernel_fn gives) with a known tail.
+    """int_0^inf w(t) T_alpha(shift + t) f dt and its quadrature error
+    estimate in the scale of f, for a weight w that speaks the kernel
+    protocol (as _weyl_kernel_fn gives) with a known tail.
 
     A spectral family integrates all eigenvalues that share a route in one
     vector quadrature of w(t)[:, None] * s_a(shift + t): real eigenvalues
@@ -123,7 +123,7 @@ def spectral_integral(weight, family: OperatorFamily, f, tol: float,
         vals[k], e = _oscillating_integral(wfn, prod_zero, w_tail, family, eigs[k],
                                            abs(rate[k].imag), shift, tol)
         err += e
-    return spectral_apply(family.generator, f, vals), err
+    return spectral_apply(family.generator, f, vals), spectral_error(family.generator, f, err)
 
 
 def _oscillating_integral(wfn, prod_zero, w_tail, family: OperatorFamily, a: complex,
@@ -206,9 +206,9 @@ def balakrishnan_power(A: LinearOperator, sigma, f, tol: float = 1e-11) -> Fract
     The integration variable is scaled by ||A|| (split point of the
     lam^{sigma-1} / lam^{sigma-2} regimes) and run through the exponential
     substitution.  A diagonalizable A integrates the scalar factors
-    (-a)/(lam - a) of all eigenvalues as one vector and assembles once, so
-    a zero mode contributes exactly 0; a defective A solves the resolvent
-    at every node.
+    (-a)/(lam - a) of all eigenvalues as one vector and assembles once (the
+    error estimate with it), so a zero mode contributes exactly 0; a
+    defective A solves the resolvent at every node.
     """
     s = _sigma_value(sigma)
     if not (0.0 < s.real < 1.0):
@@ -232,10 +232,10 @@ def balakrishnan_power(A: LinearOperator, sigma, f, tol: float = 1e-11) -> Fract
     res = integrate_halfline(integrand, hints, tol=tol)
     pref = cmath.sin(cmath.pi * s) / math.pi
     value = pref * np.asarray(res.value).reshape(-1)
+    err = abs(pref) * res.error_estimate
     if eigs is not None:
-        value = spectral_apply(A, f, value)
-    return FractionalPowerResult(value=value, method="balakrishnan",
-                                 error_estimate=abs(pref) * res.error_estimate)
+        value, err = spectral_apply(A, f, value), spectral_error(A, f, err)
+    return FractionalPowerResult(value=value, method="balakrishnan", error_estimate=err)
 
 
 def integrated_power(family: OperatorFamily, sigma, f, tol: float = 1e-11,

@@ -497,3 +497,44 @@ def test_semigroup_form_fractional_alpha_vs_bessel_k():
         got = solve_semigroup_form(integrate_family(heat_semigroup(A), alpha), sigma, z, f)
         assert np.linalg.norm(got.value - ref) <= 1e-9 * np.linalg.norm(ref)
         assert 0.0 < got.error_estimate < 1e-6
+
+
+def test_error_estimates_scale_with_f(laplacian8, f8):
+    # the spectral routes integrate unit-coordinate factors and carry the
+    # quadrature error through the assembly, so the estimate scales with f
+    fam = integrate_family(heat_semigroup(laplacian8), 1.0)
+    routes = (lambda g: solve_semigroup_form(fam, 0.4, 0.8, g),
+              lambda g: solve_fractional_data(fam, 0.4, 0.8, g),
+              lambda g: solve_cosine_form(cosine_family(laplacian8), 0.4, 0.8, g),
+              lambda g: balakrishnan_power(laplacian8, 0.4, g))
+    for route in routes:
+        base = route(f8).error_estimate
+        assert base > 0.0
+        for c in (1e-6, 1e6):
+            assert abs(route(c * f8).error_estimate - c * base) <= 1e-9 * c * base
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_error_estimates_bound_scaled_errors(scale):
+    # the Bessel-K and regularized-route cases, with f scaled by 1e-6 and 1e6
+    sigma = 0.35
+    eigs = [0.0, -0.5, -3.0, -40.0, -1.0 + 2.0j, -1.0 - 2.0j]
+    f = scale * np.array([1.0, -0.5, 2.0, 0.3, 1.0 + 0.5j, 0.7])
+    A = LinearOperator("diagonal", eigs)
+    for fam in (heat_semigroup(A), integrate_family(heat_semigroup(A), 1.0)):
+        got = solve_semigroup_form(fam, sigma, 0.8, f)
+        assert got.error_estimate >= np.max(np.abs(got.value - _bessel_k_solution(eigs, f,
+                                                                                  sigma, 0.8)))
+    A1, f1 = LinearOperator("diagonal", [-2.0]), np.array([scale])
+    ref = _bessel_k_solution([-2.0], f1, sigma, 0.8)
+    for alpha in (0.5, 1.5):
+        got = solve_semigroup_form(integrate_family(heat_semigroup(A1), alpha), sigma, 0.8, f1)
+        assert got.error_estimate >= np.max(np.abs(got.value - ref))
+    lap = LinearOperator("diagonal", [-0.5, -1.2, -2.0])
+    g = scale * np.array([1.0, -0.4, 0.7])
+    fam = integrate_family(heat_semigroup(lap), 1.0)
+    power = spectral_power_oracle(lap, 0.5, g).value
+    ev = solve_regularized(fam, 0.5, 0.6, g, (1e-2, 1e-3, 1e-4, 1e-5), power_input=power,
+                           tol=1e-10)
+    ref = _bessel_k_solution([-0.5, -1.2, -2.0], g, 0.5, 0.6)
+    assert ev.error_estimate >= np.max(np.abs(ev.value - ref))
