@@ -35,7 +35,7 @@ from .extension import (
 )
 from .families import cosine_family, heat_semigroup, integrate_family, integrated_cosine
 from .funcalc import balakrishnan_power, integrated_power, spectral_power_oracle
-from .operators import LinearOperator, build_fourier_multiplier, build_laplacian_1d
+from .operators import MAX_DIMENSION, LinearOperator, build_fourier_multiplier, build_laplacian_1d
 from .quadrature import QuadratureError
 from .specfun import ConvergenceError
 
@@ -56,15 +56,18 @@ class ConfigError(ValueError):
     pass
 
 
-def _decode_complex(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, dict) and set(v) <= {"re", "im"}:
-        return complex(float(v.get("re", 0.0)), float(v.get("im", 0.0)))
-    if isinstance(v, str) and ";" in v:
-        re_s, im_s = v.split(";", 1)
-        return complex(float(re_s), float(im_s))
-    raise ConfigError(f"cannot parse complex value {v!r}")
+def _decode_complex(v, name: str = "value") -> complex:
+    try:
+        if isinstance(v, (int, float)) and not isinstance(v, bool):
+            return complex(v)
+        if isinstance(v, dict) and set(v) <= {"re", "im"}:
+            return complex(float(v.get("re", 0.0)), float(v.get("im", 0.0)))
+        if isinstance(v, str) and ";" in v:
+            re_s, im_s = v.split(";", 1)
+            return complex(float(re_s), float(im_s))
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{name}: cannot parse complex value {v!r}")
 
 
 def _encode_complex(z: complex):
@@ -109,6 +112,23 @@ def _finite(values, name: str):
     return values
 
 
+def _number(v, name: str, ok=lambda x: True, need: str = "", integer: bool = False):
+    """v as a finite float (an int if integer) for which ok holds; anything
+    else is a ConfigError naming the field."""
+    if (isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
+            or (integer and v != int(v)) or not ok(v)):
+        raise ConfigError(f"{name} must be {'an integer' if integer else 'a finite number'}"
+                          f"{need}, got {v!r}")
+    return int(v) if integer else float(v)
+
+
+def _typed(data: dict, key: str, default, kind: type, name: str):
+    value = data.get(key, default)
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be a JSON {'object' if kind is dict else 'list'}")
+    return kind(value)
+
+
 def parse_config(data: dict) -> ProblemConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -116,56 +136,62 @@ def parse_config(data: dict) -> ProblemConfig:
         raise ConfigError(f"config schema must be {SCHEMA!r}, got {data.get('schema')!r}")
     if "operator" not in data or "sigma" not in data:
         raise ConfigError("config needs 'operator' and 'sigma'")
-    sigma = _decode_complex(data["sigma"])
+    sigma = _decode_complex(data["sigma"], "sigma")
     if not (SIGMA_BAND[0] < sigma.real < SIGMA_BAND[1]):
         raise ConfigError(
             f"Re(sigma) = {sigma.real:g} outside the supported band "
             f"({SIGMA_BAND[0]}, {SIGMA_BAND[1]})"
         )
-    cfg = ProblemConfig(
-        operator=dict(data["operator"]),
+    z_grid = _typed(data, "z_grid", [], list, "z_grid")
+    return ProblemConfig(
+        operator=_typed(data, "operator", None, dict, "operator"),
         sigma=sigma,
-        family=dict(data.get("family", {"kind": "semigroup", "alpha": 0.0})),
+        family=_typed(data, "family", {"kind": "semigroup", "alpha": 0.0}, dict, "family"),
         method=str(data.get("method", "all")),
-        z_grid=_finite([_decode_complex(z) for z in data.get("z_grid", [])], "z_grid"),
-        trace_grid=dict(data.get("trace_grid", {})),
+        z_grid=_finite([_decode_complex(z, "z_grid") for z in z_grid], "z_grid"),
+        trace_grid=_typed(data, "trace_grid", {}, dict, "trace_grid"),
         f=data.get("f"),
-        tol=float(data.get("tol", 1e-6)),
-        seed=int(data.get("seed", 0)),
-        output=dict(data.get("output", {"path": "-", "format": "csv"})),
+        tol=_number(data.get("tol", 1e-6), "tol", lambda x: x > 0, " > 0"),
+        seed=_number(data.get("seed", 0), "seed", lambda x: x >= 0, " >= 0", integer=True),
+        output=_typed(data, "output", {"path": "-", "format": "csv"}, dict, "output"),
     )
-    if cfg.tol <= 0:
-        raise ConfigError("tol must be positive")
-    return cfg
 
 
 def build_operator(cfg: ProblemConfig) -> LinearOperator:
     spec = cfg.operator
     kind = spec.get("kind")
     if kind == "laplacian":
-        spacing = _finite(float(spec.get("spacing", 1.0)), "operator.spacing")
-        return build_laplacian_1d(int(spec.get("size", 8)), spacing,
-                                  str(spec.get("boundary", "dirichlet")))
+        size = _number(spec.get("size", 8), "operator.size", lambda n: 2 <= n <= MAX_DIMENSION,
+                       f" in [2, {MAX_DIMENSION}]", integer=True)
+        spacing = _number(spec.get("spacing", 1.0), "operator.spacing", lambda h: h > 0, " > 0")
+        boundary = spec.get("boundary", "dirichlet")
+        if boundary not in ("dirichlet", "periodic"):
+            raise ConfigError(f"unknown operator.boundary {boundary!r}")
+        return build_laplacian_1d(size, spacing, boundary)
     if kind == "diagonal":
-        entries = [_decode_complex(v) for v in spec.get("entries", [])]
+        entries = [_decode_complex(v, "operator.entries")
+                   for v in _typed(spec, "entries", [], list, "operator.entries")]
         if not entries:
             raise ConfigError("diagonal operator needs nonempty 'entries'")
-        return LinearOperator("diagonal", _finite(entries, "operator.entries"))
+        entries = _finite(np.array(entries), "operator.entries")
+        if np.any(entries.real > 1e-12 * max(float(np.max(np.abs(entries))), 1.0)):
+            raise ConfigError("operator.entries must have real part <= 0 (tempered generator)")
+        return LinearOperator("diagonal", entries)
     if kind == "fourier":
         name = spec.get("symbol")
         if name not in _SYMBOLS:
             raise ConfigError(f"unknown symbol {name!r}; choose from {sorted(_SYMBOLS)}")
-        modes = spec.get("modes", [])
+        modes = _typed(spec, "modes", [], list, "operator.modes")
         if not modes:
             raise ConfigError("fourier operator needs nonempty 'modes'")
-        modes = _finite([float(m) for m in modes], "operator.modes")
+        modes = [_number(m, "operator.modes") for m in modes]
         return build_fourier_multiplier(_SYMBOLS[name], modes)
     raise ConfigError(f"unknown operator kind {kind!r}")
 
 
 def build_family(cfg: ProblemConfig, A: LinearOperator):
     kind = cfg.family.get("kind", "semigroup")
-    alpha = float(cfg.family.get("alpha", 0.0))
+    alpha = _number(cfg.family.get("alpha", 0.0), "family.alpha", lambda a: a >= 0, " >= 0")
     if kind == "semigroup":
         return heat_semigroup(A)
     if kind == "integrated_semigroup":
@@ -189,7 +215,8 @@ def resolve_f(cfg: ProblemConfig, n: int) -> np.ndarray:
             raise ConfigError(f"f has length {vec.shape[0]}, operator dimension is {n}")
         return vec
     if isinstance(spec, dict) and spec.get("kind") == "random":
-        rng = np.random.default_rng(int(spec.get("seed", cfg.seed)))
+        rng = np.random.default_rng(_number(spec.get("seed", cfg.seed), "f.seed",
+                                            lambda x: x >= 0, " >= 0", integer=True))
         return rng.normal(size=n)
     raise ConfigError(f"cannot parse data vector spec {spec!r}")
 
@@ -333,13 +360,13 @@ def cmd_trace(cfg: ProblemConfig):
     if fam.is_cosine:
         raise ConfigError("traces run on semigroup-side families")
     gspec = cfg.trace_grid
-    theta = float(gspec.get("theta", 0.0))
+    theta = _number(gspec.get("theta", 0.0), "trace_grid.theta",
+                    lambda x: abs(x) < math.pi / 4.0, " with |theta| < pi/4")
+    shape = {k: _number(gspec[k], f"trace_grid.{k}", integer=k == "count")
+             for k in ("y0", "ratio", "count") if k in gspec}
     try:
-        shape = {k: float(gspec[k]) for k in ("y0", "ratio") if k in gspec}
-        if "count" in gspec:
-            shape["count"] = int(gspec["count"])
         grid = trace_grid(A, **shape)  # y0 defaults to the operator's scale
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad trace_grid {gspec!r}: {exc}")
     sol = ExtensionSolver(fam, cfg.sigma, f, tol=1e-11)
     oracle = spectral_power_oracle(A, cfg.sigma, f).value
@@ -434,7 +461,7 @@ def _load_config(args) -> ProblemConfig:
         raise ConfigError(f"config is not valid JSON: {exc}")
     cfg = parse_config(data)
     if args.tol is not None:
-        cfg.tol = args.tol
+        cfg.tol = _number(args.tol, "--tol", lambda x: x > 0, " > 0")
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:

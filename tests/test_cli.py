@@ -263,6 +263,47 @@ def test_non_finite_operator_entry_is_config_error(tmp_path, capsys):
     assert "operator.entries" in captured.err
 
 
+_LAP = {"kind": "laplacian", "size": 4, "spacing": 1.0, "boundary": "dirichlet"}
+_BAD_FIELDS = [
+    # (command, config overrides, extra argv, field named in the message)
+    ("fracpow", {"z_grid": 5}, [], "z_grid"),
+    ("fracpow", {"trace_grid": [0.5, 0.7]}, [], "trace_grid"),
+    ("fracpow", {"family": ["semigroup"]}, [], "family"),
+    ("fracpow", {"operator": 3}, [], "operator"),
+    ("fracpow", {"operator": dict(_LAP, size="four")}, [], "operator.size"),
+    ("fracpow", {"tol": "tight"}, [], "tol"),
+    ("fracpow", {"seed": "seven"}, [], "seed"),
+    ("fracpow", {"f": {"kind": "random", "seed": "x"}}, [], "f.seed"),
+    ("fracpow", {"family": {"kind": "integrated_semigroup", "alpha": "one"}}, [],
+     "family.alpha"),
+    ("fracpow", {"operator": {"kind": "fourier", "symbol": "i_xi", "modes": ["a"]}}, [],
+     "operator.modes"),
+    ("trace", {"trace_grid": {"theta": "flat"}}, [], "trace_grid.theta"),
+    ("fracpow", {"operator": dict(_LAP, size=1)}, [], "operator.size"),
+    ("fracpow", {"operator": dict(_LAP, size=100)}, [], "operator.size"),
+    ("fracpow", {"operator": dict(_LAP, size=8.7)}, [], "operator.size"),
+    ("fracpow", {"operator": dict(_LAP, spacing=0.0)}, [], "operator.spacing"),
+    ("fracpow", {"operator": dict(_LAP, boundary="neumann")}, [], "operator.boundary"),
+    ("fracpow", {"output": "table.csv"}, [], "output"),
+    ("trace", {"trace_grid": {"theta": 0.8}}, [], "trace_grid.theta"),
+    ("fracpow", {"operator": {"kind": "diagonal", "entries": [-1.0, 0.5]}}, [],
+     "operator.entries"),
+    ("fracpow", {}, ["--tol", "-1"], "--tol"),
+    ("fracpow", {}, ["--tol", "nan"], "--tol"),
+    ("fracpow", {"tol": float("inf")}, [], "tol"),
+]
+
+
+@pytest.mark.parametrize("command,overrides,argv,name", _BAD_FIELDS,
+                         ids=[f"{c[3]}-{i}" for i, c in enumerate(_BAD_FIELDS)])
+def test_bad_config_field_exits_2_naming_it(tmp_path, capsys, command, overrides, argv, name):
+    path = write_config(tmp_path, base_config(**overrides))
+    code = main([command, "--config", path] + argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert name in captured.err
+
+
 def test_console_entry_point(tmp_path):
     path = write_config(tmp_path, base_config(method="semigroup", tol=1e-5))
     # the child must import the same fracext, whatever the caller's PYTHONPATH
