@@ -384,26 +384,16 @@ def cmd_trace(cfg: ProblemConfig):
         consistency = float(np.linalg.norm(
             estimates["quotient"].fractional_power
             - estimates["neumann"].fractional_power) / scale)
-    from .quadrature import richardson_multi
-    from .extension import _trace_exponents
     rows = []
     worst = 0.0
     for kind, est in sorted(estimates.items()):
         rel = float(np.linalg.norm(est.fractional_power - oracle) / scale)
         worst = max(worst, rel)
-        running = []
-        for k in range(len(est.samples)):
-            if k >= 2:
-                lim_k, _ = richardson_multi(est.samples[:k + 1],
-                                            _trace_exponents(complex(cfg.sigma)))
-                running.append(np.asarray(lim_k).reshape(-1))
-            else:
-                running.append(np.asarray(est.samples[k][1]).reshape(-1))
-        for i, (y, raw) in enumerate(est.samples):
+        for (y, raw), running in zip(est.samples, est.extrapolants):
             raw = np.asarray(raw).reshape(-1)
             for k in range(A.dimension):
                 rows.append([kind, float(y), k, complex(raw[k]),
-                             complex(running[i][k]), complex(est.limit[k]),
+                             complex(running[k]), complex(est.limit[k]),
                              complex(oracle[k]), rel, est.diagnostic, consistency])
     columns = ["kind", "y", "component", "raw_sample", "extrapolant",
                "final_limit", "oracle", "rel_error", "diagnostic", "consistency"]

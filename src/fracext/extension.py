@@ -74,6 +74,7 @@ class TraceEstimate:
     samples_used: int
     fractional_power: np.ndarray
     samples: list = None  # [(y, weighted boundary value)] used for the limit
+    extrapolants: list = None  # limit of each prefix of samples (>= 3), else the sample
 
 
 def _sigma_checked(sigma) -> FracOrder:
@@ -389,16 +390,21 @@ def trace_grid(A: LinearOperator, y0=None, ratio: float = 0.7, count: int = 13) 
 
 def _ray_trace(solver: ExtensionSolver, kind: str, sample, factor, theta, grid):
     """Richardson limit of sample(z) along the ray arg z = theta, with the
-    recovered (-A)^sigma f = limit / factor."""
+    recovered (-A)^sigma f = limit / factor and the running extrapolants."""
     if abs(theta) >= math.pi / 4.0:
         raise ValueError("trace rays need |theta| < pi/4")
     ys = list(grid) if grid is not None else trace_grid(solver.family.generator)
     direction = cmath.exp(1j * theta)
     samples = [(y, sample(direction * y)) for y in ys]
-    limit, diag = richardson_multi(samples, _trace_exponents(solver.order.sigma))
+    exponents = _trace_exponents(solver.order.sigma)
+    running = [np.asarray(v).reshape(-1) for _, v in samples[:2]]
+    running += [np.asarray(richardson_multi(samples[:k], exponents)[0]).reshape(-1)
+                for k in range(3, len(samples) + 1)]
+    limit, diag = richardson_multi(samples, exponents)
     limit = np.asarray(limit).reshape(-1)
     return TraceEstimate(kind=kind, limit=limit, diagnostic=diag, samples_used=len(ys),
-                         fractional_power=limit / factor, samples=samples)
+                         fractional_power=limit / factor, samples=samples,
+                         extrapolants=running)
 
 
 def neumann_trace(solver: ExtensionSolver, theta: float = 0.0, grid=None) -> TraceEstimate:

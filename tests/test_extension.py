@@ -258,6 +258,18 @@ def test_neumann_trace_scalar(scalar_op):
     assert tr.samples_used == 13
 
 
+def test_trace_records_running_extrapolants(scalar_op):
+    # one extrapolant per sample: the sample itself below three, then the
+    # Richardson limit of that prefix, ending at the reported limit
+    sol = ExtensionSolver(heat_semigroup(scalar_op), 0.5, [1.0])
+    tr = quotient_trace(sol)
+    assert len(tr.extrapolants) == len(tr.samples) == 13
+    for (_, raw), running in zip(tr.samples[:2], tr.extrapolants):
+        assert np.array_equal(running, np.asarray(raw).reshape(-1))
+    assert np.array_equal(tr.extrapolants[-1], tr.limit)
+    assert abs(tr.extrapolants[6][0] + 1.0) < abs(tr.extrapolants[1][0] + 1.0)
+
+
 def test_quotient_trace_scalar(scalar_op):
     sol = ExtensionSolver(heat_semigroup(scalar_op), 0.5, [1.0])
     qt = quotient_trace(sol)
