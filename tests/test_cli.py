@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fracext
@@ -302,6 +303,26 @@ def test_bad_config_field_exits_2_naming_it(tmp_path, capsys, command, overrides
     captured = capsys.readouterr()
     assert code == EXIT_CONFIG
     assert name in captured.err
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+@pytest.mark.parametrize("z", [complex(0.6, 0.6), complex(0.6, -0.6)])
+def test_extend_on_closed_sector_edge(tmp_path, capsys, alpha, z):
+    # z on the edge |arg z| = pi/4, integer-order integrated family: the
+    # derivatives of b stay flat at t -> 0+ along the rotated ray
+    from tests.test_extension import _bessel_k_solution
+
+    eigs, f = [-0.5, -1.2, -2.0], [1.0, -0.4, 0.7]
+    cfg = base_config(operator={"kind": "diagonal", "entries": eigs}, sigma=0.4,
+                      family={"kind": "integrated_semigroup", "alpha": alpha},
+                      method="semigroup", z_grid=[{"re": z.real, "im": z.imag}], f=f,
+                      output={"path": "-", "format": "json"})
+    code = main(["extend", "--config", write_config(tmp_path, cfg)])
+    rows = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    got = np.array([_decode_complex(r["u_semigroup"]) for r in rows])
+    ref = _bessel_k_solution(eigs, np.array(f), 0.4, z)
+    assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_console_entry_point(tmp_path):

@@ -305,6 +305,28 @@ def test_h_alone_not_integrable_guarded():
         pi_alpha(h, fam, np.array([1.0]))
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_weyl_derivative_of_e1_at_zero(alpha):
+    # W^alpha e_1 = e_1 for every alpha; at s = 0 the derivative-first
+    # integrand keeps e_1's bounded zero exponent
+    assert abs(weyl_derivative(Kernel("exp_eps", eps=1.0), alpha, 0.0) - 1.0) < 1e-12
+
+
+def test_weyl_derivative_of_sampled_gaussian_at_zero():
+    # W^{1/2} exp(-t^2) (0) = (2/sqrt(pi)) int_0^inf tau^{1/2} e^{-tau^2} dtau
+    gauss = _HintedFn(lambda t: np.exp(-np.asarray(t) ** 2), 0.0, ("exponential", 1.0))
+    assert abs(weyl_derivative(gauss, 0.5, 0.0) - gamma(0.75) / SQRT_PI) < 1e-9
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 4.0])
+def test_weyl_integral_of_h_converges_below_one_minus_sigma(s):
+    # W^{-beta} h^sigma = Gamma(1-sigma-beta) / (Gamma(1-sigma) Gamma(sigma))
+    # s^{sigma+beta-1}, convergent for beta < 1 - sigma
+    ref = gamma(0.2) / (gamma(0.7) * gamma(0.3)) * s ** -0.2
+    got = weyl_integral(Kernel("h", FracOrder(0.3)), 0.5, s)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
 def test_convolution_h_b_equals_B():
     s = 0.3
     for sv in (0.5, 1.0, 2.0):
