@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -230,6 +231,14 @@ def _fmt_cell(v):
     return str(v)
 
 
+def _json_cell(v):
+    if isinstance(v, (complex, np.complexfloating)) and not isinstance(v, float):
+        return _encode_complex(complex(v))
+    if isinstance(v, (float, np.floating)):
+        return float(v)
+    return int(v) if isinstance(v, np.integer) else v
+
+
 def _emit_table(rows, columns, out_path: str, fmt: str):
     if fmt == "csv":
         buf = io.StringIO()
@@ -239,19 +248,7 @@ def _emit_table(rows, columns, out_path: str, fmt: str):
             writer.writerow([_fmt_cell(v) for v in row])
         text = buf.getvalue()
     elif fmt == "json":
-        payload = []
-        for row in rows:
-            obj = {}
-            for key, v in zip(columns, row):
-                if isinstance(v, (complex, np.complexfloating)) and not isinstance(v, float):
-                    obj[key] = _encode_complex(complex(v))
-                elif isinstance(v, (float, np.floating)):
-                    obj[key] = float(v)
-                elif isinstance(v, np.integer):
-                    obj[key] = int(v)
-                else:
-                    obj[key] = v
-            payload.append(obj)
+        payload = [{key: _json_cell(v) for key, v in zip(columns, row)} for row in rows]
         text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
@@ -341,10 +338,8 @@ def cmd_extend(cfg: ProblemConfig):
         evals = _extend_at(cfg, A, fam, f, z, power)
         arr = [evals[m].value for m in wanted]
         estimate = max(evals[m].error_estimate for m in wanted)
-        delta = 0.0
-        for i in range(len(arr)):
-            for j in range(i + 1, len(arr)):
-                delta = max(delta, float(np.max(np.abs(arr[i] - arr[j]))))
+        delta = max((float(np.max(np.abs(u - v))) for u, v in itertools.combinations(arr, 2)),
+                    default=0.0)
         worst = max(worst, delta)
         for k in range(A.dimension):
             rows.append([complex(z), k] + [complex(v[k]) for v in arr]
@@ -408,11 +403,9 @@ def cmd_verify(suite: str, seed: int):
         raise ConfigError(
             f"unknown suite {suite!r}; choose from {('all',) + verify_mod.SUITES}"
         )
-    rows = []
-    ok = True
-    for suite_name, check, passed, detail in results:
-        ok = ok and passed
-        rows.append([suite_name, check, "pass" if passed else "FAIL", detail])
+    rows = [[name, check, "pass" if passed else "FAIL", detail]
+            for name, check, passed, detail in results]
+    ok = all(passed for _, _, passed, _ in results)
     columns = ["suite", "check", "status", "detail"]
     return rows, columns, EXIT_OK if ok else EXIT_NUMERICAL
 

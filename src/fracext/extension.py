@@ -171,14 +171,13 @@ def solve_fractional_data(family: OperatorFamily, sigma, z, f, power_input=None,
     closed sector |arg z| <= pi/4."""
     order = _sigma_checked(sigma)
     z = complex(z)
+    f = np.asarray(f, dtype=complex).reshape(-1)
     if z == 0:
-        f = np.asarray(f, dtype=complex).reshape(-1)
         return ExtensionEvaluation(z=z, value=f.copy(), error_estimate=0.0,
                                    formula="fractional_data")
     zp = _sector_point(z, closed=True)
     g = _power_input(family, order, f, power_input, tol)
     kernel = Kernel("B_minus_h", order, zp)
-    f = np.asarray(f, dtype=complex).reshape(-1)
     value, err = _semigroup_pi(kernel, family, g, z, tol)
     return ExtensionEvaluation(z=z, value=f + value, error_estimate=err,
                                formula="fractional_data")
@@ -280,11 +279,13 @@ class _CosTerms(_KernelExpr):
         return min(zeros), ("algebraic", min(decays))
 
 
-def _require_cosine(family: OperatorFamily):
+def _require_cosine(family: OperatorFamily, z: complex):
     if not family.is_cosine:
         raise ValueError("needs a cosine-type family")
     if not family.has_scalar:
         raise ValueError("cosine solvers need a spectrally decomposable family")
+    if z.real <= 0:
+        raise ValueError("cosine representation needs Re z > 0")
 
 
 def _conjugate_reduce(solver, family, sigma, z, f, *args, **kwargs):
@@ -301,10 +302,8 @@ def solve_cosine_form(family: OperatorFamily, sigma, z, f,
     """u(z) = d_sigma int_0^inf W^alpha(z^{2 sigma} (z^2+t^2)^{-sigma-1/2})
     C_alpha(t) f dt, for Re z > 0."""
     order = _sigma_checked(sigma)
-    _require_cosine(family)
     z = complex(z)
-    if z.real <= 0:
-        raise ValueError("cosine representation needs Re z > 0")
+    _require_cosine(family, z)
     if (z * z).imag < 0:
         return _conjugate_reduce(solve_cosine_form, family, sigma, z, f, tol=tol)
     d_sig = constants_for(order).d_sigma
@@ -323,10 +322,8 @@ def solve_cosine_fractional(family: OperatorFamily, sigma, z, f, power_input=Non
     C_alpha(t) (-A)^sigma f dt for sigma != 1/2; at sigma = 1/2 the kernel is
     (1/pi) Log(t^2/(z^2+t^2))."""
     order = _sigma_checked(sigma)
-    _require_cosine(family)
     z = complex(z)
-    if z.real <= 0:
-        raise ValueError("cosine representation needs Re z > 0")
+    _require_cosine(family, z)
     if (z * z).imag < 0:
         return _conjugate_reduce(solve_cosine_fractional, family, sigma, z, f,
                                  power_input=power_input, tol=tol)

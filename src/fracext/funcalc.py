@@ -186,12 +186,9 @@ def cero_residual(phi, family: OperatorFamily, f, phi_zero=None,
     """Relative residual of -A pi_alpha(phi) f = pi_alpha(phi') f + phi(0) f."""
     f = np.asarray(f, dtype=complex).reshape(-1)
     if phi_zero is None:
-        if isinstance(phi, Kernel) and phi.kind == "exp_eps":
-            phi_zero = 1.0
-        elif isinstance(phi, Kernel) and phi.kind == "b":
-            phi_zero = 0.0
-        else:
+        if not (isinstance(phi, Kernel) and phi.kind in ("exp_eps", "b")):
             raise ValueError("phi(0) is required for this kernel")
+        phi_zero = 1.0 if phi.kind == "exp_eps" else 0.0
     lhs = -apply(family.generator, pi_alpha(phi, family, f, tol=tol))
     if not isinstance(phi, _KernelExpr):
         raise ValueError("cero_residual needs a Kernel phi")

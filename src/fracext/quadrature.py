@@ -556,9 +556,7 @@ def richardson_multi(samples, exponents):
         if len(table) < 2:
             break
         fac = complex(r) ** complex(p)
-        new = []
-        for k in range(len(table) - 1):
-            new.append((table[k + 1] - fac * table[k]) / (1.0 - fac))
+        new = [(table[k + 1] - fac * table[k]) / (1.0 - fac) for k in range(len(table) - 1)]
         last_corr = float(np.max(np.abs(new[-1] - table[-1])))
         table = new
     limit = table[-1]

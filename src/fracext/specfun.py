@@ -55,10 +55,6 @@ class FracOrder:
         object.__setattr__(self, "sigma", s)
 
     @property
-    def is_real(self) -> bool:
-        return self.sigma.imag == 0.0
-
-    @property
     def is_half(self) -> bool:
         return abs(self.sigma - 0.5) < 1e-8
 

@@ -44,9 +44,9 @@ def normalization_error(draws) -> float:
     """max |int_0^inf b^{sigma,z}(t) dt - 1| over draws (sigma, z)."""
     err = 0.0
     for s, z in draws:
-        hints = [quadrature.DecayHint("essential-singularity-at-zero"),
-                 quadrature.DecayHint("algebraic-at-infinity", power=1 + s)]
-        r = quadrature.integrate_halfline(_kernel("b", s, z).fn(0), hints, tol=1e-11)
+        b = _kernel("b", s, z)
+        r = quadrature.integrate_halfline(b.fn(0), kernels._halfline_hints(*b.metadata()),
+                                          tol=1e-11)
         err = max(err, abs(r.value - 1.0))
     return err
 
