@@ -113,9 +113,12 @@ def _phi_far(m: int, x):
 
 
 def _times_power(t, m: int, phi):
-    """t^m phi.  Where t^m overflows at real t, the factors of t multiply in
-    one at a time, real and imaginary parts apart, so a finite product stays
-    finite and an overflowing one becomes inf rather than NaN."""
+    """t^m phi.  Where t^m overflows at real t (only past |t| = 1e150), the
+    factors of t multiply in one at a time, real and imaginary parts apart,
+    so a finite product stays finite and an overflowing one becomes inf
+    rather than NaN."""
+    if m < 2 or not np.abs(t).max(initial=0.0) > 1e150:
+        return t ** m * phi
     with np.errstate(over="ignore", invalid="ignore"):
         tm = t ** m
         out = tm * phi
