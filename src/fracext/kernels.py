@@ -587,19 +587,17 @@ def sobolev_norm(phi, alpha: float, tol: float = 1e-11) -> float:
     """Weighted-L1 norm (1/Gamma(alpha+1)) int_0^inf |W^alpha phi(t)| t^alpha dt."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    phi = _kernel_like(phi)
-    _require_integrable(phi)
-    zero_exp, tail = phi.metadata()
+    w = _weyl_kernel_fn(phi, alpha, tol * 10)
+    w_zero, w_tail = w.metadata()
     ga1 = gamma(alpha + 1.0)
 
     def integrand(t):
-        return np.abs(weyl_derivative(phi, alpha, t, tol=tol * 10)) * t ** alpha / ga1
+        return np.abs(w(t)) * t ** alpha / ga1
 
-    q0 = None if zero_exp is None else min(zero_exp - int(alpha) + alpha, 0.0)
-    t_hs = tail
-    if tail is not None and tail[0] == "algebraic":
-        t_hs = ("algebraic", tail[1] + int(alpha) - alpha + alpha)  # power shifts cancel
-    hints = _halfline_hints(q0, t_hs if t_hs is not None else ("exponential", 1.0))
+    # t^alpha adds alpha to the exponent at zero and takes it from the tail
+    if w_tail[0] == "algebraic":
+        w_tail = ("algebraic", w_tail[1] - alpha)
+    hints = _halfline_hints(None if w_zero is None else min(w_zero + alpha, 0.0), w_tail)
     res = integrate_halfline(integrand, hints, tol=tol)
     return float(np.real(res.value))
 
