@@ -446,7 +446,7 @@ def _load_config(args) -> ProblemConfig:
     if args.tol is not None:
         cfg.tol = _number(args.tol, "--tol", lambda x: x > 0, " > 0")
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.seed = _number(args.seed, "--seed", lambda x: x >= 0, " >= 0", integer=True)
     if args.out is not None:
         cfg.output["path"] = args.out
     if args.format is not None:

@@ -292,6 +292,7 @@ _BAD_FIELDS = [
     ("fracpow", {}, ["--tol", "-1"], "--tol"),
     ("fracpow", {}, ["--tol", "nan"], "--tol"),
     ("fracpow", {"tol": float("inf")}, [], "tol"),
+    ("fracpow", {}, ["--seed", "-1"], "--seed"),
 ]
 
 
