@@ -158,6 +158,14 @@ def parse_config(data: dict) -> ProblemConfig:
     )
 
 
+def _dimension_list(spec: dict, key: str) -> list:
+    """operator.<key>: a list of 1 to MAX_DIMENSION entries, one per dimension."""
+    items = _typed(spec, key, [], list, f"operator.{key}")
+    if not 1 <= len(items) <= MAX_DIMENSION:
+        raise ConfigError(f"operator.{key} needs 1 to {MAX_DIMENSION} entries, got {len(items)}")
+    return items
+
+
 def build_operator(cfg: ProblemConfig) -> LinearOperator:
     spec = cfg.operator
     kind = spec.get("kind")
@@ -170,11 +178,9 @@ def build_operator(cfg: ProblemConfig) -> LinearOperator:
             raise ConfigError(f"unknown operator.boundary {boundary!r}")
         return build_laplacian_1d(size, spacing, boundary)
     if kind == "diagonal":
-        entries = [_decode_complex(v, "operator.entries")
-                   for v in _typed(spec, "entries", [], list, "operator.entries")]
-        if not entries:
-            raise ConfigError("diagonal operator needs nonempty 'entries'")
-        entries = _finite(np.array(entries), "operator.entries")
+        items = _dimension_list(spec, "entries")
+        entries = _finite(np.array([_decode_complex(v, "operator.entries") for v in items]),
+                          "operator.entries")
         if np.any(entries.real > 1e-12 * max(float(np.max(np.abs(entries))), 1.0)):
             raise ConfigError("operator.entries must have real part <= 0 (tempered generator)")
         return LinearOperator("diagonal", entries)
@@ -182,10 +188,7 @@ def build_operator(cfg: ProblemConfig) -> LinearOperator:
         name = spec.get("symbol")
         if name not in _SYMBOLS:
             raise ConfigError(f"unknown symbol {name!r}; choose from {sorted(_SYMBOLS)}")
-        modes = _typed(spec, "modes", [], list, "operator.modes")
-        if not modes:
-            raise ConfigError("fourier operator needs nonempty 'modes'")
-        modes = [_number(m, "operator.modes") for m in modes]
+        modes = [_number(m, "operator.modes") for m in _dimension_list(spec, "modes")]
         return build_fourier_multiplier(_SYMBOLS[name], modes)
     raise ConfigError(f"unknown operator kind {kind!r}")
 

@@ -448,16 +448,13 @@ def verify_resolvent(family: OperatorFamily, lam: complex, f,
     return float(np.linalg.norm(value - ref) / np.linalg.norm(ref))
 
 
-def integra_identity_residual(family: OperatorFamily, f, t: float,
-                              T_next: OperatorFamily | None = None) -> float:
+def integra_identity_residual(family: OperatorFamily, f, t: float) -> float:
     """Relative residual of T_alpha(t) f - t^alpha/Gamma(alpha+1) f = T_{alpha+1}(t) A f."""
     f = np.asarray(f, dtype=complex).reshape(-1)
     if t == 0.0:
         return 0.0
     lhs = family.evaluate(t, f) - t ** family.alpha / gamma(family.alpha + 1.0) * f
-    if T_next is None:
-        T_next = integrate_family(family, family.alpha + 1.0)
-    rhs = T_next.evaluate(t, apply(family.generator, f))
+    rhs = integrate_family(family, family.alpha + 1.0).evaluate(t, apply(family.generator, f))
     scale = max(float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)),
                 1e-14 * float(np.linalg.norm(f)))
     return float(np.linalg.norm(lhs - rhs) / scale)

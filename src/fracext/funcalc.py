@@ -235,8 +235,8 @@ def balakrishnan_power(A: LinearOperator, sigma, f, tol: float = 1e-11) -> Fract
     return FractionalPowerResult(value=value, method="balakrishnan", error_estimate=err)
 
 
-def integrated_power(family: OperatorFamily, sigma, f, tol: float = 1e-11,
-                     T_next: OperatorFamily | None = None) -> FractionalPowerResult:
+def integrated_power(family: OperatorFamily, sigma, f,
+                     tol: float = 1e-11) -> FractionalPowerResult:
     """(-A)^sigma f from the integrated family:
     factor * int_0^inf (T_alpha(t) f - t^alpha f / Gamma(alpha+1)) t^{-sigma-alpha-1} dt
     with factor = Gamma(sigma+alpha+1) / (Gamma(-sigma) Gamma(1+sigma)).
@@ -253,8 +253,7 @@ def integrated_power(family: OperatorFamily, sigma, f, tol: float = 1e-11,
         raise ValueError("integrated_power is a semigroup-side formula")
     A = family.generator
     Af = apply(A, f)
-    if T_next is None:
-        T_next = integrate_family(family, alpha + 1.0)
+    T_next = integrate_family(family, alpha + 1.0)
     factor = gamma(s + alpha + 1.0) / (gamma(-s) * gamma(1.0 + s))
 
     # domain probe: the small-t integrand must behave like t^{-Re sigma}

@@ -7,11 +7,10 @@ Kernels are analytic functions of t > 0 parametrized by (sigma, z):
     h(t)   = t^{sigma-1} / Gamma(sigma)
     e_eps(t) = exp(-eps t)
 
-together with B - h (evaluated through a stable expm1-style difference)
-and products with e_eps.  Every time- and z-derivative has an exact
-closed form: the coefficient tables are generated by polynomial
-recurrences and feed the Weyl fractional calculus, the Sobolev-algebra
-norms, and the half-line convolution implemented here.
+together with B - h and products with e_eps.  Each of them and each of
+their time- and z-derivatives is one closed form, _Expr, whose derivative
+rule also yields the coefficient tables; they feed the Weyl fractional
+calculus, the Sobolev-algebra norms, and the half-line convolution here.
 
 Every function of t that the Weyl calculus or the spectral integral sees
 speaks one protocol (_KernelExpr): fn(n) gives the n-th time derivative
@@ -19,8 +18,8 @@ as a vectorized callable, and metadata() its decay, read back through
 zero_exponent() (the algebraic exponent at t -> 0+, None when flat along
 the integration ray) and tail() (('exponential', rate) or ('algebraic',
 power) at infinity, None when unknown).  Kernel takes both from its
-closed form; the expressions (_Expr, _BmhExpr here, extension._CosTerms)
-compute them from their own terms; a sampled function (_HintedFn) states
+closed form; the expressions (_Expr here, extension._CosTerms) compute
+them from their own terms; a sampled function (_HintedFn) states
 them and differences its samples for derivatives up to order 2.  This
 module alone decides what W^alpha phi is and how it decays
 (_weyl_kernel_fn).
@@ -102,20 +101,6 @@ class DerivativeCoefficients:
 
 
 @lru_cache(maxsize=None)
-def _time_poly(mu: complex, n: int) -> tuple:
-    # Q_0 = 1, Q_{m+1}(x) = -x Q_m'(x) - (m + mu + x) Q_m(x);
-    # d^n/dt^n [t^{-mu} e^{a/t}] = Q_n(a/t) t^{-n} [t^{-mu} e^{a/t}]
-    q = [complex(1.0)]
-    for m in range(n):
-        new = [complex(0.0)] * (len(q) + 1)
-        for j, c in enumerate(q):
-            new[j] -= (j + m + mu) * c   # -x Q' and -(m+mu) Q
-            new[j + 1] -= c              # -x Q
-        q = new
-    return tuple(q)
-
-
-@lru_cache(maxsize=None)
 def _z_poly(w: complex, n: int) -> tuple:
     # P_0 = 1, P_{m+1}(y) = 2 y P_m'(y) + (w - m - y/2) P_m(y);
     # d^n/dz^n kernel = z^{-n} P_n(z^2/t) kernel   (w = 2 sigma for b, 0 for B)
@@ -132,26 +117,19 @@ def _z_poly(w: complex, n: int) -> tuple:
 def time_derivative_coefficients(kind: str, n: int, sigma) -> DerivativeCoefficients:
     """d_{j,n} (kind 'b') or k_{j,n} (kind 'B') for the n-th time derivative."""
     s = sigma.sigma if isinstance(sigma, FracOrder) else complex(sigma)
-    if kind == "b":
-        mu = 1.0 + s
-    elif kind == "B":
-        mu = 1.0 - s
-    else:
+    rho = {"b": -(1.0 + s), "B": -(1.0 - s)}.get(kind)
+    if rho is None:
         raise ValueError("time-derivative tables exist for kinds 'b' and 'B'")
-    q = _time_poly(mu, n)
-    # (a/t)^j = (-1)^j (z^2/4)^j / t^j
-    table = tuple((-1.0) ** j * q[j] for j in range(len(q)))
+    # with a = -1 the coefficient of t^{-(j+n)} is d_{j,n} (k_{j,n}) itself
+    table = _Expr(1.0, rho, -1.0, 0.0, (1.0,)).fn(n).poly[n:]
     return DerivativeCoefficients(order=n, table=table)
 
 
 def z_derivative_coefficients(kind: str, n: int, sigma) -> DerivativeCoefficients:
     """c_{j,n} for the n-th z-derivative of kind 'b' or 'B'."""
     s = sigma.sigma if isinstance(sigma, FracOrder) else complex(sigma)
-    if kind == "b":
-        w = 2.0 * s
-    elif kind == "B":
-        w = 0.0 + 0.0j
-    else:
+    w = {"b": 2.0 * s, "B": 0.0 + 0.0j}.get(kind)
+    if w is None:
         raise ValueError("z-derivative tables exist for kinds 'b' and 'B'")
     return DerivativeCoefficients(order=n, table=_z_poly(w, n))
 
@@ -183,104 +161,97 @@ class _KernelExpr:
 
 
 class _Expr(_KernelExpr):
-    """const * (sum_j poly[j] t^{-j}) * t^rho * exp(a/t) * exp(-eps t)."""
+    """const t^rho e^{-eps t} [P(1/t) e^{a/t} + Q(1/t) expm1(a/t)], P and Q
+    with coefficients poly and mpoly (d/dt expm1(a/t) = d/dt e^{a/t}, so Q
+    feeds P).  Below |t| = _tiny, where (1/t)^top or t^rho may overflow,
+    t^-top joins the exponent of t^rho e^{a/t} and P, Q run in t: a finite
+    value stays finite and an underflowing one reads 0, never inf * 0."""
 
-    __slots__ = ("const", "rho", "a", "eps", "poly")
+    __slots__ = ("const", "rho", "a", "eps", "poly", "mpoly", "_tiny")
 
-    def __init__(self, const, rho, a, eps, poly):
+    def __init__(self, const, rho, a, eps, poly, mpoly=()):
         self.const = complex(const)
         self.rho = complex(rho)
         self.a = complex(a)
         self.eps = float(eps)
         self.poly = tuple(complex(c) for c in poly)
+        self.mpoly = tuple(complex(c) for c in mpoly)
+        power = max(len(self.poly), len(self.mpoly)) - 1 - min(self.rho.real, 0.0)
+        self._tiny = math.exp(-600.0 / power) if power > 0 else 0.0  # |t|^-power = e^600
 
     def __call__(self, t):
         t = np.asarray(t, dtype=complex)
-        inv = 1.0 / t
-        acc = np.zeros_like(t)
-        for c in reversed(self.poly):
-            acc = acc * inv + c
-        out = self.const * acc * np.exp(self.rho * np.log(t))
-        if self.a != 0:
-            out = out * np.exp(self.a * inv)
-        if self.eps:
-            out = out * np.exp(-self.eps * t)
-        return out
+        if self._tiny and t.size and np.abs(t).min() < self._tiny:
+            tiny = np.abs(t) < self._tiny
+            out = np.empty_like(t)
+            out[~tiny] = self._eval(t[~tiny], False)
+            out[tiny] = self._eval(t[tiny], True)
+            return out
+        return self._eval(t, False)
 
-    def derivative(self):
-        new = [0.0 + 0.0j] * (len(self.poly) + 2)
-        for j, c in enumerate(self.poly):
-            if c == 0:
+    def _eval(self, t, tiny: bool):
+        inv, log_t = 1.0 / t, np.log(t)
+        out = None
+        for poly, expm1 in ((self.poly, False), (self.mpoly, True)):
+            if not poly:
                 continue
-            new[j + 1] += c * (self.rho - j)
-            if self.a != 0:
-                new[j + 2] += -c * self.a
+            rho = self.rho
+            if tiny:  # P(1/t) = t^-top sum_j poly[j] t^(top-j)
+                acc, x, rest = poly[0], t, poly[1:]
+                rho = rho - (len(poly) - 1)
+            else:
+                acc, x, rest = poly[-1], inv, poly[-2::-1]
+            for c in rest:
+                acc = acc * x + c
+            if tiny and not expm1:
+                # one exponential: there e^{a/t} underflows where t^rho overflows
+                term = self.const * acc * np.exp(rho * log_t + self.a * inv)
+            else:
+                term = self.const * acc * np.exp(rho * log_t)
+                if expm1:
+                    term = term * cexpm1(self.a * inv)
+                elif self.a != 0:
+                    term = term * np.exp(self.a * inv)
             if self.eps:
-                new[j] += -c * self.eps
-        while len(new) > 1 and new[-1] == 0:
-            new.pop()
-        return _Expr(self.const, self.rho, self.a, self.eps, new)
-
-    def metadata(self):
-        nz = [j for j, c in enumerate(self.poly) if c != 0]
-        if not nz:
-            return 0.0, ("exponential", 1.0)  # identically zero
-        jmin, jmax = min(nz), max(nz)
-        if self.a != 0 and self.a.real <= 0:
-            zero = None  # flat; Re a = 0 (sector edge) is integrated on a rotated ray
-        else:
-            zero = self.rho.real - jmax
-        if self.eps > 0:
-            tail = ("exponential", self.eps)
-        else:
-            tail = ("algebraic", -self.rho.real + jmin)
-        return zero, tail
-
-
-class _BmhExpr(_KernelExpr):
-    """n-th time derivative of (B - h) e_eps, grouped for stable evaluation.
-
-    The j = 0 block of the B-table collapses onto (B - h) itself, which is
-    evaluated through expm1; the j >= 1 remainder multiplies plain B.
-    """
-
-    __slots__ = ("sigma", "a", "eps", "n")
-
-    def __init__(self, sigma, a, eps, n=0):
-        self.sigma = complex(sigma)
-        self.a = complex(a)
-        self.eps = float(eps)
-        self.n = int(n)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=complex)
-        inv = 1.0 / t
-        s = self.sigma
-        base = np.exp((s - 1.0) * np.log(t)) / gamma(s)
-        stable = np.zeros_like(t)
-        rem = np.zeros_like(t)
-        z2_4 = -self.a
-        for m in range(self.n + 1):
-            if self.eps == 0.0 and m != self.n:
-                continue
-            w = math.comb(self.n, m) * (-self.eps) ** (self.n - m)
-            k = time_derivative_coefficients("B", m, s).table
-            stable = stable + (w * k[0]) * inv ** m
-            for j in range(1, len(k)):
-                rem = rem + (w * k[j] * z2_4 ** j) * inv ** (j + m)
-        out = base * (stable * cexpm1(self.a * inv) + rem * np.exp(self.a * inv))
-        if self.eps:
-            out = out * np.exp(-self.eps * t)
-        return out
+                term = term * np.exp(-self.eps * t)
+            out = term if out is None else out + term
+        return np.zeros_like(t) if out is None else out
 
     def derivative(self):
-        return _BmhExpr(self.sigma, self.a, self.eps, self.n + 1)
+        size = max(len(self.poly), len(self.mpoly)) + 2
+        new_p, new_q = [0.0 + 0.0j] * size, [0.0 + 0.0j] * size
+        for poly, new in ((self.poly, new_p), (self.mpoly, new_q)):
+            for j, c in enumerate(poly):
+                if c == 0:
+                    continue
+                new[j + 1] += c * (self.rho - j)
+                if self.a != 0:
+                    new_p[j + 2] += -c * self.a
+                if self.eps:
+                    new[j] += -c * self.eps
+        for new in (new_p, new_q):
+            while new and new[-1] == 0:
+                new.pop()
+        return _Expr(self.const, self.rho, self.a, self.eps, new_p, new_q)
 
     def metadata(self):
-        zero = self.sigma.real - 1.0 - self.n
-        if self.eps:
+        nz_p = [j for j, c in enumerate(self.poly) if c != 0]
+        nz_q = [j for j, c in enumerate(self.mpoly) if c != 0] if self.a != 0 else []
+        if not nz_p and not nz_q:
+            return 0.0, ("exponential", 1.0)  # identically zero
+        rho = self.rho.real
+        # e^{a/t} is flat at 0+ for Re a <= 0 (Re a = 0, the sector edge, is
+        # integrated on a rotated ray); expm1(a/t) is bounded there, ~ a/t at inf
+        zeros = [rho - max(nz_q)] if nz_q else []
+        if nz_p and not (self.a != 0 and self.a.real <= 0):
+            zeros.append(rho - max(nz_p))
+        zero = min(zeros) if zeros else None
+        if self.eps > 0:
             return zero, ("exponential", self.eps)
-        return zero, ("algebraic", 2.0 + self.n - self.sigma.real)
+        tails = [-rho + min(nz_p)] if nz_p else []
+        if nz_q:
+            tails.append(-rho + min(nz_q) + 1)
+        return zero, ("algebraic", min(tails))
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +305,15 @@ class Kernel(_KernelExpr):
             return _Expr(const, -1.0 - s, a, eps, (1.0,))
         if self.kind == "B":
             return _Expr(1.0 / gamma(s), s - 1.0, a, eps, (1.0,))
-        return _BmhExpr(s, a, eps)
+        return _Expr(1.0 / gamma(s), s - 1.0, a, eps, (), (1.0,))
 
     def fn(self, n: int = 0):
         """Closed-form n-th time derivative as a vectorized callable."""
         if n < 0:
             raise ValueError("derivative order must be >= 0")
         if n > MAX_DERIVATIVE_ORDER:
-            raise ValueError(
-                f"derivative order {n} exceeds the supported cap {MAX_DERIVATIVE_ORDER}"
-            )
+            raise ValueError(f"derivative order {n} exceeds the supported cap "
+                             f"{MAX_DERIVATIVE_ORDER}")
         return self._fn0().fn(n)
 
     def metadata(self):

@@ -463,14 +463,13 @@ def _wynn_epsilon(partials):
 
 def integrate_oscillatory_halfline(f, omega, tol: float = DEFAULT_TOL,
                                    zero_exponent: float | None = None,
-                                   head: float | None = None,
                                    start: float | None = None,
                                    max_panels: int = 3000) -> QuadratureResult:
     """Integrate f over (0, inf) when f oscillates with angular frequency omega.
 
     Half-period panels past a head region are summed pairwise and the
     partial sums are accelerated with the Wynn epsilon algorithm.  The head
-    region [0, t1] (default one period) is integrated adaptively, with an
+    region [0, t1] (one period) is integrated adaptively, with an
     optional algebraic grading at zero.  With start given, the head is the
     caller's business and only the tail from start onward is summed.
     """
@@ -481,7 +480,7 @@ def integrate_oscillatory_halfline(f, omega, tol: float = DEFAULT_TOL,
         t1 = float(start)
         r_head = QuadratureResult(0.0 + 0.0j, 0.0, 1)
     else:
-        t1 = h * max(2, int(math.ceil((head if head is not None else 2 * h) / h)))
+        t1 = 2.0 * h
         if zero_exponent is not None and zero_exponent < 0.0:
             r_head = _graded_interval(f, 0.0, t1, tol, q_left=zero_exponent)
         else:

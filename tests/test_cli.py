@@ -293,6 +293,10 @@ _BAD_FIELDS = [
     ("fracpow", {}, ["--tol", "nan"], "--tol"),
     ("fracpow", {"tol": float("inf")}, [], "tol"),
     ("fracpow", {}, ["--seed", "-1"], "--seed"),
+    ("fracpow", {"operator": {"kind": "diagonal", "entries": [-1.0] * 65}}, [],
+     "operator.entries"),
+    ("fracpow", {"operator": {"kind": "fourier", "symbol": "i_xi", "modes": [1.0] * 65}}, [],
+     "operator.modes"),
 ]
 
 

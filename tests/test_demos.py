@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion against this checkout."""
+"""Every script under demos/ runs to completion against this checkout, with
+RuntimeWarnings as errors as in the pytest process itself."""
 
 import os
 import subprocess
@@ -18,6 +19,6 @@ def test_demos_are_found():
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -18,7 +18,7 @@ from fracext.extension import (
 )
 from fracext.families import cosine_family, heat_semigroup, integrate_family, integrated_cosine
 from fracext.funcalc import balakrishnan_power, spectral_power_oracle
-from fracext.operators import LinearOperator, spectral_decompose
+from fracext.operators import LinearOperator, build_fourier_multiplier, spectral_decompose
 from fracext.specfun import FracOrder, constants_for
 from tests.conftest import simpson_log
 
@@ -134,6 +134,23 @@ def test_fractional_data_scalar(scalar_op):
     assert abs(u - math.exp(-1.0)) < 1e-9
     ev = solve_fractional_data(fam, 0.5, 0.0, [1.0])
     assert ev.value[0] == 1.0  # z = 0 gives exactly f
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+@pytest.mark.parametrize("sigma", [0.15, 0.2])
+@pytest.mark.parametrize("spectrum", ["diagonal", "i_xi3"])
+def test_fractional_data_small_sigma_vs_semigroup(spectrum, sigma, alpha):
+    # the quadrature samples the derivatives of B - h near t = 1e-160, where
+    # (1/t)^k overflows while e^{-z^2/(4t)} underflows
+    if spectrum == "diagonal":
+        A, f = LinearOperator("diagonal", [-1.0, -2.5]), [1.0, -0.6]
+    else:
+        A = build_fourier_multiplier(lambda xi: 1j * xi ** 3, [1.18, 1.69, 0.84, 1.41])
+        f = [1.0, -0.5, 0.3, 0.8]
+    fam = integrate_family(heat_semigroup(A), alpha)
+    got = solve_fractional_data(fam, sigma, 0.688, f).value
+    ref = solve_semigroup_form(fam, sigma, 0.688, f).value
+    assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_fractional_data_boundary_ray(scalar_op):

@@ -1,5 +1,6 @@
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -136,6 +137,83 @@ def test_b_minus_h_derivative_vs_finite_differences():
     h = 1e-5
     fd = (k.fn(0)(np.array([5.0 + h]))[0] - k.fn(0)(np.array([5.0 - h]))[0]) / (2 * h)
     assert abs(k.fn(1)(np.array([5.0]))[0] - fd) < 1e-12
+
+
+_WIDE_T = 10.0 ** np.arange(-300, 301)
+_WIDE_Z = {  # name: (z, sigma, closed sector)
+    "real": (0.688, 0.15, False),
+    "complex": (complex(0.8, 0.3), complex(0.4, 0.2), False),
+    "edge": (complex(0.6, 0.6), 0.15, True),  # z^2 = 0.72i exactly
+}
+
+
+def _lah(n, k):
+    return math.comb(n - 1, k - 1) * math.factorial(n) // math.factorial(k)
+
+
+@lru_cache(maxsize=None)
+def _wide_reference(zname):
+    """{(kind, eps): (values, ~log10 |values|)}, rows n = 0..3 over _WIDE_T.
+
+    Leibniz's rule in mpmath on const t^rho g(t) e^{-eps t}, with
+    d^j e^{a/t} = (-1)^j e^{a/t} sum_k L(j, k) a^k t^{-j-k} (Lah numbers)
+    and g = expm1(a/t) for B - h: independent of the kernels' recurrence.
+    """
+    mp = pytest.importorskip("mpmath")
+    z, s, _ = _WIDE_Z[zname]
+    out = {}
+    with mp.workdps(24):
+        z, s = mp.mpc(z), mp.mpc(s)
+        a = -z * z / 4
+        forms = {"b": (mp.power(z, 2 * s) / (mp.power(4, s) * mp.gamma(s)), -1 - s),
+                 "B": (1 / mp.gamma(s), s - 1), "B_minus_h": (1 / mp.gamma(s), s - 1)}
+        # C(m, i) times the falling factorial rho (rho - 1) ... (rho - i + 1)
+        leib = {kind: [[math.comb(m, i) * mp.fprod(rho - k for k in range(i))
+                        for i in range(m + 1)] for m in range(4)]
+                for kind, (_, rho) in forms.items()}
+        rows = {(kind, eps): [] for kind in forms for eps in (None, 0.7)}
+        for t in map(mp.mpf, _WIDE_T):
+            ea, e = mp.exp(a / t), mp.exp(-0.7 * t)
+            g = [ea] + [(-1) ** j * ea * sum(_lah(j, k) * a ** k / t ** (j + k)
+                                             for k in range(1, j + 1)) for j in (1, 2, 3)]
+            for kind, (const, rho) in forms.items():
+                gk = [mp.expm1(a / t)] + g[1:] if kind == "B_minus_h" else g
+                d = [const * t ** rho * sum(c / t ** i * gk[m - i]
+                                            for i, c in enumerate(leib[kind][m]))
+                     for m in range(4)]
+                rows[kind, None].append(d)
+                rows[kind, 0.7].append([e * sum(math.comb(n, l) * (-0.7) ** l * d[n - l]
+                                                for l in range(n + 1)) for n in range(4)])
+        for key, per_t in rows.items():
+            # |v| <= 2^mag(v) < 4 |v|
+            mags = np.array([[mp.mag(v) * math.log10(2.0) for v in r] for r in per_t]).T
+            vals = np.array([[complex(v) if -330 < m < 300 else 0j for v, m in zip(r, mr)]
+                             for r, mr in zip(per_t, mags.T)]).T
+            out[key] = (vals, mags)
+    return out
+
+
+@pytest.mark.parametrize("zname", sorted(_WIDE_Z))
+@pytest.mark.parametrize("eps", [None, 0.7])
+@pytest.mark.parametrize("kind", ["b", "B", "B_minus_h"])
+def test_time_derivatives_across_double_range_vs_mpmath(kind, eps, zname):
+    # t = 1e-300 .. 1e300: where (1/t)^k overflows and e^{a/t} underflows
+    # the value is never inf * 0; RuntimeWarnings are errors in this suite
+    z, s, closed = _WIDE_Z[zname]
+    k = Kernel(kind, FracOrder(s), SectorPoint(z, closed=closed), eps)
+    vals, mags = _wide_reference(zname)[kind, eps]
+    # a double a/t is off by ~1e-16 |a/t| in absolute terms, and so is the
+    # phase of exp(a/t), whatever evaluates it
+    tol = 1e-12 + 1e-15 * abs(z * z / 4) / _WIDE_T
+    for n in range(4):
+        live = mags[n] <= 290  # above it the true value may not be a double
+        got = k.fn(n)(_WIDE_T[live])
+        ref, mag = vals[n][live], mags[n][live]
+        assert np.all(np.isfinite(got))
+        assert np.all(got[mag < -330] == 0)
+        ok = mag >= -290
+        assert ok.any()
+        assert np.all(np.abs(got[ok] - ref[ok]) / np.abs(ref[ok]) <= tol[live][ok])
 
 
 def test_derivative_order_cap():
