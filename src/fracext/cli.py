@@ -10,6 +10,7 @@ Exit codes: 0 ok, 2 usage/config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import itertools
@@ -323,6 +324,10 @@ def _extend_at(cfg, A, fam, f, z, power):
 def cmd_extend(cfg: ProblemConfig):
     if not cfg.z_grid:
         raise ConfigError("extend needs a nonempty z_grid")
+    for z in cfg.z_grid:
+        # the closed sector |arg z| <= pi/4 without its vertex, edge tolerance as in SectorPoint
+        if z == 0 or abs(cmath.phase(z)) > math.pi / 4.0 + 1e-12:
+            raise ConfigError(f"z_grid entries must be nonzero with |arg z| <= pi/4, got {z!r}")
     A = build_operator(cfg)
     f = resolve_f(cfg, A.dimension)
     fam = build_family(cfg, A)

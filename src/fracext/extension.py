@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import OperatorFamily, spectral_eigendata
+from .families import OperatorFamily, spectral_apply, spectral_eigendata
 from .funcalc import balakrishnan_power, spectral_integral
 from .kernels import Kernel, SectorPoint, _KernelExpr, _weyl_kernel_fn, z_derivative_fn
 from .operators import LinearOperator, apply
@@ -142,7 +142,9 @@ def solve_regularized(family: OperatorFamily, sigma, z, f, eps_sequence=(1.0, 0.
     exponents, so the limit is Richardson's over the geometric eps_sequence
     (>= 3 entries), eliminating eps^1 ... eps^{n-1}.  The error estimate is
     the last Richardson correction plus the largest quadrature error
-    estimate of the members."""
+    estimate of the members.  (-A)^sigma f vanishes on ker A, where
+    u(z) = f: spectral families add the projection of f onto the
+    eigenvalues that are exactly zero."""
     order = _sigma_checked(sigma)
     z = complex(z)
     zp = _sector_point(z, closed=True)
@@ -161,7 +163,11 @@ def solve_regularized(family: OperatorFamily, sigma, z, f, eps_sequence=(1.0, 0.
         raise ValueError("regularized sequence is not Cauchy (temperedness breach?)")
     limit, diag = richardson_multi(list(zip(eps_sequence, values)),
                                    range(1, len(values)))
-    return ExtensionEvaluation(z=z, value=np.asarray(limit).reshape(-1),
+    value = np.asarray(limit).reshape(-1)
+    if family.has_scalar:
+        eigs = spectral_eigendata(family.generator)[0]
+        value = value + spectral_apply(family.generator, f, (eigs == 0).astype(float))
+    return ExtensionEvaluation(z=z, value=value,
                                error_estimate=diag + quad_err, formula="regularized")
 
 

@@ -58,20 +58,23 @@ def spectral_eigendata(op):
     return re + 1j * im, dec.basis, dec.inverse_basis
 
 
+def _coords(inv, f):
+    # einsum, not matmul: see the operators module on threaded BLAS
+    return np.einsum("ij,j->i", inv, np.asarray(f, dtype=complex).reshape(-1))
+
+
 def spectral_apply(op, f, vals):
     """V diag(vals) V^{-1} f for the eigenbasis V of op.  The eigenvalue axis
     of vals comes last; leading axes give leading axes of the result."""
     _, basis, inv = spectral_eigendata(op)
-    coords = inv @ np.asarray(f, dtype=complex).reshape(-1)
-    return (vals * coords) @ basis.T
+    return np.einsum("...j,ij->...i", vals * _coords(inv, f), basis)
 
 
 def spectral_error(op, f, err: float) -> float:
     """Max-norm error bound of spectral_apply(op, f, vals) when no entry of
     vals is off by more than err: err ||V||_inf ||V^{-1} f||_inf."""
     _, basis, inv = spectral_eigendata(op)
-    coords = inv @ np.asarray(f, dtype=complex).reshape(-1)
-    return err * float(np.abs(basis).sum(axis=1).max() * np.abs(coords).max())
+    return err * float(np.abs(basis).sum(axis=1).max() * np.abs(_coords(inv, f)).max())
 
 
 def _series_sum(alpha: float, x):

@@ -311,8 +311,7 @@ def spectral_power_oracle(A: LinearOperator, sigma, f) -> FractionalPowerResult:
     s = _sigma_value(sigma)
     if s.real <= 0:
         raise ValueError("oracle needs Re sigma > 0")
-    f = np.asarray(f, dtype=complex).reshape(-1)
-    eigs, basis, inv = spectral_eigendata(A)
+    eigs = spectral_eigendata(A)[0]
     vals = np.array([cpow(-a, s) if a != 0 else 0.0 for a in eigs])
-    value = basis @ (vals * (inv @ f))
+    value = spectral_apply(A, f, vals)
     return FractionalPowerResult(value=value, method="spectral_oracle", error_estimate=0.0)

@@ -1,11 +1,16 @@
 """Concrete matrix realizations of the generator A, plus the spectral oracle.
 
 Desk scale: dense operators are capped at dimension 64 so every
-decomposition is a direct eigensolve.
+decomposition is a direct eigensolve, or a closed form for the 1d
+Laplacians.  Products with a dense matrix go through np.einsum, which
+never calls BLAS: at this size threaded BLAS saves nothing, and a complex
+gemv/gemm at n = 64 (or an eigh at n >= 32) leaves OpenBLAS workers
+spinning on idle cores for ~0.1 s after it returns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,7 +97,38 @@ def build_laplacian_1d(n: int, h: float, boundary: str = "dirichlet") -> LinearO
         m[n - 1, 0] += 1.0
     elif boundary != "dirichlet":
         raise ValueError(f"unknown boundary {boundary!r}")
-    return LinearOperator("dense", m / h ** 2)
+    op = LinearOperator("dense", m / h ** 2)
+    eig, basis = _laplacian_spectrum(n, h, boundary)
+    op._decomposition = _checked_decomposition(op.data, eig, basis, basis.conj().T)
+    return op
+
+
+def _laplacian_spectrum(n: int, h: float, boundary: str):
+    """Closed-form (eigenvalues ascending, real orthonormal eigenvectors) of
+    the second-difference matrix.
+
+    Dirichlet: -(4/h^2) sin^2(k pi / (2(n+1))) with sqrt(2/(n+1)) sin(j k pi/(n+1)),
+    k = 1..n.  Periodic: -(4/h^2) sin^2(pi k / n) with the real Fourier basis
+    (cos(2 pi j k/n) for k <= n/2, and sin for the partner n - k of each
+    0 < k < n/2), so real data stays real as with a real eigensolver; the
+    zero mode is exactly 0.  Phases j k are reduced modulo the period in
+    integers before scaling.
+    """
+    j = np.arange(n)
+    if boundary == "dirichlet":
+        k = np.arange(1, n + 1)
+        eig = -(4.0 / h ** 2) * np.sin(k * np.pi / (2 * (n + 1))) ** 2
+        phase = np.outer(j + 1, k) % (2 * (n + 1))
+        basis = math.sqrt(2.0 / (n + 1)) * np.sin(phase * np.pi / (n + 1))
+    else:
+        k = np.arange(n)
+        freq = np.minimum(k, n - k)
+        eig = -(4.0 / h ** 2) * np.sin(freq * np.pi / n) ** 2
+        phase = np.outer(j, freq) % n * (2.0 * np.pi / n)
+        norm = np.where((freq == 0) | (2 * freq == n), 1.0 / math.sqrt(n), math.sqrt(2.0 / n))
+        basis = norm * np.where(k <= n // 2, np.cos(phase), np.sin(phase))
+    order = np.argsort(eig, kind="stable")
+    return eig[order].astype(complex), basis[:, order].astype(complex)
 
 
 def build_fourier_multiplier(symbol, modes) -> LinearOperator:
@@ -133,20 +169,23 @@ def spectral_decompose(op: LinearOperator) -> SpectralDecomposition:
             inv = np.linalg.inv(basis)
         except np.linalg.LinAlgError as exc:
             raise DefectiveOperatorError("eigenvector matrix is singular") from exc
-    recon = basis @ np.diag(eig) @ inv
+    op._decomposition = _checked_decomposition(m, eig, basis, inv)
+    return op._decomposition
+
+
+def _checked_decomposition(m, eig, basis, inv) -> SpectralDecomposition:
+    recon = np.einsum("ij,jk->ik", basis * eig, inv)
     scale = max(float(np.linalg.norm(m, 2)), 1e-300)
     if float(np.linalg.norm(recon - m, 2)) > 1e-10 * scale:
         raise DefectiveOperatorError("reconstruction residual above 1e-10 * ||A||")
-    dec = SpectralDecomposition(eig, basis, inv)
-    op._decomposition = dec
-    return dec
+    return SpectralDecomposition(eig, basis, inv)
 
 
 def apply(op: LinearOperator, f) -> np.ndarray:
     f = np.asarray(f, dtype=complex).reshape(-1)
     if op.kind == "diagonal":
         return op.data * f
-    return op.data @ f
+    return np.einsum("ij,j->i", op.data, f)
 
 
 def resolvent_solve(op: LinearOperator, lam, f) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -297,6 +298,10 @@ _BAD_FIELDS = [
      "operator.entries"),
     ("fracpow", {"operator": {"kind": "fourier", "symbol": "i_xi", "modes": [1.0] * 65}}, [],
      "operator.modes"),
+    ("extend", {"z_grid": [0.5, 0.0]}, [], "z_grid"),
+    ("extend", {"z_grid": [-1.0]}, [], "z_grid"),
+    ("extend", {"z_grid": [{"re": 0.0, "im": 1.0}]}, [], "z_grid"),
+    ("extend", {"z_grid": [{"re": math.cos(0.876), "im": math.sin(0.876)}]}, [], "z_grid"),
 ]
 
 
@@ -328,6 +333,24 @@ def test_extend_on_closed_sector_edge(tmp_path, capsys, alpha, z):
     got = np.array([_decode_complex(r["u_semigroup"]) for r in rows])
     ref = _bessel_k_solution(eigs, np.array(f), 0.4, z)
     assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_laplacian_requests_need_no_eigensolver(tmp_path, capsys, monkeypatch, boundary):
+    # 1d Laplacians carry their closed-form spectrum, so CLI requests on
+    # them never reach a dense eigensolver (whose threaded BLAS spins)
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    lap = {"kind": "laplacian", "size": 8, "spacing": 1.0, "boundary": boundary}
+    cfg = base_config(operator=lap, sigma=0.4, tol=1e-6,
+                      family={"kind": "integrated_semigroup", "alpha": 1.0})
+    for command in ("fracpow", "extend", "trace"):
+        code = main([command, "--config", write_config(tmp_path, cfg)])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK, (command, captured.err)
 
 
 def test_console_entry_point(tmp_path):

@@ -567,3 +567,16 @@ def test_error_estimates_bound_scaled_errors(scale):
                            tol=1e-10)
     ref = _bessel_k_solution([-0.5, -1.2, -2.0], g, 0.5, 0.6)
     assert ev.error_estimate >= np.max(np.abs(ev.value - ref))
+
+
+def test_regularized_zero_mode_vs_semigroup():
+    # (-A)^sigma f vanishes on the constant mode of the periodic Laplacian,
+    # where u(z) = f
+    from fracext.operators import build_laplacian_1d
+
+    A = build_laplacian_1d(8, 1.0, "periodic")
+    fam = heat_semigroup(A)
+    for f in (np.ones(8), np.random.default_rng(5).normal(size=8)):
+        ev = solve_regularized(fam, 0.4, 0.7, f, (1e-2, 1e-3, 1e-4, 1e-5), tol=1e-10)
+        ref = solve_semigroup_form(fam, 0.4, 0.7, f, tol=1e-10).value
+        assert np.max(np.abs(ev.value - ref)) <= 1e-8 * np.max(np.abs(ref))

@@ -334,3 +334,24 @@ def test_integer_split_remainder_vs_mpmath():
                     ref = complex(tk ** m / mpmath.factorial(m) * mpmath.hyp1f1(1, m + 1, ak * tk)
                                   - ak ** (-m) * mpmath.exp(ak * tk))
                 assert abs(got[k] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_spectral_apply_matches_matmul(rng):
+    # the einsum assembly against the matrix products it replaced, on a
+    # closed-form Laplacian basis and on a non-normal eigenbasis
+    from fracext.families import spectral_apply, spectral_eigendata
+    from fracext.operators import build_laplacian_1d
+
+    m = rng.normal(size=(12, 12))
+    ops = [build_laplacian_1d(64, 0.5, "periodic"),
+           LinearOperator("dense", -(m @ m.T) - np.triu(m, 1) - np.eye(12))]
+    for op in ops:
+        n = op.dimension
+        _, basis, inv = spectral_eigendata(op)
+        f = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for shape in ((n,), (30, n), (3, 5, n)):
+            vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            ref = (vals * (inv @ f)) @ basis.T
+            got = spectral_apply(op, f, vals)
+            assert got.shape == shape
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -138,3 +138,24 @@ def test_spectral_oracle_fractional_eigenvalues(laplacian8, rng):
 def test_dimension_cap():
     with pytest.raises(ValueError):
         LinearOperator("diagonal", [-1.0] * 65)
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("h", [1.0, 0.01])
+@pytest.mark.parametrize("n", [2, 3, 8, 33, 64])
+def test_laplacian_closed_form_spectrum(n, h, boundary):
+    # the decomposition attached at build time, checked against the matrix
+    # and against a dense eigensolver
+    A = build_laplacian_1d(n, h, boundary)
+    dec = spectral_decompose(A)
+    V, lam = dec.basis, dec.eigenvalues
+    scale = A.norm()
+    assert np.max(np.abs(V.conj().T @ V - np.eye(n))) <= 1e-13
+    assert np.array_equal(dec.inverse_basis, V.conj().T)
+    recon = (V * lam) @ dec.inverse_basis
+    assert np.linalg.norm(recon - A.matrix(), 2) <= 1e-12 * scale
+    ref = np.linalg.eigvalsh(A.matrix())
+    assert np.max(np.abs(np.sort(lam.real) - ref)) <= 1e-13 * scale
+    assert not lam.imag.any() and not V.imag.any()
+    if boundary == "periodic":
+        assert np.count_nonzero(lam == 0.0) == 1
