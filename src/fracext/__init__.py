@@ -6,6 +6,7 @@ from .extension import (
     ExtensionEvaluation,
     ExtensionSolver,
     TraceEstimate,
+    boundary_traces,
     neumann_trace,
     pde_residual,
     quotient_trace,

@@ -26,8 +26,7 @@ from . import verify as verify_mod
 from .extension import (
     SIGMA_BAND,
     ExtensionSolver,
-    neumann_trace,
-    quotient_trace,
+    boundary_traces,
     solve_cosine_form,
     solve_cosine_fractional,
     solve_fractional_data,
@@ -297,24 +296,24 @@ _EXTEND_METHODS = ("semigroup", "regularized", "fractional_data",
                    "cosine", "cosine_fractional")
 
 
-def _extend_at(cfg, A, fam, f, z, power):
-    """{method: ExtensionEvaluation} at one z; power is (-A)^sigma f or None."""
-    wanted = _EXTEND_METHODS if cfg.method == "all" else (cfg.method,)
+def _extend_at(cfg, A, fam, f, zs, power, wanted):
+    """{method: ExtensionEvaluation} at every point of zs, one solver call
+    per method; power is (-A)^sigma f or None."""
     evals = {}
     for m in wanted:
         if m == "semigroup":
-            evals[m] = solve_semigroup_form(fam, cfg.sigma, z, f, tol=1e-10)
+            evals[m] = solve_semigroup_form(fam, cfg.sigma, zs, f, tol=1e-10)
         elif m == "regularized":
-            evals[m] = solve_regularized(fam, cfg.sigma, z, f,
+            evals[m] = solve_regularized(fam, cfg.sigma, zs, f,
                                          (1e-2, 1e-3, 1e-4, 1e-5),
                                          power_input=power, tol=1e-10)
         elif m == "fractional_data":
-            evals[m] = solve_fractional_data(fam, cfg.sigma, z, f,
+            evals[m] = solve_fractional_data(fam, cfg.sigma, zs, f,
                                              power_input=power, tol=1e-10)
         elif m == "cosine":
-            evals[m] = solve_cosine_form(cosine_family(A), cfg.sigma, z, f, tol=1e-9)
+            evals[m] = solve_cosine_form(cosine_family(A), cfg.sigma, zs, f, tol=1e-9)
         elif m == "cosine_fractional":
-            evals[m] = solve_cosine_fractional(cosine_family(A), cfg.sigma, z, f,
+            evals[m] = solve_cosine_fractional(cosine_family(A), cfg.sigma, zs, f,
                                                power_input=power, tol=1e-9)
         else:
             raise ConfigError(f"unknown extend method {m!r}")
@@ -340,12 +339,12 @@ def cmd_extend(cfg: ProblemConfig):
     power = None
     if any(m in ("regularized", "fractional_data", "cosine_fractional") for m in wanted):
         power = balakrishnan_power(A, cfg.sigma, f, tol=1e-10).value
+    evals = _extend_at(cfg, A, fam, f, np.array(cfg.z_grid, dtype=complex), power, wanted)
     rows = []
     worst = 0.0
-    for z in cfg.z_grid:
-        evals = _extend_at(cfg, A, fam, f, z, power)
-        arr = [evals[m].value for m in wanted]
-        estimate = max(evals[m].error_estimate for m in wanted)
+    for i, z in enumerate(cfg.z_grid):
+        arr = [evals[m].value[i] for m in wanted]
+        estimate = max(float(evals[m].error_estimate[i]) for m in wanted)
         delta = max((float(np.max(np.abs(u - v))) for u, v in itertools.combinations(arr, 2)),
                     default=0.0)
         worst = max(worst, delta)
@@ -377,11 +376,8 @@ def cmd_trace(cfg: ProblemConfig):
     which = "both" if cfg.method == "all" else cfg.method
     if which not in ("neumann", "quotient", "both"):
         raise ConfigError(f"unknown trace method {cfg.method!r}")
-    estimates = {}
-    if which in ("neumann", "both"):
-        estimates["neumann"] = neumann_trace(sol, theta=theta, grid=grid)
-    if which in ("quotient", "both"):
-        estimates["quotient"] = quotient_trace(sol, theta=theta, grid=grid)
+    kinds = ("neumann", "quotient") if which == "both" else (which,)
+    estimates = boundary_traces(sol, theta=theta, grid=grid, kinds=kinds)
     consistency = math.nan
     if len(estimates) == 2:
         consistency = float(np.linalg.norm(

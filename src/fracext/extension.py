@@ -29,7 +29,8 @@ import numpy as np
 
 from .families import OperatorFamily, spectral_apply, spectral_eigendata
 from .funcalc import balakrishnan_power, spectral_integral
-from .kernels import Kernel, SectorPoint, _KernelExpr, _weyl_kernel_fn, z_derivative_fn
+from .kernels import (Kernel, SectorPoint, _HintedFn, _KernelExpr, _weyl_kernel_fn,
+                      z_derivative_fn)
 from .operators import LinearOperator, apply
 from .quadrature import richardson_multi
 from .specfun import FracOrder, constants_for, cpow
@@ -44,6 +45,7 @@ __all__ = [
     "solve_fractional_data",
     "solve_cosine_form",
     "solve_cosine_fractional",
+    "boundary_traces",
     "neumann_trace",
     "quotient_trace",
     "trace_grid",
@@ -60,9 +62,9 @@ _HALF_SQRT2_1PI = complex(math.sqrt(2.0) / 2.0, math.sqrt(2.0) / 2.0)
 
 @dataclass
 class ExtensionEvaluation:
-    z: complex
+    z: complex | np.ndarray  # an array of z: one row of value and one estimate each
     value: np.ndarray
-    error_estimate: float
+    error_estimate: float | np.ndarray
     formula: str
 
 
@@ -93,27 +95,39 @@ def _sector_point(z: complex, closed: bool = False) -> SectorPoint:
     return SectorPoint(complex(z), math.pi / 4.0, closed=closed)
 
 
-def _semigroup_pi(kernel, family: OperatorFamily, f, z: complex, tol: float):
-    """(pi_alpha(kernel) f, error estimate); spectral families take real
-    eigenvalues along the rotated ray t = e^{i arg(z^2)/2} s."""
-    ray = 0.0
-    if not family.has_scalar:
-        if abs(cmath.phase(z)) >= math.pi / 4.0 - 1e-12:
-            raise ValueError("black-box families support only the open sector")
-    else:
-        phi_rot = 0.5 * cmath.phase(z * z)
-        ray = phi_rot if abs(phi_rot) > 1e-12 else 0.0
-        on_edge = abs(abs(cmath.phase(z)) - math.pi / 4.0) < 1e-12
-        if on_edge and np.any(np.abs(spectral_eigendata(family.generator)[0].imag) > 1e-9):
-            raise ValueError(
-                "sector boundary evaluation needs a generator with real spectrum"
-            )
-    weight = _weyl_kernel_fn(kernel, family.alpha, tol)
-    return spectral_integral(weight, family, f, tol, ray=ray)
+def _points(z) -> np.ndarray:
+    return np.asarray(z, dtype=complex).reshape(-1)
+
+
+def _evaluation(z, values, errs, formula: str) -> ExtensionEvaluation:
+    """The rows for the points of z, shaped as z was given."""
+    if np.ndim(z) == 0:
+        return ExtensionEvaluation(complex(z), values[0], float(errs[0]), formula)
+    return ExtensionEvaluation(_points(z), values, np.asarray(errs, dtype=float), formula)
+
+
+def _semigroup_pi(make, family: OperatorFamily, f, z, tol: float):
+    """pi_alpha(k) f and its error estimate for every kernel k of make(point)
+    at every point of z, shaped (points, kernels, n) and (points, kernels),
+    all in one spectral integral; spectral families take real eigenvalues
+    along the rotated ray t = e^{i arg(z^2)/2} s of their point."""
+    zs, scalar = _points(z), family.has_scalar
+    phase = np.abs(np.angle(zs))
+    if not scalar and np.any(phase >= math.pi / 4.0 - 1e-12):
+        raise ValueError("black-box families support only the open sector")
+    if (scalar and np.any(np.abs(phase - math.pi / 4.0) < 1e-12)
+            and np.any(np.abs(spectral_eigendata(family.generator)[0].imag) > 1e-9)):
+        raise ValueError("sector boundary evaluation needs a generator with real spectrum")
+    kernels = [make(_sector_point(w, closed=True)) for w in zs]
+    rays = [0.5 * cmath.phase(w * w) if scalar else 0.0 for w in zs for _ in kernels[0]]
+    names = [f"at z = {complex(w)!r}" for w in zs for _ in kernels[0]]
+    value, err = spectral_integral([_weyl_kernel_fn(k, family.alpha, tol) for ks in kernels
+                                    for k in ks], family, f, tol, rays, names=names)
+    return value.reshape(zs.size, len(kernels[0]), -1), err.reshape(zs.size, -1)
 
 
 # ---------------------------------------------------------------------------
-# heat-side solvers
+# heat-side solvers; each takes a point z or an array of them
 
 
 def solve_semigroup_form(family: OperatorFamily, sigma, z, f,
@@ -121,11 +135,8 @@ def solve_semigroup_form(family: OperatorFamily, sigma, z, f,
     """u(z) = (z^{2 sigma}/(4^sigma Gamma(sigma)))
     int_0^inf W^alpha(e^{-z^2/(4t)} t^{-1-sigma}) T_alpha(t) f dt."""
     order = _sigma_checked(sigma)
-    z = complex(z)
-    kernel = Kernel("b", order, _sector_point(z, closed=True))
-    value, err = _semigroup_pi(kernel, family, f, z, tol)
-    return ExtensionEvaluation(z=z, value=value, error_estimate=err,
-                               formula="semigroup")
+    value, err = _semigroup_pi(lambda zp: [Kernel("b", order, zp)], family, f, z, tol)
+    return _evaluation(z, value[:, 0], err[:, 0], "semigroup")
 
 
 def _power_input(family: OperatorFamily, sigma, f, power_input, tol):
@@ -140,53 +151,47 @@ def solve_regularized(family: OperatorFamily, sigma, z, f, eps_sequence=(1.0, 0.
 
     The bias of each member is a power series in eps with integer
     exponents, so the limit is Richardson's over the geometric eps_sequence
-    (>= 3 entries), eliminating eps^1 ... eps^{n-1}.  The error estimate is
-    the last Richardson correction plus the largest quadrature error
-    estimate of the members.  (-A)^sigma f vanishes on ker A, where
-    u(z) = f: spectral families add the projection of f onto the
-    eigenvalues that are exactly zero."""
+    (>= 3 entries; all members at all points are lanes of one integral),
+    eliminating eps^1 ... eps^{n-1}.  The error estimate is the last
+    Richardson correction plus the largest quadrature error estimate of the
+    members.  (-A)^sigma f vanishes on ker A, where u(z) = f: spectral
+    families add the projection of f onto the eigenvalues that are exactly
+    zero."""
     order = _sigma_checked(sigma)
-    z = complex(z)
-    zp = _sector_point(z, closed=True)
+    zs = _points(z)
     eps_sequence = [float(e) for e in eps_sequence]
     if len(eps_sequence) < 3 or any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
         raise ValueError("eps_sequence must be strictly decreasing with >= 3 entries")
     g = _power_input(family, order, f, power_input, tol)
-    values, quad_err = [], 0.0
-    for eps in eps_sequence:
-        value, err = _semigroup_pi(Kernel("B", order, zp, eps=eps), family, g, z, tol)
-        values.append(value)
-        quad_err = max(quad_err, err)
-    increments = [float(np.max(np.abs(v2 - v1)))
-                  for v1, v2 in zip(values, values[1:])]
-    if increments[-1] > 2.0 * increments[0] + 10 * tol:
+    values, quad_err = _semigroup_pi(lambda zp: [Kernel("B", order, zp, eps=eps)
+                                                 for eps in eps_sequence], family, g, zs, tol)
+    increments = np.max(np.abs(np.diff(values, axis=1)), axis=2)
+    if np.any(increments[:, -1] > 2.0 * increments[:, 0] + 10 * tol):
         raise ValueError("regularized sequence is not Cauchy (temperedness breach?)")
-    limit, diag = richardson_multi(list(zip(eps_sequence, values)),
-                                   range(1, len(values)))
-    value = np.asarray(limit).reshape(-1)
+    value, diag = map(np.array, zip(*[richardson_multi(list(zip(eps_sequence, v)),
+                                                       range(1, len(eps_sequence)))
+                                      for v in values]))
     if family.has_scalar:
         eigs = spectral_eigendata(family.generator)[0]
         value = value + spectral_apply(family.generator, f, (eigs == 0).astype(float))
-    return ExtensionEvaluation(z=z, value=value,
-                               error_estimate=diag + quad_err, formula="regularized")
+    return _evaluation(z, value, diag + quad_err.max(axis=1), "regularized")
 
 
 def solve_fractional_data(family: OperatorFamily, sigma, z, f, power_input=None,
                           tol: float = 1e-11) -> ExtensionEvaluation:
     """u(z) = f + pi_alpha(B^{sigma,z} - h^sigma) (-A)^sigma f, valid on the
-    closed sector |arg z| <= pi/4."""
+    closed sector |arg z| <= pi/4 (u(0) = f)."""
     order = _sigma_checked(sigma)
-    z = complex(z)
+    zs = _points(z)
     f = np.asarray(f, dtype=complex).reshape(-1)
-    if z == 0:
-        return ExtensionEvaluation(z=z, value=f.copy(), error_estimate=0.0,
-                                   formula="fractional_data")
-    zp = _sector_point(z, closed=True)
-    g = _power_input(family, order, f, power_input, tol)
-    kernel = Kernel("B_minus_h", order, zp)
-    value, err = _semigroup_pi(kernel, family, g, z, tol)
-    return ExtensionEvaluation(z=z, value=f + value, error_estimate=err,
-                               formula="fractional_data")
+    value, err = np.tile(f, (zs.size, 1)), np.zeros(zs.size)
+    live = zs != 0
+    if live.any():
+        g = _power_input(family, order, f, power_input, tol)
+        part, e = _semigroup_pi(lambda zp: [Kernel("B_minus_h", order, zp)], family, g,
+                                zs[live], tol)
+        value[live], err[live] = f + part[:, 0], e[:, 0]
+    return _evaluation(z, value, err, "fractional_data")
 
 
 # ---------------------------------------------------------------------------
@@ -285,22 +290,31 @@ class _CosTerms(_KernelExpr):
         return min(zeros), ("algebraic", min(decays))
 
 
-def _require_cosine(family: OperatorFamily, z: complex):
+def _require_cosine(family: OperatorFamily, z) -> np.ndarray:
+    zs = _points(z)
     if not family.is_cosine:
         raise ValueError("needs a cosine-type family")
     if not family.has_scalar:
         raise ValueError("cosine solvers need a spectrally decomposable family")
-    if z.real <= 0:
+    if np.any(zs.real <= 0):
         raise ValueError("cosine representation needs Re z > 0")
+    return zs
 
 
-def _conjugate_reduce(solver, family, sigma, z, f, *args, **kwargs):
-    """Evaluate at conj(z) with conjugated data; the [0,2pi)-branch kernels
-    are stated for Im(z^2) >= 0."""
-    f = np.asarray(f, dtype=complex).reshape(-1)
-    ev = solver(family, sigma, np.conj(complex(z)), np.conj(f), *args, **kwargs)
-    return ExtensionEvaluation(z=complex(z), value=np.conj(ev.value),
-                               error_estimate=ev.error_estimate, formula=ev.formula)
+def _cosine_pi(family: OperatorFamily, z, f, expr_of, s: complex, tol: float):
+    """(int_0^inf W^alpha k(t) C_alpha(t) f dt as row k, error estimates) in
+    one spectral integral, k = expr_of(z_k, sigma) for each point z_k.  The
+    [0,2pi)-branch kernels are stated for Im(z^2) >= 0; below, k is the
+    conjugate of expr_of(conj z_k, conj sigma), its continuation from real z."""
+    zs = _require_cosine(family, z)
+    weights = []
+    for w in zs:
+        flip = (w * w).imag < 0
+        expr = expr_of(np.conj(w), np.conj(s)) if flip else expr_of(w, s)
+        weight = _weyl_kernel_fn(expr, family.alpha, tol)
+        weights.append(_HintedFn(lambda t, fn=weight: np.conj(fn(t)), *weight.metadata())
+                       if flip else weight)
+    return spectral_integral(weights, family, f, tol, names=[f"at z = {complex(w)!r}" for w in zs])
 
 
 def solve_cosine_form(family: OperatorFamily, sigma, z, f,
@@ -308,18 +322,13 @@ def solve_cosine_form(family: OperatorFamily, sigma, z, f,
     """u(z) = d_sigma int_0^inf W^alpha(z^{2 sigma} (z^2+t^2)^{-sigma-1/2})
     C_alpha(t) f dt, for Re z > 0."""
     order = _sigma_checked(sigma)
-    z = complex(z)
-    _require_cosine(family, z)
-    if (z * z).imag < 0:
-        return _conjugate_reduce(solve_cosine_form, family, sigma, z, f, tol=tol)
     d_sig = constants_for(order).d_sigma
-    s = order.sigma
-    front = cpow(z, 2.0 * s, branch="positive")
-    expr = _CosTerms(z * z, [(front, 0.0, -(s + 0.5), "prod")])
-    weight = _weyl_kernel_fn(expr, family.alpha, tol)
-    value, err = spectral_integral(weight, family, f, tol)
-    return ExtensionEvaluation(z=z, value=d_sig * value, error_estimate=abs(d_sig) * err,
-                               formula="cosine")
+
+    def expr_of(w, s):
+        return _CosTerms(w * w, [(cpow(w, 2.0 * s, branch="positive"), 0.0, -(s + 0.5), "prod")])
+
+    value, err = _cosine_pi(family, z, f, expr_of, order.sigma, tol)
+    return _evaluation(z, d_sig * value, abs(d_sig) * err, "cosine")
 
 
 def solve_cosine_fractional(family: OperatorFamily, sigma, z, f, power_input=None,
@@ -328,24 +337,15 @@ def solve_cosine_fractional(family: OperatorFamily, sigma, z, f, power_input=Non
     C_alpha(t) (-A)^sigma f dt for sigma != 1/2; at sigma = 1/2 the kernel is
     (1/pi) Log(t^2/(z^2+t^2))."""
     order = _sigma_checked(sigma)
-    z = complex(z)
-    _require_cosine(family, z)
-    if (z * z).imag < 0:
-        return _conjugate_reduce(solve_cosine_fractional, family, sigma, z, f,
-                                 power_input=power_input, tol=tol)
     f = np.asarray(f, dtype=complex).reshape(-1)
+    half = order.is_half
+    pref = 1.0 / math.pi if half else constants_for(order).kappa_sigma
+    _require_cosine(family, z)
     g = _power_input(family, order, f, power_input, tol)
-    s = order.sigma
-    if order.is_half:
-        expr = _CosTerms(z * z, [], log_coef=1.0)
-        pref = 1.0 / math.pi
-    else:
-        expr = _CosTerms(z * z, [(1.0, 0.0, s - 0.5, "diff")])
-        pref = constants_for(order).kappa_sigma
-    weight = _weyl_kernel_fn(expr, family.alpha, tol)
-    dec_val, err = spectral_integral(weight, family, g, tol)
-    return ExtensionEvaluation(z=z, value=f + pref * dec_val, error_estimate=abs(pref) * err,
-                               formula="cosine_fractional")
+    value, err = _cosine_pi(family, z, g, lambda w, s: _CosTerms(
+        w * w, [] if half else [(1.0, 0.0, s - 0.5, "diff")], log_coef=float(half)),
+        order.sigma, tol)
+    return _evaluation(z, f + pref * value, abs(pref) * err, "cosine_fractional")
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +356,8 @@ class ExtensionSolver:
     """Semigroup-representation solver bundling (family, sigma, f).
 
     value(z) evaluates the solution; derivative(z) evaluates u'(z) through
-    the differentiated closed-form kernel (never by differencing values).
+    the differentiated closed-form kernel (never by differencing values);
+    an array of z gives one row per point, all in one spectral integral.
     """
 
     def __init__(self, family: OperatorFamily, sigma, f, tol: float = 1e-11):
@@ -370,9 +371,9 @@ class ExtensionSolver:
                                     tol=self.tol).value
 
     def derivative(self, z) -> np.ndarray:
-        z = complex(z)
-        bk = Kernel("b", self.order, _sector_point(z, closed=True))
-        return _semigroup_pi(z_derivative_fn(bk, 1), self.family, self.f, z, self.tol)[0]
+        value, err = _semigroup_pi(lambda zp: [z_derivative_fn(Kernel("b", self.order, zp), 1)],
+                                   self.family, self.f, z, self.tol)
+        return _evaluation(z, value[:, 0], err[:, 0], "semigroup").value
 
 
 def _trace_exponents(s: complex):
@@ -391,55 +392,59 @@ def trace_grid(A: LinearOperator, y0=None, ratio: float = 0.7, count: int = 13) 
     return [y0 * ratio ** k for k in range(count)]
 
 
-def _ray_trace(solver: ExtensionSolver, kind: str, sample, factor, theta, grid):
-    """Richardson limit of sample(z) along the ray arg z = theta, with the
-    recovered (-A)^sigma f = limit / factor and the running extrapolants."""
+def boundary_traces(solver: ExtensionSolver, theta: float = 0.0, grid=None,
+                    kinds=("neumann", "quotient")) -> dict:
+    """{kind: TraceEstimate} along the ray arg z = theta, for kinds among
+    "neumann" (lim z^{1-2 sigma} u'(z) = 2 sigma c_sigma (-A)^sigma f) and
+    "quotient" (lim (u(z) - f)/z^{2 sigma} = c_sigma (-A)^sigma f), each
+    Richardson-extrapolated with its running extrapolants; the samples of
+    all kinds at all grid points are lanes of one spectral integral."""
     if abs(theta) >= math.pi / 4.0:
         raise ValueError("trace rays need |theta| < pi/4")
     ys = list(grid) if grid is not None else trace_grid(solver.family.generator)
-    direction = cmath.exp(1j * theta)
-    samples = [(y, sample(direction * y)) for y in ys]
-    exponents = _trace_exponents(solver.order.sigma)
-    running = [np.asarray(v).reshape(-1) for _, v in samples[:2]]
-    running += [np.asarray(richardson_multi(samples[:k], exponents)[0]).reshape(-1)
+    zs = cmath.exp(1j * theta) * np.array(ys, dtype=float)
+    s, consts = solver.order.sigma, constants_for(solver.order)
+    values = _semigroup_pi(lambda zp: [z_derivative_fn(Kernel("b", solver.order, zp), 1)
+                                       if kind == "neumann" else Kernel("b", solver.order, zp)
+                                       for kind in kinds], solver.family, solver.f, zs,
+                           solver.tol)[0]
+    out = {}
+    for kind, rows in zip(kinds, np.moveaxis(values, 1, 0)):
+        neumann = kind == "neumann"
+        samples = [(y, cpow(z, 1.0 - 2.0 * s) * u if neumann
+                    else (u - solver.f) * cpow(z, -2.0 * s)) for y, z, u in zip(ys, zs, rows)]
+        fits = [richardson_multi(samples[:k], _trace_exponents(s))
                 for k in range(3, len(samples) + 1)]
-    limit, diag = richardson_multi(samples, exponents)
-    limit = np.asarray(limit).reshape(-1)
-    return TraceEstimate(kind=kind, limit=limit, diagnostic=diag, samples_used=len(ys),
-                         fractional_power=limit / factor, samples=samples,
-                         extrapolants=running)
+        running = [v for _, v in samples[:2]] + [np.asarray(v).reshape(-1) for v, _ in fits]
+        limit, diag = running[-1], fits[-1][1]
+        factor = consts.neumann_factor if neumann else consts.c_sigma
+        out[kind] = TraceEstimate(kind=kind, limit=limit, diagnostic=diag, samples_used=len(ys),
+                                  fractional_power=limit / factor, samples=samples,
+                                  extrapolants=running)
+    return out
 
 
 def neumann_trace(solver: ExtensionSolver, theta: float = 0.0, grid=None) -> TraceEstimate:
     """Extrapolated lim z^{1-2 sigma} u'(z) = 2 sigma c_sigma (-A)^sigma f."""
-    def sample(z, s=solver.order.sigma):
-        return cpow(z, 1.0 - 2.0 * s) * solver.derivative(z)
-
-    return _ray_trace(solver, "neumann", sample, constants_for(solver.order).neumann_factor,
-                      theta, grid)
+    return boundary_traces(solver, theta, grid, ("neumann",))["neumann"]
 
 
 def quotient_trace(solver: ExtensionSolver, theta: float = 0.0, grid=None) -> TraceEstimate:
     """Extrapolated lim (u(z) - f)/z^{2 sigma} = c_sigma (-A)^sigma f."""
-    def sample(z, s=solver.order.sigma):
-        return (solver.value(z) - solver.f) * cpow(z, -2.0 * s)
-
-    return _ray_trace(solver, "quotient", sample, constants_for(solver.order).c_sigma,
-                      theta, grid)
+    return boundary_traces(solver, theta, grid, ("quotient",))["quotient"]
 
 
 def pde_residual(solver: ExtensionSolver, A: LinearOperator, sigma, z,
                  h: float) -> float:
     """Relative residual of u'' + (1-2 sigma)/z u' + A u at z, by centered
-    differences of step h along the radial direction."""
+    differences of step h along the radial direction (the three values in
+    one call)."""
     order = sigma if isinstance(sigma, FracOrder) else FracOrder(complex(sigma))
     z = complex(z)
     if h > abs(z) / 10.0:
         raise ValueError("step must satisfy h <= |z|/10")
     d = z / abs(z)
-    up = solver.value(z + h * d)
-    u0 = solver.value(z)
-    um = solver.value(z - h * d)
+    up, u0, um = solver.value(np.array([z + h * d, z, z - h * d]))
     upp = (up - 2.0 * u0 + um) / (h * h * d * d)
     upr = (up - um) / (2.0 * h * d)
     s = order.sigma
@@ -448,11 +453,14 @@ def pde_residual(solver: ExtensionSolver, A: LinearOperator, sigma, z,
     return float(np.linalg.norm(res) / np.linalg.norm(au))
 
 
-def rotate_imaginary(v_solver: ExtensionSolver, y: float) -> np.ndarray:
+def rotate_imaginary(v_solver: ExtensionSolver, y) -> np.ndarray:
     """Solution of the extension problem for i H from the solver for the
-    self-adjoint generator H:  u(y) = v((sqrt(2)/2)(1+i) y)."""
-    if y == 0.0:
-        return v_solver.f.copy()
-    if y < 0:
+    self-adjoint generator H:  u(y) = v((sqrt(2)/2)(1+i) y), u(0) = f; an
+    array of y gives one row per entry."""
+    ys = np.asarray(y, dtype=float).reshape(-1)
+    if np.any(ys < 0):
         raise ValueError("needs y >= 0")
-    return v_solver.value(_HALF_SQRT2_1PI * y)
+    out = np.tile(v_solver.f, (ys.size, 1))
+    if np.any(ys > 0):
+        out[ys > 0] = v_solver.value(_HALF_SQRT2_1PI * ys[ys > 0])
+    return out[0] if np.ndim(y) == 0 else out

@@ -144,13 +144,20 @@ def integrated_exponential(a, alpha: float, t):
     subtraction would cancel, and the recurrence from expm1 elsewhere.  A
     fractional order takes the entire series, the incomplete gamma, or its
     scaled asymptotics depending on |a t|.  Valid for complex a and complex
-    t off the negative real axis (t^alpha on the principal branch).  a and
+    t off the negative real axis (t^alpha on the principal branch), and at
+    t = inf for order 1 with Re a < 0, where it is -1/a.  a and
     t broadcast against each other, each entry taking its own regime;
     scalar arguments give a complex.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     a, t = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(t, dtype=complex))
+    if alpha == 1.0 and np.isinf(t).any():
+        limit = (t.real == np.inf) & (t.imag == 0.0) & (a.real < 0.0)
+        if limit.any():  # e^{a t} -> 0: the order-1 integral converges to -1/a
+            out = np.where(limit, -1.0 / np.where(limit, a, 1.0), 0.0)
+            out[~limit] = integrated_exponential(a[~limit], alpha, t[~limit])
+            return complex(out) if out.ndim == 0 else out
     x = a * t
     ax = np.abs(x)
     if alpha == int(alpha):

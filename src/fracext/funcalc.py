@@ -25,6 +25,7 @@ from .operators import DefectiveOperatorError, LinearOperator, apply, resolvent_
 from .quadrature import (
     DecayHint,
     _graded_interval,
+    _halfline,
     integrate_halfline,
     integrate_oscillatory_halfline,
 )
@@ -59,70 +60,94 @@ def _sigma_value(sigma) -> complex:
     return complex(sigma)
 
 
-def spectral_integral(weight, family: OperatorFamily, f, tol: float,
-                      ray: float = 0.0, shift: float = 0.0):
-    """int_0^inf w(t) T_alpha(shift + t) f dt and its quadrature error
-    estimate in the scale of f, for a weight w that speaks the kernel
-    protocol (as _weyl_kernel_fn gives) with a known tail.
+def spectral_integral(weights, family: OperatorFamily, f, tol: float, rays=None,
+                      shift: float = 0.0, names=None):
+    """Rows int_0^inf w_k(t) T_alpha(shift + t) f dt for the weights w_k
+    of a list, each speaking the kernel protocol (as _weyl_kernel_fn gives)
+    with a known tail, and their quadrature error estimates in the scale
+    of f; names[k] names weight k in failure messages.
 
-    A spectral family integrates all eigenvalues that share a route in one
-    vector quadrature of w(t)[:, None] * s_a(shift + t): real eigenvalues
-    along the ray t = e^{i ray} s when ray != 0 (integer orders only);
-    eigenvalues whose factor decays, or all of them under an exponentially
-    decaying weight, through the log substitution; the other
+    A spectral family splits the eigenvalues of each weight into route
+    groups: real ones along the ray t = e^{i rays[k]} s when |rays[k]| >
+    1e-12 (integer orders only); those whose factor decays, or all under an
+    exponentially decaying weight, through the log substitution; the other
     non-oscillating ones with the weight's own hints; and each purely
-    oscillating eigenvalue by its own panel summation.  A black-box family
-    integrates w(t) T_alpha(shift + t) f directly.
+    oscillating one by its own panel summation.  Every (weight, group) is
+    a lane of w_k(t) s_a(shift + t) with its own panels, stopping target
+    and rotation, and lanes with equal hints share one lane-batched
+    quadrature when they also share their eigenvalues.  A black-box family
+    makes one lane of w_k(t) T_alpha(shift + t) f per weight.
     """
-    wfn, (w_zero, w_tail) = weight.fn(0), weight.metadata()
-    alpha = family.alpha
+    count, alpha, kind = len(weights), family.alpha, family.kind
+    rays = np.zeros(count) if rays is None else rays
+    names = names or [f"of weight {k}" for k in range(count)]
     f = np.asarray(f, dtype=complex).reshape(-1)
-    prod_zero = None if w_zero is None else w_zero + alpha
-    if w_tail[0] == "exponential":
-        tail = w_tail
-    else:
-        # |T_alpha(t)| <= C t^alpha eats alpha powers of the weight's decay
-        p_eff = w_tail[1] - alpha
-        tail = ("algebraic", p_eff) if p_eff > 1.0 else None
-    hints = _halfline_hints(prod_zero, tail)
-    if not family.has_scalar:
-        def integrand(t):
-            return np.asarray(wfn(t))[:, None] * family.evaluate(shift + t, f)
-
-        res = integrate_halfline(integrand, hints, tol=tol)
-        return np.asarray(res.value).reshape(-1), res.error_estimate
-
-    eigs = spectral_eigendata(family.generator)[0]
-    # s_a(t) oscillates and decays like e^{rate t}
-    rate = 1j * np.sqrt(-eigs) if family.is_cosine else eigs
-    rotated = (np.abs(eigs.imag) <= 1e-9) & (ray != 0.0)
-    decaying = ~rotated & ((w_tail[0] == "exponential") | (np.abs(rate.real) > 1e-9))
-    oscillating = ~rotated & ~decaying & (np.abs(rate.imag) > 1e-9)
-    still = ~(rotated | decaying | oscillating)
-    if rotated.any() and alpha != int(alpha):
-        raise ValueError("path rotation supports integer family orders")
-    exp_hints = _halfline_hints(prod_zero, ("exponential", 1.0))
-    vals = np.zeros(len(eigs), dtype=complex)
-    err = 0.0
-    for lanes, lane_hints, rot in ((rotated, exp_hints, cmath.exp(1j * ray)),
-                                   (decaying, exp_hints, 1.0),
-                                   (still, hints, 1.0)):
-        if not lanes.any():
+    fns = [w.fn(0) for w in weights]
+    spectral = family.has_scalar
+    if spectral:
+        eigs = spectral_eigendata(family.generator)[0]
+        # s_a(t) oscillates and decays like e^{rate t}
+        rate = 1j * np.sqrt(-eigs) if family.is_cosine else eigs
+    groups, osc = {}, []
+    for k, w in enumerate(weights):
+        w_zero, w_tail = w.metadata()
+        prod_zero = None if w_zero is None else w_zero + alpha
+        if w_tail[0] == "exponential":
+            tail = w_tail
+        else:
+            # |T_alpha(t)| <= C t^alpha eats alpha powers of the weight's decay
+            p_eff = w_tail[1] - alpha
+            tail = ("algebraic", p_eff) if p_eff > 1.0 else None
+        hints = tuple(_halfline_hints(prod_zero, tail))
+        if not spectral:
+            groups.setdefault((hints, tuple(range(f.size))), []).append((k, 2, 1.0))
             continue
-        a = eigs[lanes]
+        rotated = (np.abs(eigs.imag) <= 1e-9) & (abs(rays[k]) > 1e-12)
+        decaying = ~rotated & ((w_tail[0] == "exponential") | (np.abs(rate.real) > 1e-9))
+        oscillating = ~rotated & ~decaying & (np.abs(rate.imag) > 1e-9)
+        still = ~(rotated | decaying | oscillating)
+        if rotated.any() and alpha != int(alpha):
+            raise ValueError("path rotation supports integer family orders")
+        exp_hints = tuple(_halfline_hints(prod_zero, ("exponential", 1.0)))
+        for route, (lanes, lane_hints) in enumerate(((rotated, exp_hints), (decaying, exp_hints),
+                                                     (still, hints))):
+            if lanes.any():
+                rot = cmath.exp(1j * rays[k]) if route == 0 else 1.0
+                key = (lane_hints, tuple(np.flatnonzero(lanes)))
+                groups.setdefault(key, []).append((k, route, rot))
+        osc += [(k, j, prod_zero, w_tail) for j in np.flatnonzero(oscillating)]
+    vals = np.zeros((count, eigs.size if spectral else f.size), dtype=complex)
+    route_err = np.zeros((count, 3))
+    for (hints, ids), group in groups.items():
+        owner, routes, rots = zip(*group)
+        ids, rots = list(ids), np.array(rots)
+        rotating = bool(np.any(rots != 1.0))
 
-        def integrand(s, a=a, rot=rot):
-            t = rot * np.asarray(s)
-            fam = family_factor(family.kind, alpha, a, shift + t[:, None])
-            return rot * np.asarray(wfn(t))[:, None] * fam
+        def integrand(s, lane):
+            t = rots[lane] * s if rotating else s
+            if len(owner) == 1:
+                w = fns[owner[0]](t)
+            else:  # each lane's weight on its own nodes
+                w = np.empty(s.size, dtype=complex)
+                for j in np.flatnonzero(np.bincount(lane, minlength=len(owner))):
+                    w[lane == j] = fns[owner[j]](t[lane == j])
+            if not spectral:
+                return np.asarray(w)[:, None] * family.evaluate(shift + t, f)
+            fam = family_factor(kind, alpha, eigs[ids], shift + t[:, None])
+            return (rots[lane] * w if rotating else np.asarray(w))[:, None] * fam
 
-        res = integrate_halfline(integrand, lane_hints, tol=tol)
-        vals[lanes] = res.value
-        err += res.error_estimate
-    for k in np.flatnonzero(oscillating):
-        vals[k], e = _oscillating_integral(wfn, prod_zero, w_tail, family, eigs[k],
-                                           abs(rate[k].imag), shift, tol)
-        err += e
+        v, e, _ = _halfline(integrand, len(group), list(hints), tol, label=lambda j: (
+            f"spectral integral {names[owner[j]]}" + " on the rotated ray" * (routes[j] == 0)))
+        for k, route, vk, ek in zip(owner, routes, v, e):
+            vals[k, ids] = vk
+            route_err[k, route] = ek
+    err = route_err[:, 0] + route_err[:, 1] + route_err[:, 2]
+    for k, j, *head in osc:
+        vals[k, j], e = _oscillating_integral(fns[k], *head, family, eigs[j],
+                                              abs(rate[j].imag), shift, tol)
+        err[k] += e
+    if not spectral:
+        return vals, err
     return spectral_apply(family.generator, f, vals), spectral_error(family.generator, f, err)
 
 
@@ -178,7 +203,7 @@ def _oscillating_integral(wfn, prod_zero, w_tail, family: OperatorFamily, a: com
 def pi_alpha(phi, family: OperatorFamily, f, tol: float = 1e-11) -> np.ndarray:
     """The functional-calculus value int_0^inf W^alpha phi(t) T_alpha(t) f dt."""
     weight = _weyl_kernel_fn(phi, family.alpha, tol)
-    return spectral_integral(weight, family, f, tol)[0]
+    return spectral_integral([weight], family, f, tol)[0][0]
 
 
 def cero_residual(phi, family: OperatorFamily, f, phi_zero=None,
@@ -271,11 +296,11 @@ def integrated_power(family: OperatorFamily, sigma, f,
     # t^alpha f / Gamma(alpha+1) term integrates to f / (sigma Gamma(alpha+1))
     weight = _HintedFn(lambda tau: (1.0 + tau) ** (-s - alpha - 1.0), 0.0,
                        ("algebraic", 1.0 + s.real + alpha))
-    tail, err = spectral_integral(weight, family, f, tol, shift=1.0)
-    tail_vec = tail - f / (s * gamma(alpha + 1.0))
+    tail, err = spectral_integral([weight], family, f, tol, shift=1.0)
+    tail_vec = tail[0] - f / (s * gamma(alpha + 1.0))
     value = factor * (np.asarray(r_small.value).reshape(-1) + tail_vec)
     return FractionalPowerResult(value=value, method="integrated_formula",
-                                 error_estimate=abs(factor) * (r_small.error_estimate + err))
+                                 error_estimate=abs(factor) * (r_small.error_estimate + err[0]))
 
 
 def shifted_negative_power(A: LinearOperator, eps: float, sigma, f,

@@ -15,7 +15,8 @@ independent lanes at once: each lane has its own interval, panels and
 stopping test, and each round samples every unconverged lane in one call
 f(t, lane), lane[i] naming the lane of node t[i].  integrate_interval is
 its one-lane call; _halfline takes lanes through both half-line routes, so
-a Weyl derivative at many points costs one integrand call per round.
+a Weyl derivative at many points, or a spectral integral over a z grid, a
+trace's y grid or an eps ladder, costs one integrand call per round.
 """
 
 from __future__ import annotations
@@ -119,9 +120,9 @@ _WG = np.array([
 # full 15-node layout, ascending
 _NODES = np.concatenate([-_XGK[:7], _XGK[::-1]])
 _WK_FULL = np.concatenate([_WGK[:7], _WGK[::-1]])
-# Gauss nodes sit at Kronrod indices 1,3,5,...,13
-_GAUSS_IDX = np.arange(1, 15, 2)
-_WG_FULL = np.concatenate([_WG[:3], _WG[::-1]])
+# Gauss nodes sit at Kronrod indices 1,3,5,...,13; the others weigh 0
+_WG_FULL = np.zeros(15)
+_WG_FULL[1::2] = np.concatenate([_WG[:3], _WG[::-1]])
 
 
 def _maxabs(v):
@@ -168,12 +169,12 @@ def _panels(f, lo, hi, lane, label=None):
     h = 0.5 * (hi - lo)
     x = (c[:, None] + h[:, None] * _NODES).reshape(-1)
     vals = _sample(f, x, np.repeat(lane, 15), label)
-    shape = (lo.size,) + vals.shape[1:]
-    # one row of 15 node values per panel and value component
-    rows = np.moveaxis(vals.reshape((lo.size, 15) + shape[1:]), 1, -1).reshape(-1, 15)
+    shape, nodes = (lo.size,) + vals.shape[1:], vals.reshape(lo.size, 15, -1)
     h = h.reshape((lo.size,) + (1,) * (vals.ndim - 1))
-    ik = h * np.dot(rows, _WK_FULL).reshape(shape)
-    ig = h * np.dot(rows[:, _GAUSS_IDX], _WG_FULL).reshape(shape)
+    # one small product per panel: one gemv over every panel's rows would
+    # reach a threaded BLAS, whose idle workers keep spinning after it returns
+    ik = h * (_WK_FULL @ nodes).reshape(shape)
+    ig = h * (_WG_FULL @ nodes).reshape(shape)
     return ik, _rowmax(ik - ig)
 
 
@@ -389,7 +390,10 @@ def _halfline(f, lanes, hints, tol, max_panels=6000, label=None):
     """Lane-batched integrate_halfline: lane k integrates f(., k) over
     (0, inf); returns (values, error estimates, evaluations) per lane."""
     zero_kind, q, inf_kind, p = _parse_hints(hints)
-    if zero_kind == "algebraic" and inf_kind == "algebraic":
+    route = ("graded" if zero_kind == "algebraic" and inf_kind == "algebraic"
+             else "log substitution")
+    named = label and (lambda k: f"{label(k)} ({route})")  # failures name the route
+    if route == "graded":
         # power grading on [0,1], inversion + grading on [1,inf)
         m = 1.0 / (1.0 + q) if q < 0.0 else 1.0
 
@@ -408,10 +412,10 @@ def _halfline(f, lanes, hints, tol, max_panels=6000, label=None):
 
         g1 = graded if qinv < 0.0 else ginv
         ids, zero, one = np.arange(lanes), np.zeros(lanes), np.ones(lanes)
-        r0 = _adaptive(g0, ids, zero, one, tol, zero, max_panels, label=label)
-        r1 = _adaptive(g1, ids, zero, one, tol, zero, max_panels, label=label)
+        r0 = _adaptive(g0, ids, zero, one, tol, zero, max_panels, label=named)
+        r1 = _adaptive(g1, ids, zero, one, tol, zero, max_panels, label=named)
         return tuple(x + y for x, y in zip(r0, r1))
-    return _log_substituted(f, lanes, tol, max_panels, label)
+    return _log_substituted(f, lanes, tol, max_panels, named)
 
 
 def integrate_halfline(f, hints=(), tol: float = DEFAULT_TOL,

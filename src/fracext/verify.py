@@ -155,7 +155,7 @@ def poisson_error(ys) -> float:
 def trace_errors(A, f, sigma):
     """(Neumann trace vs the oracle, quotient trace vs Neumann), relative."""
     sol = extension.ExtensionSolver(families.heat_semigroup(A), sigma, f)
-    tr, qt = extension.neumann_trace(sol), extension.quotient_trace(sol)
+    tr, qt = (extension.boundary_traces(sol)[k] for k in ("neumann", "quotient"))
     oracle = funcalc.spectral_power_oracle(A, sigma, f).value
     return _rel(tr.fractional_power, oracle), _rel(qt.fractional_power, tr.fractional_power)
 
@@ -166,11 +166,10 @@ def wave_heat_error(A, f, sigmas, ys) -> float:
     heat, cos = families.heat_semigroup(A), families.cosine_family(A)
     err = 0.0
     for s in sigmas:
-        for y in ys:
-            base = extension.solve_semigroup_form(heat, s, y, f).value
-            for solve in (extension.solve_cosine_form, extension.solve_cosine_fractional):
-                err = max(err, float(np.linalg.norm(solve(cos, s, y, f).value - base)
-                                     / np.linalg.norm(f)))
+        base = extension.solve_semigroup_form(heat, s, ys, f).value
+        for solve in (extension.solve_cosine_form, extension.solve_cosine_fractional):
+            gaps = np.linalg.norm(solve(cos, s, ys, f).value - base, axis=1)
+            err = max(err, float(np.max(gaps)) / np.linalg.norm(f))
     return err
 
 
@@ -187,8 +186,8 @@ def rotation_error(lam, f, sigma, ys) -> float:
     H = families.heat_semigroup(operators.LinearOperator("diagonal", lam))
     v = extension.ExtensionSolver(H, sigma, f)
     fam = heat_family(operators.LinearOperator("diagonal", 1j * np.asarray(lam)), 1.0)
-    return max(_rel(extension.rotate_imaginary(v, y),
-                    extension.solve_semigroup_form(fam, sigma, y, f).value) for y in ys)
+    direct = extension.solve_semigroup_form(fam, sigma, ys, f).value
+    return max(_rel(u, w) for u, w in zip(extension.rotate_imaginary(v, ys), direct))
 
 
 def run_specfun(seed: int = 0):

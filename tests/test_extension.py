@@ -230,6 +230,21 @@ def test_cosine_solvers_complex_z(scalar_op):
         assert abs(u - cmath.exp(-z)) < 1e-8
 
 
+def test_cosine_solvers_below_real_axis_vs_semigroup(laplacian3):
+    # below the real axis a cosine kernel is the conjugate of its value at
+    # conj z and conj sigma: complex sigma, and complex data with a given
+    # (-A)^sigma f, must agree with the heat side there too
+    f = np.array([1.0, -0.5 + 0.3j, 0.8j])
+    c0, heat = cosine_family(laplacian3), heat_semigroup(laplacian3)
+    zs = 0.9 * np.exp(1j * np.array([math.pi / 8, -math.pi / 8]))
+    for s in (0.3, complex(0.4, 0.2)):
+        ref = solve_semigroup_form(heat, s, zs, f).value
+        power = spectral_power_oracle(laplacian3, s, f).value
+        for got in (solve_cosine_form(c0, s, zs, f), solve_cosine_fractional(c0, s, zs, f),
+                    solve_cosine_fractional(c0, s, zs, f, power_input=power)):
+            assert np.max(np.abs(got.value - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
 def test_cross_formula_agreement(laplacian3, f3, rng):
     fam = heat_semigroup(laplacian3)
     c0 = cosine_family(laplacian3)
@@ -580,3 +595,91 @@ def test_regularized_zero_mode_vs_semigroup():
         ev = solve_regularized(fam, 0.4, 0.7, f, (1e-2, 1e-3, 1e-4, 1e-5), tol=1e-10)
         ref = solve_semigroup_form(fam, 0.4, 0.7, f, tol=1e-10).value
         assert np.max(np.abs(ev.value - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+def _lane_case(case):
+    """(family, sigma, f, points) for the lane-equivalence cases."""
+    from fracext.extension import trace_grid
+    from fracext.operators import build_laplacian_1d
+
+    lap = build_laplacian_1d(8, 1.0)
+    f = np.random.default_rng(11).normal(size=8)
+    edge = cmath.exp(1j * math.pi / 4)
+    if case == "trace_grid":
+        return integrate_family(heat_semigroup(lap), 1.0), 0.3, f, trace_grid(lap)
+    if case in ("sector_edge", "regularized"):
+        return heat_semigroup(lap), 0.4, f, [0.5, 0.7 * cmath.exp(1j * math.pi / 8), 0.6 * edge,
+                                            0.9 / edge, 1.1]
+    if case == "complex_sigma":
+        return (integrate_family(heat_semigroup(lap), 1.0), complex(0.4, 0.2), f,
+                [0.3, 0.8 * cmath.exp(-1j * math.pi / 8), 0.6 * edge])
+    if case == "periodic":
+        return (heat_semigroup(build_laplacian_1d(8, 1.0, "periodic")), 0.5, f,
+                [0.2, 0.7, 0.5 * cmath.exp(1j * math.pi / 6)])
+    # fractional alpha: every lane carries its own Weyl weight (real z only)
+    A = LinearOperator("diagonal", [-1.0, -2.5])
+    return integrate_family(heat_semigroup(A), 0.5), 0.35, np.array([1.0, -0.6]), [0.4, 1.3]
+
+
+@pytest.mark.parametrize("case", ["trace_grid", "sector_edge", "complex_sigma", "periodic",
+                                  "alpha_half", "regularized"])
+def test_spectral_lanes_match_per_z(case):
+    # an array of z runs every point as lanes of one spectral integral; each
+    # lane keeps its own panels, stopping target and ray, so every row and
+    # error estimate equals the one-point call
+    fam, sigma, f, zs = _lane_case(case)
+    if case == "regularized":
+        power = spectral_power_oracle(fam.generator, sigma, f).value
+        solvers = [lambda z: solve_regularized(fam, sigma, z, f, (1e-2, 1e-3, 1e-4, 1e-5),
+                                               power_input=power, tol=1e-10)]
+    else:
+        solvers = [lambda z: solve_semigroup_form(fam, sigma, z, f)]
+    if case not in ("regularized", "alpha_half"):
+        solvers.append(lambda z: solve_fractional_data(fam, sigma, z, f))
+    for solve in solvers:
+        whole = solve(np.array(zs))
+        assert whole.value.shape == (len(zs), len(f))
+        for k, z in enumerate(zs):
+            alone = solve(z)
+            assert np.max(np.abs(whole.value[k] - alone.value)) <= 1e-15 * np.max(
+                np.abs(alone.value))
+            assert abs(whole.error_estimate[k] - alone.error_estimate) <= (
+                1e-15 * alone.error_estimate)
+    sol = ExtensionSolver(fam, sigma, f)
+    rows = sol.derivative(np.array(zs))
+    for k, z in enumerate(zs):
+        alone = sol.derivative(z)
+        assert np.max(np.abs(rows[k] - alone)) <= 1e-15 * np.max(np.abs(alone))
+
+
+@pytest.mark.parametrize("route", ["log substitution", "rotated ray", "graded"])
+def test_lane_failure_names_its_z(monkeypatch, route):
+    # a NaN in one z lane fails the call with a message naming that z and
+    # the route of the lane; the graded lane is the zero mode of a periodic
+    # Laplacian under the algebraic cosine_fractional weight
+    import fracext.extension as ext
+    from fracext.kernels import _HintedFn
+    from fracext.operators import build_laplacian_1d
+    from fracext.quadrature import QuadratureError
+
+    graded, rotated = route == "graded", route == "rotated ray"
+    z = 0.35 * cmath.exp(1j * math.pi / 8) if rotated else 0.35
+    real = ext._weyl_kernel_fn
+
+    def poisoned(kernel, alpha, tol):
+        w = real(kernel, alpha, tol)
+        if (kernel.z2 == z * z) if graded else (kernel.z.z == z):
+            return _HintedFn(lambda t: np.full(np.shape(t), np.nan), *w.metadata())
+        return w
+
+    monkeypatch.setattr(ext, "_weyl_kernel_fn", poisoned)
+    A = build_laplacian_1d(4, 1.0, "periodic" if graded else "dirichlet")
+    f, zs = np.array([1.0, -0.5, 0.3, 0.8]), np.array([0.2, z, 0.5])
+    with pytest.raises(QuadratureError) as info:
+        if graded:
+            solve_cosine_fractional(cosine_family(A), 0.3, zs, f)
+        else:
+            ExtensionSolver(heat_semigroup(A), 0.4, f).value(zs)
+    where = " on the rotated ray (log substitution)" if rotated else f" ({route})"
+    assert str(info.value) == (f"spectral integral at z = {complex(z)!r}{where}: "
+                               "NaN/Inf sample detected")

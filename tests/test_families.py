@@ -136,6 +136,22 @@ def test_integrated_exponential_huge_t_integer_order(m, a, t):
             assert abs(part - float(exact)) <= 1e-12 * abs(float(exact))
 
 
+@pytest.mark.parametrize("a", [-2.0, -1e-3, -1e6, -1.0 + 3.0j, -0.5 - 40.0j])
+def test_integrated_exponential_order_one_limit_at_infinity(a):
+    # int_0^t e^{a s} ds = expm1(a t)/a tends to -1/a for Re a < 0; mpmath
+    # evaluates it at t = 1e9, where e^{a t} is below 1e-400
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = complex(mpmath.expm1(mpmath.mpc(a) * mpmath.mpf(10) ** 9) / mpmath.mpc(a))
+    got = integrated_exponential(a, 1.0, math.inf)
+    assert isinstance(got, complex)
+    assert abs(got - ref) <= 1e-15 * abs(ref)
+    # mixed with finite times, each entry takes its own regime
+    both = integrated_exponential(a, 1.0, np.array([math.inf, 0.5]))
+    assert both[0] == got
+    assert both[1] == integrated_exponential(a, 1.0, 0.5)
+
+
 def test_cosine_family_values():
     A = LinearOperator("diagonal", [-4.0])
     cf = cosine_family(A)
