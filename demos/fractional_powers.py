@@ -50,4 +50,5 @@ if __name__ == "__main__":
     g = rng.normal(size=4)
     compare(kdv, g, 0.5, "dispersive multiplier i xi^3, modes {±1, ±2}")
     print("\nAll four routes agree to within the printed deviations; the")
-    print("imaginary-symbol case runs through oscillatory panel summation.")
+    print("imaginary-symbol case turns each oscillating mode onto a ray of the")
+    print("complex t-plane where it decays.")

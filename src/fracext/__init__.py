@@ -66,7 +66,6 @@ from .quadrature import (
     QuadratureResult,
     integrate_halfline,
     integrate_interval,
-    integrate_oscillatory_halfline,
     richardson_limit,
 )
 from .specfun import (

@@ -13,10 +13,12 @@ boundary derivative recovers the fractional power:
 
 extracted here by Richardson extrapolation along rays.
 
-For generators with real spectrum the t-integrals are taken along the
-rotated ray t = e^{i arg(z^2)/2} s, which restores kernel decay uniformly
-up to the sector boundary; purely imaginary spectra keep the real path
-and sum oscillatory tails in accelerated half-period panels.
+The t-integrals of real modes are taken along the rotated ray
+t = e^{i arg(z^2)/2} s, which restores kernel decay uniformly up to the
+sector boundary; purely oscillating modes (imaginary spectra, and the
+halves e^{+-i omega t} of every cosine mode) run on rays turned into the
+half-plane where they decay, inside the sector where the kernel is
+analytic (funcalc.spectral_integral).
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ import numpy as np
 
 from .families import OperatorFamily, spectral_apply, spectral_eigendata
 from .funcalc import balakrishnan_power, spectral_integral
-from .kernels import (Kernel, SectorPoint, _HintedFn, _KernelExpr, _weyl_kernel_fn,
-                      z_derivative_fn)
+from .kernels import Kernel, SectorPoint, _KernelExpr, _weyl_kernel_fn, z_derivative_fn
 from .operators import LinearOperator, apply
 from .quadrature import richardson_multi
 from .specfun import FracOrder, constants_for, cpow
@@ -109,8 +110,7 @@ def _evaluation(z, values, errs, formula: str) -> ExtensionEvaluation:
 def _semigroup_pi(make, family: OperatorFamily, f, z, tol: float):
     """pi_alpha(k) f and its error estimate for every kernel k of make(point)
     at every point of z, shaped (points, kernels, n) and (points, kernels),
-    all in one spectral integral; spectral families take real eigenvalues
-    along the rotated ray t = e^{i arg(z^2)/2} s of their point."""
+    all in one spectral integral."""
     zs, scalar = _points(z), family.has_scalar
     phase = np.abs(np.angle(zs))
     if not scalar and np.any(phase >= math.pi / 4.0 - 1e-12):
@@ -119,10 +119,9 @@ def _semigroup_pi(make, family: OperatorFamily, f, z, tol: float):
             and np.any(np.abs(spectral_eigendata(family.generator)[0].imag) > 1e-9)):
         raise ValueError("sector boundary evaluation needs a generator with real spectrum")
     kernels = [make(_sector_point(w, closed=True)) for w in zs]
-    rays = [0.5 * cmath.phase(w * w) if scalar else 0.0 for w in zs for _ in kernels[0]]
     names = [f"at z = {complex(w)!r}" for w in zs for _ in kernels[0]]
     value, err = spectral_integral([_weyl_kernel_fn(k, family.alpha, tol) for ks in kernels
-                                    for k in ks], family, f, tol, rays, names=names)
+                                    for k in ks], family, f, tol, names=names)
     return value.reshape(zs.size, len(kernels[0]), -1), err.reshape(zs.size, -1)
 
 
@@ -199,13 +198,6 @@ def solve_fractional_data(family: OperatorFamily, sigma, z, f, power_input=None,
 # differences with t^{m+2p}, and the sigma = 1/2 logarithm
 
 
-def _log_pos(w):
-    w = np.asarray(w, dtype=complex)
-    ang = np.angle(w)
-    ang = np.where(ang < 0.0, ang + 2.0 * math.pi, ang)
-    return np.log(np.abs(w)) + 1j * ang
-
-
 def _clog1p(x):
     # complex log(1+x) without forming 1+x (numpy's complex log1p is naive)
     x = np.asarray(x, dtype=complex)
@@ -215,8 +207,8 @@ def _clog1p(x):
 
 
 def _cpowm1(x, p):
-    # (1+x)^p - 1, stable for small |x|; principal branch (valid when 1+x
-    # stays in the right half-plane, which Im z^2 >= 0 guarantees here)
+    # (1+x)^p - 1, stable for small |x|; principal branch (the caller uses
+    # it for |x| < 1/4 only, where 1+x stays in the right half-plane)
     val = p * _clog1p(x)
     # clip the real part: oversize entries are masked out by the caller
     val = np.where(val.real > 700.0, 700.0 + 1j * val.imag, val)
@@ -228,24 +220,21 @@ class _CosTerms(_KernelExpr):
     """sum_k c_k * t^{m_k} (z^2+t^2)^{p_k}   ('prod' terms)
        + sum_k c_k * [t^{m_k} (z^2+t^2)^{p_k} - t^{m_k+2 p_k}]   ('diff' terms)
        + c_log * [2 log t - Log(z^2+t^2)],
-    closed under d/dt.  Powers follow the [0, 2pi) branch; construction
-    requires Im(z^2) >= 0 (callers conjugate otherwise)."""
+    closed under d/dt, on principal branches for real or complex t in its
+    sector."""
 
     __slots__ = ("z2", "terms", "log_coef")
 
     def __init__(self, z2, terms, log_coef=0.0):
-        z2 = complex(z2)
-        if z2.imag < -1e-15 * abs(z2):
-            raise ValueError("branch-cut crossing: needs Im(z^2) >= 0")
-        self.z2 = z2
+        self.z2 = complex(z2)
         self.terms = tuple((complex(c), float(m), complex(p), kind)
                            for c, m, p, kind in terms if c != 0)
         self.log_coef = complex(log_coef)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
+        t = np.asarray(t, dtype=complex if np.iscomplexobj(t) else float)
         w = self.z2 + t * t
-        logw = _log_pos(w)
+        logw = np.log(w)
         out = np.zeros(t.shape, dtype=complex)
         ratio = self.z2 / (t * t)
         lnt = np.log(t)
@@ -289,6 +278,13 @@ class _CosTerms(_KernelExpr):
             decays.append(2.0)
         return min(zeros), ("algebraic", min(decays))
 
+    def sector(self):
+        # z^2 + t^2 meets its cut (-inf, 0] on arg t = (arg z^2 -+ pi)/2, and
+        # |arg t| < pi/2 keeps t^2 from wrapping round
+        phase = cmath.phase(self.z2)
+        return max(-0.5 * math.pi, 0.5 * (phase - math.pi)), min(0.5 * math.pi,
+                                                                   0.5 * (phase + math.pi))
+
 
 def _require_cosine(family: OperatorFamily, z) -> np.ndarray:
     zs = _points(z)
@@ -303,17 +299,9 @@ def _require_cosine(family: OperatorFamily, z) -> np.ndarray:
 
 def _cosine_pi(family: OperatorFamily, z, f, expr_of, s: complex, tol: float):
     """(int_0^inf W^alpha k(t) C_alpha(t) f dt as row k, error estimates) in
-    one spectral integral, k = expr_of(z_k, sigma) for each point z_k.  The
-    [0,2pi)-branch kernels are stated for Im(z^2) >= 0; below, k is the
-    conjugate of expr_of(conj z_k, conj sigma), its continuation from real z."""
+    one spectral integral, k = expr_of(z_k, sigma) for each point z_k."""
     zs = _require_cosine(family, z)
-    weights = []
-    for w in zs:
-        flip = (w * w).imag < 0
-        expr = expr_of(np.conj(w), np.conj(s)) if flip else expr_of(w, s)
-        weight = _weyl_kernel_fn(expr, family.alpha, tol)
-        weights.append(_HintedFn(lambda t, fn=weight: np.conj(fn(t)), *weight.metadata())
-                       if flip else weight)
+    weights = [_weyl_kernel_fn(expr_of(w, s), family.alpha, tol) for w in zs]
     return spectral_integral(weights, family, f, tol, names=[f"at z = {complex(w)!r}" for w in zs])
 
 
@@ -325,7 +313,7 @@ def solve_cosine_form(family: OperatorFamily, sigma, z, f,
     d_sig = constants_for(order).d_sigma
 
     def expr_of(w, s):
-        return _CosTerms(w * w, [(cpow(w, 2.0 * s, branch="positive"), 0.0, -(s + 0.5), "prod")])
+        return _CosTerms(w * w, [(cpow(w, 2.0 * s), 0.0, -(s + 0.5), "prod")])
 
     value, err = _cosine_pi(family, z, f, expr_of, order.sigma, tol)
     return _evaluation(z, d_sig * value, abs(d_sig) * err, "cosine")

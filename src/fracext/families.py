@@ -143,22 +143,29 @@ def integrated_exponential(a, alpha: float, t):
     evaluated in closed form: a Taylor sum for small |a t|, where the
     subtraction would cancel, and the recurrence from expm1 elsewhere.  A
     fractional order takes the entire series, the incomplete gamma, or its
-    scaled asymptotics depending on |a t|.  Valid for complex a and complex
-    t off the negative real axis (t^alpha on the principal branch), and at
-    t = inf for order 1 with Re a < 0, where it is -1/a.  a and
-    t broadcast against each other, each entry taking its own regime;
-    scalar arguments give a complex.
+    scaled asymptotics depending on |a t|, all as t^alpha times an entire
+    function of x = a t.  Valid for complex a and complex t off the
+    negative real axis (t^alpha on the principal branch).  At t = inf it is
+    the limit where one exists, with Re a < 0: 0 for alpha < 1 and -1/a at
+    alpha = 1; elsewhere t = inf raises ValueError.  a and t broadcast
+    against each other, each entry taking its own regime; scalar arguments
+    give a complex.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     a, t = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(t, dtype=complex))
-    if alpha == 1.0 and np.isinf(t).any():
-        limit = (t.real == np.inf) & (t.imag == 0.0) & (a.real < 0.0)
-        if limit.any():  # e^{a t} -> 0: the order-1 integral converges to -1/a
-            out = np.where(limit, -1.0 / np.where(limit, a, 1.0), 0.0)
-            out[~limit] = integrated_exponential(a[~limit], alpha, t[~limit])
-            return complex(out) if out.ndim == 0 else out
+    if np.isinf(t).any():
+        limit = (t.real == np.inf) & (t.imag == 0.0) & (a.real < 0.0) & (alpha <= 1.0)
+        if not (limit | np.isfinite(t)).all():
+            raise ValueError(f"the order-{alpha:g} integrated exponential has no limit at "
+                             "t = inf unless Re a < 0 and alpha <= 1")
+        # e^{a t} -> 0: the order-1 integral converges to -1/a, lower orders to 0
+        out = np.where(limit & (alpha == 1.0), -1.0 / np.where(limit, a, 1.0), 0.0)
+        out[~limit] = integrated_exponential(a[~limit], alpha, t[~limit])
+        return complex(out) if out.ndim == 0 else out
     x = a * t
+    if alpha == 0.0:
+        return complex(np.exp(x)) if x.ndim == 0 else np.exp(x)
     ax = np.abs(x)
     if alpha == int(alpha):
         m = int(alpha)
@@ -168,83 +175,37 @@ def integrated_exponential(a, alpha: float, t):
             (~near, lambda t, x: _times_power(t, m, _phi_far(m, x))),
         ], t, x)
     live = t != 0.0
+    # t^alpha x^{-alpha}, not a^{-alpha}: the principal powers of a and t
+    # need not add up to that of x = a t
     return _by_regime([
         (live & (a == 0.0), lambda a, t, x: _pow(t, alpha) / gamma(alpha + 1.0)),
         (live & (a != 0.0) & (ax <= 12.0),
          lambda a, t, x: _pow(t, alpha) * _series_sum(alpha, x)),
         (live & (ax > 12.0) & (ax <= 45.0),
-         lambda a, t, x: (np.exp(x) * _pow(a, -alpha) * lower_incomplete_gamma(alpha, x)
-                          / gamma(alpha))),
+         lambda a, t, x: (np.exp(x) * _pow(t, alpha) * _pow(x, -alpha)
+                          * lower_incomplete_gamma(alpha, x) / gamma(alpha))),
         (live & (ax > 45.0),
-         lambda a, t, x: (_pow(a, -alpha) * np.exp(x)
-                          - _pow(t, alpha) * _scaled_upper_u(alpha, x) / gamma(alpha))),
+         lambda a, t, x: _pow(t, alpha) * (_pow(x, -alpha) * np.exp(x)
+                                           - _scaled_upper_u(alpha, x) / gamma(alpha))),
     ], a, t, x)
+
+
+def family_parts(kind: str, a):
+    """[(amp, rate)] with s_a(t) = sum amp * integrated_exponential(rate,
+    alpha, t): the eigenvalue itself for the semigroup kinds, and the
+    halves e^{+-i sqrt(-a) t} of a cosine."""
+    a = np.asarray(a, dtype=complex)
+    if kind in _COSINE_KINDS:
+        w = 1j * np.sqrt(-a)
+        return [(0.5, w), (0.5, -w)]
+    return [(1.0, a)]
 
 
 def family_factor(kind: str, alpha: float, a, t):
     """The scalar factor s_a(t) by which T_alpha(t) acts on an eigenvector
     with eigenvalue a; a and t broadcast against each other."""
-    a = np.asarray(a, dtype=complex)
-    t = np.asarray(t)
-    if kind == "semigroup":
-        return np.exp(a * t)
-    if kind == "integrated_semigroup":
-        return integrated_exponential(a, alpha, t)
-    w = np.sqrt(-a)
-    if kind == "cosine":
-        return np.cos(w * t)
-    return 0.5 * (integrated_exponential(1j * w, alpha, t)
-                  + integrated_exponential(-1j * w, alpha, t))
-
-
-def scalar_split(kind: str, alpha: float, a):
-    """Exact split of the scalar family factor s_a(t), for a rate a != 0,
-    into pure exponentials plus a smooth remainder:
-    s_a(t) = sum_k amp_k e^{rate_k t} + smooth(t).
-
-    The exponential parts carry all the oscillation (amplitudes constant in
-    t); the remainder decays like t^{alpha-1}/|a| without oscillating, which
-    is what tail quadratures need for imaginary spectra.  At an integer
-    order it is a polynomial of degree alpha - 1.  smooth takes an array of
-    t, and is None where the remainder vanishes.
-    """
-    a = complex(a)
-    if kind == "semigroup":
-        return [(1.0 + 0.0j, a)], None
-    if kind == "integrated_semigroup":
-        amp = cpow(a, -alpha)
-        if alpha == int(alpha):
-            # t^m phi_m(a t) = a^{-m} e^{a t} - sum_{k<m} a^{k-m} t^k / k!
-            coef = [-amp * a ** k / math.factorial(k) for k in reversed(range(int(alpha)))]
-            return [(amp, a)], lambda t: np.polyval(coef, np.asarray(t, dtype=complex))
-        ga = gamma(alpha)
-
-        def smooth(t):
-            t = np.asarray(t, dtype=complex)
-            x = a * t
-            far = np.abs(x) > 45.0
-            return _by_regime([
-                (far, lambda t, x: -_pow(t, alpha) * _scaled_upper_u(alpha, x) / ga),
-                (~far, lambda t, x: integrated_exponential(a, alpha, t) - amp * np.exp(x)),
-            ], t, x)
-
-        return [(amp, a)], smooth
-    w = cmath.sqrt(-a)
-    if kind == "cosine":
-        return [(0.5 + 0.0j, 1j * w), (0.5 + 0.0j, -1j * w)], None
-    if kind == "integrated_cosine":
-        parts1, smooth1 = scalar_split("integrated_semigroup", alpha, 1j * w)
-        parts2, smooth2 = scalar_split("integrated_semigroup", alpha, -1j * w)
-        parts = [(0.5 * parts1[0][0], parts1[0][1]), (0.5 * parts2[0][0], parts2[0][1])]
-        if alpha == 1.0:
-            # the halves' remainders -1/(iw) and -1/(-iw) cancel exactly
-            return parts, None
-
-        def smooth(t):
-            return 0.5 * (smooth1(t) + smooth2(t))
-
-        return parts, smooth
-    raise ValueError(f"unknown family kind {kind!r}")
+    return sum(amp * integrated_exponential(rate, alpha, t)
+               for amp, rate in family_parts(kind, a))
 
 
 @dataclass

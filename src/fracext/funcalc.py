@@ -5,9 +5,9 @@ kernels to bounded operators; plugging in the resolvent kernels, the
 power kernels, or the extension kernels yields (eps - A)^{-sigma}, the
 Balakrishnan power, and the extension solution respectively.  Every such
 integral goes through spectral_integral: a spectral family integrates all
-eigenvalues that share a route in one vector quadrature (oscillatory
-panel summation per frequency on purely oscillating modes); black-box
-families go through vector quadrature of T_alpha(t) f itself.
+eigenvalues that share a ray in one vector quadrature (purely oscillating
+modes on rays turned until they decay); black-box families go through
+vector quadrature of T_alpha(t) f itself.
 """
 
 from __future__ import annotations
@@ -18,17 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import (OperatorFamily, family_factor, heat_semigroup, integrate_family,
-                       scalar_split, spectral_apply, spectral_eigendata, spectral_error)
+from .families import (OperatorFamily, family_parts, heat_semigroup, integrate_family,
+                       integrated_exponential, spectral_apply, spectral_eigendata,
+                       spectral_error)
 from .kernels import Kernel, _HintedFn, _KernelExpr, _halfline_hints, _weyl_kernel_fn
 from .operators import DefectiveOperatorError, LinearOperator, apply, resolvent_solve
-from .quadrature import (
-    DecayHint,
-    _graded_interval,
-    _halfline,
-    integrate_halfline,
-    integrate_oscillatory_halfline,
-)
+from .quadrature import DecayHint, _graded_interval, _halfline, integrate_halfline
 from .specfun import FracOrder, cpow, gamma
 
 __all__ = [
@@ -60,39 +55,51 @@ def _sigma_value(sigma) -> complex:
     return complex(sigma)
 
 
-def spectral_integral(weights, family: OperatorFamily, f, tol: float, rays=None,
+def _rays(sector, rate):
+    """arg t of the ray for each rate: the middle of the weight's sector
+    and of the half-plane where e^{rate t} decays (Re t > 0 for a real
+    rate, +-Im t > 0 for a rate on the +-imaginary axis), or the real axis
+    for a complex rate or an empty middle."""
+    real = np.abs(rate.imag) <= 1e-9
+    mid = np.where(real, 0.0, np.sign(rate.imag) * (0.5 * math.pi))
+    lo = np.maximum(sector[0], mid - 0.5 * math.pi)
+    hi = np.minimum(sector[1], mid + 0.5 * math.pi)
+    theta = np.where((real | (np.abs(rate.real) <= 1e-9)) & (lo <= hi), 0.5 * (lo + hi), 0.0)
+    return np.where(np.abs(theta) > 1e-12, theta, 0.0)
+
+
+def spectral_integral(weights, family: OperatorFamily, f, tol: float,
                       shift: float = 0.0, names=None):
     """Rows int_0^inf w_k(t) T_alpha(shift + t) f dt for the weights w_k
     of a list, each speaking the kernel protocol (as _weyl_kernel_fn gives)
     with a known tail, and their quadrature error estimates in the scale
     of f; names[k] names weight k in failure messages.
 
-    A spectral family splits the eigenvalues of each weight into route
-    groups: real ones along the ray t = e^{i rays[k]} s when |rays[k]| >
-    1e-12 (integer orders only); those whose factor decays, or all under an
-    exponentially decaying weight, through the log substitution; the other
-    non-oscillating ones with the weight's own hints; and each purely
-    oscillating one by its own panel summation.  Every (weight, group) is
-    a lane of w_k(t) s_a(shift + t) with its own panels, stopping target
-    and rotation, and lanes with equal hints share one lane-batched
-    quadrature when they also share their eigenvalues.  A black-box family
-    makes one lane of w_k(t) T_alpha(shift + t) f per weight.
+    A spectral family writes the factor of each eigenvalue as parts amp *
+    E(rate, t), E the alpha-fold integrated exponential (family_parts: a
+    cosine splits into its halves e^{+-i omega t}).  Each part runs on the
+    ray t = e^{i theta} s of _rays, inside the weight's sector, where a
+    real or purely imaginary rate decays; so an oscillating mode becomes a
+    decaying one and every lane but an undamped zero mode takes the log
+    substitution.  A lane is a (weight, ray, rates) triple with its own
+    panels and stopping target, and lanes with equal hints share one
+    lane-batched quadrature when they also share their eigenvalues.  A
+    black-box family makes one real-axis lane of w_k(t) T_alpha(shift + t) f
+    per weight.
     """
-    count, alpha, kind = len(weights), family.alpha, family.kind
-    rays = np.zeros(count) if rays is None else rays
+    count, alpha = len(weights), family.alpha
     names = names or [f"of weight {k}" for k in range(count)]
     f = np.asarray(f, dtype=complex).reshape(-1)
     fns = [w.fn(0) for w in weights]
     spectral = family.has_scalar
     if spectral:
         eigs = spectral_eigendata(family.generator)[0]
-        # s_a(t) oscillates and decays like e^{rate t}
-        rate = 1j * np.sqrt(-eigs) if family.is_cosine else eigs
-    groups, osc = {}, []
+    groups, lanes = {}, {}
     for k, w in enumerate(weights):
         w_zero, w_tail = w.metadata()
         prod_zero = None if w_zero is None else w_zero + alpha
-        if w_tail[0] == "exponential":
+        damped = w_tail[0] == "exponential"
+        if damped:
             tail = w_tail
         else:
             # |T_alpha(t)| <= C t^alpha eats alpha powers of the weight's decay
@@ -100,104 +107,56 @@ def spectral_integral(weights, family: OperatorFamily, f, tol: float, rays=None,
             tail = ("algebraic", p_eff) if p_eff > 1.0 else None
         hints = tuple(_halfline_hints(prod_zero, tail))
         if not spectral:
-            groups.setdefault((hints, tuple(range(f.size))), []).append((k, 2, 1.0))
+            groups.setdefault((hints, tuple(range(f.size))), []).append((k, 0.0, 1.0, None))
             continue
-        rotated = (np.abs(eigs.imag) <= 1e-9) & (abs(rays[k]) > 1e-12)
-        decaying = ~rotated & ((w_tail[0] == "exponential") | (np.abs(rate.real) > 1e-9))
-        oscillating = ~rotated & ~decaying & (np.abs(rate.imag) > 1e-9)
-        still = ~(rotated | decaying | oscillating)
-        if rotated.any() and alpha != int(alpha):
-            raise ValueError("path rotation supports integer family orders")
         exp_hints = tuple(_halfline_hints(prod_zero, ("exponential", 1.0)))
-        for route, (lanes, lane_hints) in enumerate(((rotated, exp_hints), (decaying, exp_hints),
-                                                     (still, hints))):
-            if lanes.any():
-                rot = cmath.exp(1j * rays[k]) if route == 0 else 1.0
-                key = (lane_hints, tuple(np.flatnonzero(lanes)))
-                groups.setdefault(key, []).append((k, route, rot))
-        osc += [(k, j, prod_zero, w_tail) for j in np.flatnonzero(oscillating)]
+        for amp, rate in family_parts(family.kind, eigs):
+            theta = _rays(w.sector(), rate)
+            turned = rate * np.exp(1j * theta)
+            if not damped and np.any((np.abs(turned.real) <= 1e-9) & (np.abs(rate) > 1e-9)):
+                raise ValueError(f"spectral integral {names[k]}: no ray in the sector "
+                                 f"{w.sector()} of an algebraically decaying weight damps "
+                                 "its oscillating modes")
+            still = ~damped & (np.abs(rate) <= 1e-9) & (theta == 0.0)
+            for th, st in sorted(set(zip(theta.tolist(), still.tolist()))):
+                ids = np.flatnonzero((theta == th) & (still == st))
+                key = (k, th, tuple(ids), tuple(rate[ids]))
+                if key in lanes:  # the coinciding halves of a cosine's zero mode
+                    lanes[key][2] += amp
+                else:
+                    lanes[key] = [k, th, amp, rate[ids]]
+                    groups.setdefault((hints if st else exp_hints, tuple(ids)),
+                                      []).append(lanes[key])
     vals = np.zeros((count, eigs.size if spectral else f.size), dtype=complex)
-    route_err = np.zeros((count, 3))
+    err = np.zeros(count)
     for (hints, ids), group in groups.items():
-        owner, routes, rots = zip(*group)
-        ids, rots = list(ids), np.array(rots)
-        rotating = bool(np.any(rots != 1.0))
+        owner, thetas, amps, rates = zip(*group)
+        ids, rots = list(ids), np.exp(1j * np.array(thetas))
+        rotating = any(thetas)
+        rates = np.array(rates) if spectral else None
 
         def integrand(s, lane):
             t = rots[lane] * s if rotating else s
             if len(owner) == 1:
                 w = fns[owner[0]](t)
-            else:  # each lane's weight on its own nodes
+            else:  # each lane's weight on its own nodes, real ones at real t
                 w = np.empty(s.size, dtype=complex)
                 for j in np.flatnonzero(np.bincount(lane, minlength=len(owner))):
-                    w[lane == j] = fns[owner[j]](t[lane == j])
+                    at = lane == j
+                    w[at] = fns[owner[j]](t[at] if thetas[j] else s[at])
+            w = rots[lane] * w if rotating else np.asarray(w)
             if not spectral:
-                return np.asarray(w)[:, None] * family.evaluate(shift + t, f)
-            fam = family_factor(kind, alpha, eigs[ids], shift + t[:, None])
-            return (rots[lane] * w if rotating else np.asarray(w))[:, None] * fam
+                return w[:, None] * family.evaluate(shift + t, f)
+            return w[:, None] * integrated_exponential(rates[lane], alpha, shift + t[:, None])
 
         v, e, _ = _halfline(integrand, len(group), list(hints), tol, label=lambda j: (
-            f"spectral integral {names[owner[j]]}" + " on the rotated ray" * (routes[j] == 0)))
-        for k, route, vk, ek in zip(owner, routes, v, e):
-            vals[k, ids] = vk
-            route_err[k, route] = ek
-    err = route_err[:, 0] + route_err[:, 1] + route_err[:, 2]
-    for k, j, *head in osc:
-        vals[k, j], e = _oscillating_integral(fns[k], *head, family, eigs[j],
-                                              abs(rate[j].imag), shift, tol)
-        err[k] += e
+            f"spectral integral {names[owner[j]]}" + " on the rotated ray" * bool(thetas[j])))
+        for k, amp, vk, ek in zip(owner, amps, v, e):
+            vals[k, ids] += amp * vk
+            err[k] += abs(amp) * ek
     if not spectral:
         return vals, err
     return spectral_apply(family.generator, f, vals), spectral_error(family.generator, f, err)
-
-
-def _oscillating_integral(wfn, prod_zero, w_tail, family: OperatorFamily, a: complex,
-                          omega: float, shift: float, tol: float):
-    """(int_0^inf w(t) s_a(shift + t) dt, error estimate) for an undamped
-    factor oscillating at angular frequency omega, under an algebraic
-    weight tail.
-
-    The head is integrated with the full product (the family factor ~
-    t^alpha keeps it integrable); past it the family splits into pure
-    exponentials (accelerated half-period panels) plus a smooth
-    ~ t^{alpha-1} remainder.
-    """
-    alpha = family.alpha
-    parts, smooth = scalar_split(family.kind, alpha, a)
-    h = math.pi / omega
-    start = h * max(2, int(math.ceil(2.0 / h)))
-    q = prod_zero if (prod_zero is not None and prod_zero < 0) else None
-
-    def head(t):
-        return np.asarray(wfn(t)) * family_factor(family.kind, alpha, a, shift + t)
-
-    # kernels carry internal scales (|z|^2 etc.) that can sit far below
-    # the head span; dyadic seeding keeps them visible
-    r = _graded_interval(head, 0.0, start, tol, q_left=q, seeds=44)
-    total = complex(np.asarray(r.value).reshape(-1)[0])
-    err = r.error_estimate
-    amps = np.array([amp for amp, _ in parts])
-    rates = np.array([rt for _, rt in parts])
-
-    def tail(t):
-        t = np.asarray(t)
-        return np.asarray(wfn(t))[:, None] * np.exp(rates * (shift + t[:, None]))
-
-    r = integrate_oscillatory_halfline(tail, omega=omega, tol=tol, start=start)
-    total += complex(amps @ np.asarray(r.value))
-    err += float(np.max(np.abs(amps))) * r.error_estimate
-    if smooth is not None:
-        def gs(tau):
-            t = start + np.asarray(tau)
-            return np.asarray(wfn(t)) * smooth(shift + t)
-
-        p_smooth = w_tail[1] - alpha + 1.0
-        r = integrate_halfline(
-            gs, _halfline_hints(0.0, ("algebraic", p_smooth) if p_smooth > 1.0 else None),
-            tol=tol)
-        total += complex(np.asarray(r.value).reshape(-1)[0])
-        err += r.error_estimate
-    return total, err
 
 
 def pi_alpha(phi, family: OperatorFamily, f, tol: float = 1e-11) -> np.ndarray:
@@ -295,7 +254,7 @@ def integrated_power(family: OperatorFamily, sigma, f,
     # past t = 1, T_alpha(t) f t^{-sigma-alpha-1}; the subtracted
     # t^alpha f / Gamma(alpha+1) term integrates to f / (sigma Gamma(alpha+1))
     weight = _HintedFn(lambda tau: (1.0 + tau) ** (-s - alpha - 1.0), 0.0,
-                       ("algebraic", 1.0 + s.real + alpha))
+                       ("algebraic", 1.0 + s.real + alpha), (-math.pi, math.pi))
     tail, err = spectral_integral([weight], family, f, tol, shift=1.0)
     tail_vec = tail[0] - f / (s * gamma(alpha + 1.0))
     value = factor * (np.asarray(r_small.value).reshape(-1) + tail_vec)

@@ -17,12 +17,14 @@ speaks one protocol (_KernelExpr): fn(n) gives the n-th time derivative
 as a vectorized callable, and metadata() its decay, read back through
 zero_exponent() (the algebraic exponent at t -> 0+, None when flat along
 the integration ray) and tail() (('exponential', rate) or ('algebraic',
-power) at infinity, None when unknown).  Kernel takes both from its
-closed form; the expressions (_Expr here, extension._CosTerms) compute
-them from their own terms; a sampled function (_HintedFn) states
-them and differences its samples for derivatives up to order 2.  This
-module alone decides what W^alpha phi is and how it decays
-(_weyl_kernel_fn).
+power) at infinity, None when unknown); sector() gives the open range
+(lo, hi) of arg t where it is analytic and keeps that decay, the room a
+spectral integral has to rotate its ray.  Kernel takes all of them from
+its closed form; the expressions (_Expr here, extension._CosTerms)
+compute them from their own terms; a sampled function (_HintedFn) states
+them (its sector is the real axis alone unless given) and differences
+its samples for derivatives up to order 2.  This module alone decides
+what W^alpha phi is and how it decays (_weyl_kernel_fn).
 """
 
 from __future__ import annotations
@@ -139,10 +141,10 @@ def z_derivative_coefficients(kind: str, n: int, sigma) -> DerivativeCoefficient
 
 
 class _KernelExpr:
-    """The kernel protocol: fn(n), zero_exponent() and tail().
+    """The kernel protocol: fn(n), zero_exponent(), tail() and sector().
 
-    Subclasses provide metadata() -> (zero exponent, tail) and either
-    derivative() or fn() itself.
+    Subclasses provide metadata() -> (zero exponent, tail), sector() and
+    either derivative() or fn() itself.
     """
 
     __slots__ = ()
@@ -253,6 +255,17 @@ class _Expr(_KernelExpr):
             tails.append(-rho + min(nz_q) + 1)
         return zero, ("algebraic", min(tails))
 
+    def sector(self):
+        # e^{a/t} decays at 0+ for |arg t - arg(-a)| < pi/2, e^{-eps t} at inf
+        # for |arg t| < pi/2; powers of t are analytic off the negative axis
+        lo, hi = -math.pi, math.pi
+        if self.a != 0:
+            mid = cmath.phase(-self.a)
+            lo, hi = mid - 0.5 * math.pi, mid + 0.5 * math.pi
+        if self.eps > 0:
+            lo, hi = max(lo, -0.5 * math.pi), min(hi, 0.5 * math.pi)
+        return lo, hi
+
 
 # ---------------------------------------------------------------------------
 # public kernel type
@@ -319,6 +332,9 @@ class Kernel(_KernelExpr):
     def metadata(self):
         return self._fn0().metadata()
 
+    def sector(self):
+        return self._fn0().sector()
+
 
 def _at(fn, t, what: str | None = None):
     """fn at t, a complex scalar for scalar t; `what` demands real t > 0."""
@@ -368,16 +384,19 @@ _STENCILS = {1: ((1 / 12, -8 / 12, 8 / 12, -1 / 12), (-2, -1, 1, 2)),
 
 
 class _HintedFn(_KernelExpr):
-    """A sampled function of t with stated decay; fn(n), n <= 2, differences
-    it by a fourth-order central stencil (a bounded zero stays bounded, an
-    algebraic tail gains n)."""
+    """A sampled function of t with stated decay and sector (the real axis
+    alone by default); fn(n), n <= 2, differences it by a fourth-order
+    central stencil along the real direction, which is exact to that order
+    at complex t too (a bounded zero stays bounded, an algebraic tail gains
+    n)."""
 
-    __slots__ = ("_fn", "_zero", "_tail")
+    __slots__ = ("_fn", "_zero", "_tail", "_sector")
 
-    def __init__(self, fn, zero_exp, tail):
+    def __init__(self, fn, zero_exp, tail, sector=(0.0, 0.0)):
         self._fn = fn
         self._zero = zero_exp
         self._tail = tail
+        self._sector = sector
 
     def __call__(self, t):
         return self._fn(t)
@@ -391,7 +410,7 @@ class _HintedFn(_KernelExpr):
         base = self._fn
 
         def fd(t):
-            t = np.asarray(t, dtype=float)
+            t = np.asarray(t, dtype=complex if np.iscomplexobj(t) else float)
             # the step stays large enough that quadrature noise in fn does
             # not dominate
             h = np.maximum(3e-3 * np.abs(t), 1e-5)
@@ -403,10 +422,13 @@ class _HintedFn(_KernelExpr):
             zero = zero - n if zero < 0 else 0.0
         if tail is not None and tail[0] == "algebraic":
             tail = ("algebraic", tail[1] + n)
-        return _HintedFn(fd, zero, tail)
+        return _HintedFn(fd, zero, tail, self._sector)
 
     def metadata(self):
         return self._zero, self._tail
+
+    def sector(self):
+        return self._sector
 
 
 def _kernel_like(phi) -> _KernelExpr:
@@ -444,14 +466,15 @@ def _halfline_hints(zero_exp, tail):
 
 def _weyl_lanes(fn, zero_exp, tail, beta: float, s, tol: float, name: str):
     """(1/Gamma(beta)) int_0^inf tau^{beta-1} fn(s + tau) dtau at every
-    entry of s, as one lane-batched half-line quadrature.
+    entry of s, as one lane-batched half-line quadrature; a complex s
+    integrates along the horizontal ray s + tau.
 
     Each point is a lane with its own panels and its own error target;
     points whose hints differ (the zero exponent of fn adds to the lower
     endpoint's at s = 0) integrate in separate lane groups.  A failing
     lane names its point and the operator name.
     """
-    pts = np.asarray(s, dtype=float).reshape(-1)
+    pts = np.asarray(s, dtype=complex if np.iscomplexobj(s) else float).reshape(-1)
     gb = gamma(beta)
     q0 = np.full(pts.size, beta - 1.0)
     if zero_exp is not None:
@@ -477,7 +500,7 @@ def _weyl_lanes(fn, zero_exp, tail, beta: float, s, tol: float, name: str):
             return tau ** (beta - 1.0) * np.asarray(fn(at[lane] + tau)) / gb
 
         out[ids] = _halfline(integrand, ids.size, hints, tol,
-                             label=lambda k, at=at: f"{name} at s = {float(at[k])!r}")[0]
+                             label=lambda k, at=at: f"{name} at s = {at[k].item()!r}")[0]
     return out[0] if np.ndim(s) == 0 else out.reshape(np.shape(s))
 
 
@@ -520,7 +543,9 @@ def weyl_derivative(phi, alpha: float, s, tol: float = 1e-12):
 
 
 def _weyl_kernel_fn(phi, alpha: float, tol: float) -> _HintedFn:
-    """W^alpha phi of an integrable kernel-like phi, with its decay."""
+    """W^alpha phi of an integrable kernel-like phi, with its decay and the
+    sector of phi (the horizontal Weyl rays from a point of the sector stay
+    in it)."""
     phi = _kernel_like(phi)
     zero, tail = phi.metadata()
     if tail is None:
@@ -540,7 +565,7 @@ def _weyl_kernel_fn(phi, alpha: float, tol: float) -> _HintedFn:
             return sign * np.asarray(base(t))
 
         w_zero, w_tail = base.metadata()
-        return _HintedFn(wfn, w_zero, w_tail or tail)
+        return _HintedFn(wfn, w_zero, w_tail or tail, phi.sector())
 
     def wfn(t):
         return weyl_derivative(phi, alpha, np.atleast_1d(t), tol=max(tol, 1e-12))
@@ -550,7 +575,7 @@ def _weyl_kernel_fn(phi, alpha: float, tol: float) -> _HintedFn:
     else:
         w_zero = zero - alpha if zero < 0 else max(zero - alpha, -0.5)
     w_tail = tail if tail[0] == "exponential" else ("algebraic", tail[1] + alpha)
-    return _HintedFn(wfn, w_zero, w_tail)
+    return _HintedFn(wfn, w_zero, w_tail, phi.sector())
 
 
 def sobolev_norm(phi, alpha: float, tol: float = 1e-11) -> float:

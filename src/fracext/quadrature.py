@@ -4,8 +4,9 @@ The half-line driver picks a variable substitution from decay hints:
 t = e^u for essential singularities at zero and/or exponential or
 algebraic tails (the probe finds the truncation window), power grading
 t = s^{1/(1+q)} for algebraic endpoint singularities, and inversion
-t = 1/s for algebraic tails.  Oscillatory tails are summed over
-half-period panels with Wynn-epsilon acceleration of the partial sums.
+t = 1/s for algebraic tails.  Oscillating integrands are the caller's to
+turn into decaying ones (funcalc rotates them onto rays in the complex
+plane), so every route integrates an integrand that decays.
 
 Integrands are vectorized: f(t: ndarray) -> ndarray whose leading axis
 matches t; trailing axes (vector values) are carried through.
@@ -32,7 +33,6 @@ __all__ = [
     "QuadratureError",
     "integrate_interval",
     "integrate_halfline",
-    "integrate_oscillatory_halfline",
     "richardson_limit",
 ]
 
@@ -125,10 +125,6 @@ _WG_FULL = np.zeros(15)
 _WG_FULL[1::2] = np.concatenate([_WG[:3], _WG[::-1]])
 
 
-def _maxabs(v):
-    return float(np.max(np.abs(v)))
-
-
 def _rowmax(v):
     """max |v[i, ...]| for every leading index i."""
     return np.max(np.abs(v.reshape(v.shape[0], -1)), axis=1)
@@ -178,7 +174,7 @@ def _panels(f, lo, hi, lane, label=None):
     return ik, _rowmax(ik - ig)
 
 
-def _adaptive(f, lanes, a, b, tol, atol, max_panels, seeds=0, label=None):
+def _adaptive(f, lanes, a, b, tol, atol, max_panels, label=None):
     """Globally adaptive Gauss-Kronrod quadrature of independent lanes.
 
     Lane lanes[k] integrates f(., lanes[k]) over [a[k], b[k]] until its
@@ -188,39 +184,28 @@ def _adaptive(f, lanes, a, b, tol, atol, max_panels, seeds=0, label=None):
     its target bisects its worst panel, and the halves of all lanes are
     sampled in one call f(x, lane) (x the 1-D nodes, lane[i] the lane of
     x[i]).  A lane's choices depend on its own samples only, so it refines
-    exactly the panels it would refine alone.  seeds > 0 plants that many
-    geometric panels toward a[k].  A failure names its lane through
-    label(lane).  Returns (values, error estimates, evaluations) per lane.
+    exactly the panels it would refine alone.  A failure names its lane
+    through label(lane).  Returns (values, error estimates, evaluations) per lane.
     """
     L = a.size
-    rows, slots, count = np.arange(L), np.zeros(L, dtype=int), np.ones(L, dtype=int)
-    los, his = a, b
-    if seeds:
-        cuts = a[:, None] + (b - a)[:, None] * 2.0 ** -np.arange(seeds, 0, -1.0)
-        edges = np.concatenate([a[:, None], cuts, b[:, None]], axis=1)
-        keep = edges[:, :-1] < edges[:, 1:]
-        rows, slots = np.nonzero(keep)
-        slots = np.cumsum(keep, axis=1)[rows, slots] - 1
-        los, his, count = edges[:, :-1][keep], edges[:, 1:][keep], keep.sum(axis=1)
-    ik, e = _panels(f, los, his, lanes[rows], label)
-    cap = int(count.max()) + 16
-    lo, hi, err, mag = (np.zeros((L, cap)) for _ in range(4))
-    val = np.zeros((L, cap) + ik.shape[1:], dtype=ik.dtype)
-    lo[rows, slots], hi[rows, slots] = los, his
-    val[rows, slots], err[rows, slots], mag[rows, slots] = ik, e, _rowmax(ik)
-    evals = 15 * count
-    if seeds == 0:
-        # a panel whose nodes all read zero gets a second look between
-        # them; mass seen there becomes its error, so it is bisected
-        z = np.flatnonzero((mag[:, 0] == 0.0) & (err[:, 0] == 0.0))
-        if z.size:
-            x = (a[z, None] + ((b - a)[z, None] / 16.0) * np.arange(1.0, 16.0)).reshape(-1)
-            seen = _rowmax(_sample(f, x, lanes[np.repeat(z, 15)], label))
-            err[z, 0] = seen.reshape(z.size, 15).max(axis=1) * (b - a)[z]
-            evals[z] += 15
+    ik, e = _panels(f, a, b, lanes, label)
+    count = np.ones(L, dtype=int)
+    lo, hi, err, mag = (np.zeros((L, 17)) for _ in range(4))
+    val = np.zeros((L, 17) + ik.shape[1:], dtype=ik.dtype)
+    lo[:, 0], hi[:, 0] = a, b
+    val[:, 0], err[:, 0], mag[:, 0] = ik, e, _rowmax(ik)
+    evals = np.full(L, 15)
+    # a panel whose nodes all read zero gets a second look between
+    # them; mass seen there becomes its error, so it is bisected
+    z = np.flatnonzero((mag[:, 0] == 0.0) & (err[:, 0] == 0.0))
+    if z.size:
+        x = (a[z, None] + ((b - a)[z, None] / 16.0) * np.arange(1.0, 16.0)).reshape(-1)
+        seen = _rowmax(_sample(f, x, lanes[np.repeat(z, 15)], label))
+        err[z, 0] = seen.reshape(z.size, 15).max(axis=1) * (b - a)[z]
+        evals[z] += 15
     evals -= 30 * count  # each bisection adds one panel and 30 evaluations
     pick = err.copy()  # bisection priority; -1 marks a panel never to split
-    top, rounds = int(count.max()), 0  # every open lane takes one step a round
+    top, rounds = 1, 0  # every open lane takes one step a round
     r = np.arange(L)
     while True:
         errsum = err[r].sum(axis=1)
@@ -270,32 +255,27 @@ def _adaptive(f, lanes, a, b, tol, atol, max_panels, seeds=0, label=None):
 
 
 def integrate_interval(f, a, b, tol: float = DEFAULT_TOL, max_panels: int = 4000,
-                       atol: float = 0.0, dyadic_from_left: int = 0) -> QuadratureResult:
+                       atol: float = 0.0) -> QuadratureResult:
     """Adaptive Gauss-Kronrod integration of f over [a, b]: the one-lane
     call of the lane driver.
 
     The panel with the worst embedded error estimate is bisected until the
-    summed estimate falls below max(tol*|I|, atol).  dyadic_from_left seeds
-    that many geometric panels toward a, so features living on scales far
-    below (b - a) cannot hide between the nodes of a single wide panel.
+    summed estimate falls below max(tol*|I|, atol).
     """
     if not (a < b):
         raise ValueError("integrate_interval needs a < b")
     vals, errs, evals = _adaptive(_unary(f), _LANE0, np.array([a], float),
                                   np.array([b], float), tol, np.array([atol], float),
-                                  max_panels, dyadic_from_left)
+                                  max_panels)
     return QuadratureResult(vals[0], float(errs[0]), int(evals[0]))
 
 
-def _graded_interval(f, a, b, tol, q_left=None, seeds: int = 0):
+def _graded_interval(f, a, b, tol, q_left=None):
     """Integrate over [a, b] with an algebraic left-endpoint singularity
     graded out.
 
     q_left is the exponent of |f| ~ (t-a)^q near a (q > -1).  Grading
-    substitutes the exact power that removes the singularity.  seeds > 0
-    plants that many dyadic panels toward the left endpoint (for integrands
-    with internal scales far below the span, which a single wide panel
-    would never sample).
+    substitutes the exact power that removes the singularity.
     """
     if q_left is not None and q_left <= -1.0:
         raise ValueError("left exponent must be > -1")
@@ -306,10 +286,9 @@ def _graded_interval(f, a, b, tol, q_left=None, seeds: int = 0):
         def g_left(s, m=m, a=a):
             return _with_jacobian(f(a + s ** m), m * s ** (m - 1.0))
 
-        left = integrate_interval(g_left, 0.0, (mid - a) ** (1.0 / m), tol=tol,
-                                  dyadic_from_left=seeds)
+        left = integrate_interval(g_left, 0.0, (mid - a) ** (1.0 / m), tol=tol)
     else:
-        left = integrate_interval(f, a, mid, tol=tol, dyadic_from_left=seeds)
+        left = integrate_interval(f, a, mid, tol=tol)
     right = integrate_interval(f, mid, b, tol=tol)
     return QuadratureResult(left.value + right.value,
                             left.error_estimate + right.error_estimate,
@@ -336,9 +315,11 @@ _WIDE_U = np.concatenate([np.linspace(-120, -6, 20), np.linspace(6, 120, 20)])
 _WALK = np.array([0.0, 3.0, 6.0])
 
 
-def _log_substituted(f, lanes, tol, max_panels, label=None):
+def _log_substituted(f, lanes, tol, max_panels, label=None, q=None):
     """t = e^u route: each lane probes the window where its integrand
-    matters, then all lanes integrate g(u) = f(e^u) e^u adaptively."""
+    matters, then all lanes integrate g(u) = f(e^u) e^u adaptively.  Under
+    an algebraic zero |f| ~ t^q, g ~ e^{(q+1) u} leaves g(edge) / (q+1)
+    below the window, which is added back."""
 
     def g(u, lane):
         t = np.exp(u)
@@ -383,6 +364,9 @@ def _log_substituted(f, lanes, tol, max_panels, label=None):
         lo, hi = edge[:live.size], edge[live.size:]
         vals[live], errs[live], evals[live] = _adaptive(
             g, live, lo, hi, tol, cut[live] * (hi - lo), max_panels, label=label)
+        if q is not None:
+            vals[live] += _sample(g, lo, live, label) / (q + 1.0)
+            evals[live] += 1
     return vals, errs, evals
 
 
@@ -415,7 +399,7 @@ def _halfline(f, lanes, hints, tol, max_panels=6000, label=None):
         r0 = _adaptive(g0, ids, zero, one, tol, zero, max_panels, label=named)
         r1 = _adaptive(g1, ids, zero, one, tol, zero, max_panels, label=named)
         return tuple(x + y for x, y in zip(r0, r1))
-    return _log_substituted(f, lanes, tol, max_panels, named)
+    return _log_substituted(f, lanes, tol, max_panels, named, q)
 
 
 def integrate_halfline(f, hints=(), tol: float = DEFAULT_TOL,
@@ -423,110 +407,6 @@ def integrate_halfline(f, hints=(), tol: float = DEFAULT_TOL,
     """Integrate f over (0, inf), choosing the substitution from the hints."""
     vals, errs, evals = _halfline(_unary(f), 1, hints, tol, max_panels)
     return QuadratureResult(vals[0], float(errs[0]), int(evals[0]))
-
-
-def _wynn_epsilon(partials):
-    """Wynn epsilon table on a sequence of (complex) partial sums.
-
-    Returns (best_estimate, error_indicator).  A near-zero difference in an
-    even column means the raw sums already plateaued, so that plateau value
-    is returned directly instead of dividing by it.
-    """
-    scale = max(max(abs(s) for s in partials), 1e-300)
-    cur = list(partials)  # even column
-    aux_prev = [0.0 + 0.0j] * (len(partials) + 1)  # odd column below
-    best = cur[-1]
-    indicator = abs(cur[-1] - cur[-2]) if len(cur) > 1 else abs(cur[-1])
-    while len(cur) >= 3:
-        aux = []
-        plateau = None
-        for i in range(len(cur) - 1):
-            diff = cur[i + 1] - cur[i]
-            if abs(diff) <= 1e-15 * scale:
-                plateau = (cur[i + 1], abs(diff))
-                break
-            aux.append(aux_prev[i + 1] + 1.0 / diff)
-        if plateau is not None:
-            return plateau
-        new = []
-        for i in range(len(aux) - 1):
-            diff = aux[i + 1] - aux[i]
-            if abs(diff) <= 1e-290:
-                return best, indicator
-            new.append(cur[i + 1] + 1.0 / diff)
-        aux_prev, cur = aux, new
-        cand_ind = abs(cur[-1] - best)
-        if cand_ind <= indicator:
-            indicator = cand_ind
-            best = cur[-1]
-        else:
-            # table started to deteriorate; keep the best seen
-            break
-    return best, indicator
-
-
-def integrate_oscillatory_halfline(f, omega, tol: float = DEFAULT_TOL,
-                                   zero_exponent: float | None = None,
-                                   start: float | None = None,
-                                   max_panels: int = 3000) -> QuadratureResult:
-    """Integrate f over (0, inf) when f oscillates with angular frequency omega.
-
-    Half-period panels past a head region are summed pairwise and the
-    partial sums are accelerated with the Wynn epsilon algorithm.  The head
-    region [0, t1] (one period) is integrated adaptively, with an
-    optional algebraic grading at zero.  With start given, the head is the
-    caller's business and only the tail from start onward is summed.
-    """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    h = math.pi / omega
-    if start is not None:
-        t1 = float(start)
-        r_head = QuadratureResult(0.0 + 0.0j, 0.0, 1)
-    else:
-        t1 = 2.0 * h
-        if zero_exponent is not None and zero_exponent < 0.0:
-            r_head = _graded_interval(f, 0.0, t1, tol, q_left=zero_exponent)
-        else:
-            r_head = integrate_interval(f, 0.0, t1, tol=tol)
-    evals = r_head.evaluations
-    err = r_head.error_estimate
-
-    partials = []
-    total = r_head.value
-    scale = max(_maxabs(total), 1e-30)
-    best = total
-    diag = math.inf
-    consec_ok = 0
-    a = t1
-    for k in range(max_panels):
-        v, e = _panels(_unary(f), np.array([a]), np.array([a + h]), _LANE0)
-        evals += 15
-        err += float(e[0])
-        a += h
-        total = total + v[0]
-        partials.append(total)
-        if len(partials) >= 6:
-            flat = [np.asarray(s).reshape(-1) for s in partials[-40:]]
-            dim = flat[0].shape[0]
-            acc = np.empty(dim, dtype=complex)
-            change = 0.0
-            for j in range(dim):
-                seq = [s[j] for s in flat]
-                acc[j], ch = _wynn_epsilon(seq)
-                change = max(change, ch)
-            best = acc.reshape(np.asarray(total).shape)
-            if np.asarray(total).shape == ():
-                best = complex(best)
-            diag = change
-            scale = max(scale, _maxabs(best))
-            consec_ok = consec_ok + 1 if change <= tol * scale else 0
-            if consec_ok >= 2:
-                return QuadratureResult(best, err + change, evals)
-    raise QuadratureError(
-        f"oscillatory tail did not converge after {max_panels} panels "
-        f"(last change {diag:.3e})"
-    )
 
 
 def _check_geometric(ys):

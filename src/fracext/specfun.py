@@ -2,7 +2,7 @@
 
 Everything downstream (kernels, closed-form families, boundary-trace
 constants) is built on the complex gamma function, the lower incomplete
-gamma, and branch-aware complex powers defined here.
+gamma, and principal-branch complex powers defined here.
 """
 
 from __future__ import annotations
@@ -74,25 +74,15 @@ class NamedConstants:
     neumann_factor: complex
 
 
-def cpow(z, w, branch: str = "principal"):
-    """z**w with an explicit branch of the argument.
-
-    branch="principal": arg z in (-pi, pi].  branch="positive": arg z in
-    [0, 2*pi) -- required by the wave-equation representation kernels.
-    """
+def cpow(z, w):
+    """z**w on the principal branch, arg z in (-pi, pi]."""
     z = complex(z)
     w = complex(w)
     if z == 0.0:
         if w.real > 0.0:
             return 0.0 + 0.0j
         raise ZeroDivisionError("0 raised to a power with Re <= 0")
-    ang = cmath.phase(z)
-    if branch == "positive":
-        if ang < 0.0:
-            ang += 2.0 * math.pi
-    elif branch != "principal":
-        raise ValueError(f"unknown branch {branch!r}")
-    return cmath.exp(w * complex(math.log(abs(z)), ang))
+    return cmath.exp(w * complex(math.log(abs(z)), cmath.phase(z)))
 
 
 def cexpm1(w):

@@ -5,6 +5,8 @@ log-time), so they stay independent of the adaptive Gauss-Kronrod and
 acceleration machinery they validate.
 """
 
+import cmath
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,21 @@ def simpson(f, a, b, n=200001):
 def simpson_log(f, u_lo, u_hi, n=200001):
     """Brute-force integral over (0, inf) through t = e^u panels."""
     return simpson(lambda u: np.asarray(f(np.exp(u))) * np.exp(u), u_lo, u_hi, n)
+
+
+def bessel_k_solution(eigs, f, sigma, z):
+    """u = 2^{1-sigma}/Gamma(sigma) (z sqrt(lam))^sigma K_sigma(z sqrt(lam)) f
+    per eigenvalue -lam of a diagonal generator (complex sigma and lam too),
+    and u = f on zero modes."""
+    mpmath = pytest.importorskip("mpmath")
+    out = []
+    for a, fk in zip(eigs, f):
+        if a == 0:
+            out.append(fk)
+            continue
+        w, s = mpmath.mpc(complex(z) * cmath.sqrt(-complex(a))), mpmath.mpc(sigma)
+        out.append(complex(2 ** (1 - s) / mpmath.gamma(s) * w ** s * mpmath.besselk(s, w)) * fk)
+    return np.array(out)
 
 
 @pytest.fixture(scope="session")

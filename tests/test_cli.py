@@ -320,7 +320,7 @@ def test_bad_config_field_exits_2_naming_it(tmp_path, capsys, command, overrides
 def test_extend_on_closed_sector_edge(tmp_path, capsys, alpha, z):
     # z on the edge |arg z| = pi/4, integer-order integrated family: the
     # derivatives of b stay flat at t -> 0+ along the rotated ray
-    from tests.test_extension import _bessel_k_solution
+    from tests.conftest import bessel_k_solution
 
     eigs, f = [-0.5, -1.2, -2.0], [1.0, -0.4, 0.7]
     cfg = base_config(operator={"kind": "diagonal", "entries": eigs}, sigma=0.4,
@@ -331,7 +331,7 @@ def test_extend_on_closed_sector_edge(tmp_path, capsys, alpha, z):
     rows = json.loads(capsys.readouterr().out)
     assert code == EXIT_OK
     got = np.array([_decode_complex(r["u_semigroup"]) for r in rows])
-    ref = _bessel_k_solution(eigs, np.array(f), 0.4, z)
+    ref = bessel_k_solution(eigs, np.array(f), 0.4, z)
     assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
 

@@ -20,7 +20,7 @@ from fracext.families import cosine_family, heat_semigroup, integrate_family, in
 from fracext.funcalc import balakrishnan_power, spectral_power_oracle
 from fracext.operators import LinearOperator, build_fourier_multiplier, spectral_decompose
 from fracext.specfun import FracOrder, constants_for
-from tests.conftest import simpson_log
+from tests.conftest import bessel_k_solution, simpson_log
 
 # frozen values of the scalar extension (brute-force subordination quadrature,
 # cross-checked against the closed Bessel-type form)
@@ -496,22 +496,6 @@ def test_black_box_family_route(laplacian3, f3):
     assert np.linalg.norm(u_bb - u_sp) <= 1e-7 * np.linalg.norm(u_sp)
 
 
-def _bessel_k_solution(eigs, f, sigma, z):
-    """u = 2^{1-sigma}/Gamma(sigma) (z sqrt(lam))^sigma K_sigma(z sqrt(lam)) f
-    per eigenvalue -lam of a diagonal generator, and u = f on zero modes."""
-    mpmath = pytest.importorskip("mpmath")
-    out = []
-    for a, fk in zip(eigs, f):
-        if a == 0:
-            out.append(fk)
-            continue
-        w = complex(z) * cmath.sqrt(-complex(a))
-        u = (2.0 ** (1.0 - sigma) / math.gamma(sigma)
-             * complex(mpmath.mpc(w) ** sigma * mpmath.besselk(sigma, mpmath.mpc(w))))
-        out.append(u * fk)
-    return np.array(out)
-
-
 def test_semigroup_form_mixed_spectrum_vs_bessel_k():
     # zero mode, decaying real eigenvalues and a complex pair: every route
     # group of the spectral integral, for the heat semigroup and its
@@ -523,7 +507,7 @@ def test_semigroup_form_mixed_spectrum_vs_bessel_k():
     cases = [(eigs, f, 0.8), (eigs[:real], f[:real], 0.6 * cmath.exp(1j * math.pi / 4))]
     for ev, fv, z in cases:
         A = LinearOperator("diagonal", ev)
-        ref = _bessel_k_solution(ev, fv, sigma, z)
+        ref = bessel_k_solution(ev, fv, sigma, z)
         for fam in (heat_semigroup(A), integrate_family(heat_semigroup(A), 1.0)):
             got = solve_semigroup_form(fam, sigma, z, fv)
             assert np.linalg.norm(got.value - ref) <= 1e-9 * np.linalg.norm(ref)
@@ -536,11 +520,70 @@ def test_semigroup_form_fractional_alpha_vs_bessel_k():
     sigma, z = 0.35, 0.8
     A = LinearOperator("diagonal", [-2.0])
     f = np.array([1.0])
-    ref = _bessel_k_solution([-2.0], f, sigma, z)
+    ref = bessel_k_solution([-2.0], f, sigma, z)
     for alpha in (0.5, 1.5):
         got = solve_semigroup_form(integrate_family(heat_semigroup(A), alpha), sigma, z, f)
         assert np.linalg.norm(got.value - ref) <= 1e-9 * np.linalg.norm(ref)
         assert 0.0 < got.error_estimate < 1e-6
+
+
+def test_semigroup_form_fractional_alpha_rotated_vs_bessel_k():
+    # off the real axis a fractional-order family rotates its real modes
+    # too: W^alpha b and the integrated exponential at complex t
+    z = 0.6 * cmath.exp(1j * math.pi / 8)
+    A, f = LinearOperator("diagonal", [-1.0, -2.5]), np.array([1.0, -0.6])
+    got = solve_semigroup_form(integrate_family(heat_semigroup(A), 0.5), 0.35, z, f)
+    ref = bessel_k_solution([-1.0, -2.5], f, 0.35, z)
+    assert np.max(np.abs(got.value - ref)) <= min(got.error_estimate, 1e-11 * np.max(np.abs(ref)))
+
+
+_I_XI3 = [1j * xi ** 3 for xi in (-2.0, -1.0, 1.0, 2.0)]
+_I_XI = [1j * xi for xi in (-2.0, -1.0, 1.0, 2.0)]
+_ABOVE, _BELOW = 0.8 * cmath.exp(0.5j), 0.6 * cmath.exp(-0.6j)
+
+
+def _assert_oracle(got, ref, tol):
+    # within tol of the oracle, relative to its largest entry, and the
+    # reported estimate bounds the true error
+    err = np.max(np.abs(got.value - ref))
+    assert err <= tol * np.max(np.abs(ref))
+    assert err <= got.error_estimate
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 0.5])
+@pytest.mark.parametrize("spectrum", ["i_xi3", "i_xi"])
+def test_oscillating_heat_side_vs_bessel_k(spectrum, alpha):
+    # purely imaginary spectra under the heat family: each mode on a ray
+    # turned until e^{a t} decays, for complex sigma and z on both sides of
+    # the axis (one case of each at the slow fractional order)
+    eigs = _I_XI3 if spectrum == "i_xi3" else _I_XI
+    A, f = LinearOperator("diagonal", eigs), np.array([1.0, -0.5 + 0.2j, 0.3, 0.8])
+    fam = heat_semigroup(A) if alpha == 0 else integrate_family(heat_semigroup(A), alpha)
+    cases = [(s, z) for s in (0.3, complex(0.4, 0.2)) for z in (0.7, _ABOVE, _BELOW)]
+    if alpha == 0.5:
+        cases = [(complex(0.4, 0.2), _ABOVE)] if spectrum == "i_xi3" else [(0.3, _BELOW)]
+    for sigma, z in cases:
+        got = solve_semigroup_form(fam, sigma, z, f)
+        _assert_oracle(got, bessel_k_solution(eigs, f, sigma, z), 1e-10)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 0.5])
+def test_cosine_side_vs_bessel_k(alpha):
+    # the halves e^{+-i omega t} of every cosine mode on rays of opposite
+    # sign, for |arg z| up to 1.2 on both sides of the axis; sigma = 1/2 is
+    # the logarithmic kernel of the fractional-data form
+    eigs = [-0.5, -2.0, -7.0]
+    A, f = LinearOperator("diagonal", eigs), np.array([1.0, -0.4, 0.7])
+    fam = cosine_family(A) if alpha == 0 else integrated_cosine(A, alpha)
+    zs = [0.6, 0.7 * cmath.exp(1.2j), 0.9 * cmath.exp(-1.2j), 0.5 * cmath.exp(-0.4j)]
+    cases = [(s, z) for s in (0.5, 0.3) for z in zs]
+    if alpha == 0.5:
+        cases = [(0.5, zs[2])]
+    for sigma, z in cases:
+        ref = bessel_k_solution(eigs, f, sigma, z)
+        _assert_oracle(solve_cosine_form(fam, sigma, z, f), ref, 1e-9)
+        power = spectral_power_oracle(A, sigma, f).value
+        _assert_oracle(solve_cosine_fractional(fam, sigma, z, f, power_input=power), ref, 1e-9)
 
 
 def test_error_estimates_scale_with_f(laplacian8, f8):
@@ -567,10 +610,10 @@ def test_error_estimates_bound_scaled_errors(scale):
     A = LinearOperator("diagonal", eigs)
     for fam in (heat_semigroup(A), integrate_family(heat_semigroup(A), 1.0)):
         got = solve_semigroup_form(fam, sigma, 0.8, f)
-        assert got.error_estimate >= np.max(np.abs(got.value - _bessel_k_solution(eigs, f,
+        assert got.error_estimate >= np.max(np.abs(got.value - bessel_k_solution(eigs, f,
                                                                                   sigma, 0.8)))
     A1, f1 = LinearOperator("diagonal", [-2.0]), np.array([scale])
-    ref = _bessel_k_solution([-2.0], f1, sigma, 0.8)
+    ref = bessel_k_solution([-2.0], f1, sigma, 0.8)
     for alpha in (0.5, 1.5):
         got = solve_semigroup_form(integrate_family(heat_semigroup(A1), alpha), sigma, 0.8, f1)
         assert got.error_estimate >= np.max(np.abs(got.value - ref))
@@ -580,7 +623,7 @@ def test_error_estimates_bound_scaled_errors(scale):
     power = spectral_power_oracle(lap, 0.5, g).value
     ev = solve_regularized(fam, 0.5, 0.6, g, (1e-2, 1e-3, 1e-4, 1e-5), power_input=power,
                            tol=1e-10)
-    ref = _bessel_k_solution([-0.5, -1.2, -2.0], g, 0.5, 0.6)
+    ref = bessel_k_solution([-0.5, -1.2, -2.0], g, 0.5, 0.6)
     assert ev.error_estimate >= np.max(np.abs(ev.value - ref))
 
 
@@ -652,34 +695,39 @@ def test_spectral_lanes_match_per_z(case):
         assert np.max(np.abs(rows[k] - alone)) <= 1e-15 * np.max(np.abs(alone))
 
 
-@pytest.mark.parametrize("route", ["log substitution", "rotated ray", "graded"])
+@pytest.mark.parametrize("route", ["log substitution", "rotated ray", "graded",
+                                   "oscillating lane"])
 def test_lane_failure_names_its_z(monkeypatch, route):
     # a NaN in one z lane fails the call with a message naming that z and
     # the route of the lane; the graded lane is the zero mode of a periodic
-    # Laplacian under the algebraic cosine_fractional weight
+    # Laplacian under the algebraic cosine_fractional weight, and the
+    # oscillating lanes are the modes of i xi^3, turned onto decaying rays
     import fracext.extension as ext
     from fracext.kernels import _HintedFn
     from fracext.operators import build_laplacian_1d
     from fracext.quadrature import QuadratureError
 
-    graded, rotated = route == "graded", route == "rotated ray"
-    z = 0.35 * cmath.exp(1j * math.pi / 8) if rotated else 0.35
+    graded, rotated = route == "graded", route != "log substitution"
+    z = 0.35 * cmath.exp(1j * math.pi / 8) if route == "rotated ray" else 0.35
     real = ext._weyl_kernel_fn
 
     def poisoned(kernel, alpha, tol):
         w = real(kernel, alpha, tol)
         if (kernel.z2 == z * z) if graded else (kernel.z.z == z):
-            return _HintedFn(lambda t: np.full(np.shape(t), np.nan), *w.metadata())
+            return _HintedFn(lambda t: np.full(np.shape(t), np.nan), *w.metadata(), w.sector())
         return w
 
     monkeypatch.setattr(ext, "_weyl_kernel_fn", poisoned)
-    A = build_laplacian_1d(4, 1.0, "periodic" if graded else "dirichlet")
+    if route == "oscillating lane":
+        A = build_fourier_multiplier(lambda xi: 1j * xi ** 3, [-2.0, -1.0, 1.0, 2.0])
+    else:
+        A = build_laplacian_1d(4, 1.0, "periodic" if graded else "dirichlet")
     f, zs = np.array([1.0, -0.5, 0.3, 0.8]), np.array([0.2, z, 0.5])
     with pytest.raises(QuadratureError) as info:
         if graded:
             solve_cosine_fractional(cosine_family(A), 0.3, zs, f)
         else:
             ExtensionSolver(heat_semigroup(A), 0.4, f).value(zs)
-    where = " on the rotated ray (log substitution)" if rotated else f" ({route})"
+    where = " on the rotated ray (log substitution)" if rotated and not graded else f" ({route})"
     assert str(info.value) == (f"spectral integral at z = {complex(z)!r}{where}: "
                                "NaN/Inf sample detected")

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from fracext.families import (
     integrated_cosine,
     integrated_exponential,
     measure_growth,
-    scalar_split,
     temperedness_profile,
     verify_resolvent,
 )
@@ -150,6 +150,22 @@ def test_integrated_exponential_order_one_limit_at_infinity(a):
     both = integrated_exponential(a, 1.0, np.array([math.inf, 0.5]))
     assert both[0] == got
     assert both[1] == integrated_exponential(a, 1.0, 0.5)
+
+
+def test_integrated_exponential_limits_at_infinity():
+    # e^{a t} -> 0 for Re a < 0: the limit is 0 below order 1 and -1/a at
+    # order 1; above order 1, or without decay, there is no limit to return
+    for alpha in (0.0, 0.3, 0.5, 0.9):
+        for a in (-2.0, -1e-3, -1.0 + 3.0j):
+            assert integrated_exponential(a, alpha, math.inf) == 0.0
+    got = integrated_exponential(np.array([-4.0, -0.5 - 2.0j]), 1.0, math.inf)
+    assert np.all(got == [0.25, -1.0 / (-0.5 - 2.0j)])
+    for alpha, a in ((1.5, -1.0), (2.0, -3.0 + 1.0j), (1.0, 2j), (1.0, 0.0), (0.5, 0.5),
+                     (0.0, 1j)):
+        with pytest.raises(ValueError, match="no limit at t = inf"):
+            integrated_exponential(a, alpha, math.inf)
+    with pytest.raises(ValueError, match="no limit"):
+        integrated_exponential(-1.0, 2.0, np.array([1.0, math.inf]))
 
 
 def test_cosine_family_values():
@@ -307,6 +323,9 @@ def test_integrated_exponential_array_regimes_vs_hyp1f1():
     # of arg x = 3 pi / 4.  Integer orders take the Taylor sum within
     # |x| <= max(1, m - 2) and the expm1 recurrence outside, including at
     # the zero 2 pi i of e^x - 1 and far down the negative real axis.
+    # Complex t sits on both sides of arg a + arg t = pi, where the
+    # principal arg of x = a t wraps round, in the incomplete-gamma and the
+    # asymptotic regimes.
     x = np.array([-0.3, 2j, -7.0 + 5.0j, 11.5, 20j, -20.0 + 25.0j,
                   -25.0 + 1.0j, -38.0 - 0.5j, -42.0 + 1.0j,
                   60j, -60.0 + 40.0j, -200.0,
@@ -314,13 +333,20 @@ def test_integrated_exponential_array_regimes_vs_hyp1f1():
                   -1.001, 1.0 + 0.01j, 0.02 - 0.99j, 2j * math.pi, -1e3])
     t = np.linspace(0.5, 3.0, x.size)
     a = x / t
+    wrap = [(-1.0, 20.0, 0.4), (-1.0, 20.0, -0.4), (cmath.exp(2.9j), 30.0, 0.4),
+            (cmath.exp(2.6j), 30.0, 0.4), (1j, 15.0, 1.7), (-1j, 15.0, -1.7),
+            (-1.0, 5.0, 0.4), (-1.0, 60.0, 1.5), (-1.0, 60.0, -1.5),
+            (cmath.exp(3.0j), 50.0, 1.6)]
+    a = np.concatenate([a, [rate for rate, _, _ in wrap]])
+    t = np.concatenate([t, [r * cmath.exp(1j * phase) for _, r, phase in wrap]])
+    x = a * t
     for alpha in (0.5, 1.0, 1.5, 2.0, 3.0):
         got = integrated_exponential(a, alpha, t)
         assert got.shape == x.shape
         for k in range(x.size):
             with mpmath.workdps(30):
-                ref = complex(mpmath.mpf(t[k]) ** alpha / mpmath.gamma(alpha + 1)
-                              * mpmath.hyp1f1(1, alpha + 1, mpmath.mpc(x[k])))
+                ref = complex(mpmath.mpc(t[k]) ** alpha / mpmath.gamma(alpha + 1)
+                              * mpmath.hyp1f1(1, alpha + 1, mpmath.mpc(a[k]) * mpmath.mpc(t[k])))
             assert abs(got[k] - ref) <= 1e-12 * max(1.0, abs(ref))
             assert got[k] == integrated_exponential(a[k], alpha, t[k])
 
@@ -332,24 +358,6 @@ def test_integrated_exponential_at_zero_time():
         got = integrated_exponential(a, float(m), np.zeros(a.size))
         assert np.all(got == (1.0 if m == 0 else 0.0))
         assert integrated_exponential(-2.0, float(m), 0.0) == (1.0 if m == 0 else 0.0)
-
-
-def test_integer_split_remainder_vs_mpmath():
-    mpmath = pytest.importorskip("mpmath")
-    # s_a(t) - a^{-m} e^{a t} on both sides of |a t| = 45, for real-negative
-    # and imaginary rates
-    t = np.array([0.5, 3.0, 20.0, 90.0])
-    for a in (-0.8, -3.0, 0.7j, -2.5j):
-        for m in (1, 2, 3):
-            parts, smooth = scalar_split("integrated_semigroup", float(m), a)
-            assert [rate for _, rate in parts] == [a]
-            got = smooth(t)
-            for k in range(t.size):
-                with mpmath.workdps(40):
-                    tk, ak = mpmath.mpf(t[k]), mpmath.mpc(a)
-                    ref = complex(tk ** m / mpmath.factorial(m) * mpmath.hyp1f1(1, m + 1, ak * tk)
-                                  - ak ** (-m) * mpmath.exp(ak * tk))
-                assert abs(got[k] - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_spectral_apply_matches_matmul(rng):

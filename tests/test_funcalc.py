@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from fracext.funcalc import (
 from fracext.kernels import Kernel, SectorPoint, _Expr, _HintedFn
 from fracext.operators import LinearOperator, apply, spectral_decompose
 from fracext.specfun import FracOrder
-from tests.conftest import simpson_log
+from tests.conftest import bessel_k_solution, simpson_log
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -165,6 +166,41 @@ def test_method_agreement_imaginary(imag_multiplier, f4):
     for i in range(len(vals)):
         for j in range(i + 1, len(vals)):
             assert np.linalg.norm(vals[i] - vals[j]) <= 1e-5 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+def test_pi_alpha_b_kernel_on_i_xi3_vs_bessel_k(alpha):
+    # pi_alpha(b^{sigma,z}) is the extension value, every mode of i xi^3 on
+    # its own turned ray; the cero identity holds through the b' weight
+    eigs = [1j * xi ** 3 for xi in (-2.0, -1.0, 1.0, 2.0)]
+    A, f = LinearOperator("diagonal", eigs), np.array([1.0, -0.5 + 0.2j, 0.3, 0.8])
+    fam = heat_semigroup(A) if alpha == 0 else integrate_family(heat_semigroup(A), alpha)
+    for sigma, z in ((0.3, 0.7), (complex(0.4, 0.2), 0.6 * cmath.exp(-0.6j))):
+        k = Kernel("b", FracOrder(sigma), SectorPoint(z))
+        ref = bessel_k_solution(eigs, f, sigma, z)
+        assert np.max(np.abs(pi_alpha(k, fam, f) - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert cero_residual(k, fam, f) <= 1e-9
+
+
+def test_sampled_weight_needs_sector_on_oscillating_modes():
+    # a sampled algebraic weight has the real axis alone unless given a
+    # sector: on purely oscillating modes it names itself instead of
+    # integrating an undamped tail; given its sector, the modes turn onto
+    # decaying rays
+    mpmath = pytest.importorskip("mpmath")
+    fam = heat_semigroup(LinearOperator("diagonal", [1j, -2j]))
+
+    def weight(t):
+        return (1.0 + np.asarray(t)) ** -2.0
+
+    with pytest.raises(ValueError, match=r"of weight 0: no ray in the sector \(0\.0, 0\.0\)"):
+        pi_alpha(_HintedFn(weight, 0.0, ("algebraic", 2.0)), fam, np.ones(2))
+    got = pi_alpha(_HintedFn(weight, 0.0, ("algebraic", 2.0), (-math.pi, math.pi)), fam,
+                   np.ones(2))
+    for k, c in enumerate((1.0, -2.0)):
+        ref = complex(mpmath.quadosc(lambda t: (1 + t) ** -2 * mpmath.expj(c * t),
+                                     [0, mpmath.inf], omega=abs(c)))
+        assert abs(got[k] - ref) <= 1e-10 * abs(ref)
 
 
 def test_homomorphism_property(laplacian8, f8):

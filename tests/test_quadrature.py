@@ -8,7 +8,6 @@ from fracext.quadrature import (
     QuadratureError,
     integrate_halfline,
     integrate_interval,
-    integrate_oscillatory_halfline,
     richardson_limit,
     richardson_multi,
 )
@@ -118,22 +117,6 @@ def test_decay_hint_validation():
         DecayHint("no-such-kind")
 
 
-def test_oscillatory_poisson_integral():
-    # (2/pi) int_0^inf y/(y^2+t^2) cos t dt = e^{-y}
-    for y in (0.5, 1.0):
-        r = integrate_oscillatory_halfline(
-            lambda t: (2.0 / math.pi) * y / (y * y + t * t) * np.cos(t),
-            omega=1.0, tol=1e-11)
-        assert abs(r.value - math.exp(-y)) < 1e-9
-
-
-def test_oscillatory_fresnel_type():
-    # int_0^inf t^{-1/2} cos t dt = sqrt(pi/2)
-    r = integrate_oscillatory_halfline(lambda t: t ** -0.5 * np.cos(t),
-                                       omega=1.0, zero_exponent=-0.5, tol=1e-11)
-    assert abs(r.value - math.sqrt(math.pi / 2.0)) < 1e-9
-
-
 def test_richardson_linear_exact():
     samples = [(0.5 * 0.7 ** k, 2.0 + 0.5 * 0.7 ** k) for k in range(6)]
     L, diag = richardson_limit(samples, 1.0)
@@ -190,10 +173,3 @@ def test_richardson_vector_values():
     samples = [(y, np.array([2.0 + y, -1.0 + 3.0 * y])) for y in ys]
     L, _ = richardson_limit(samples, 1.0)
     assert np.allclose(L, [2.0, -1.0], atol=1e-12)
-
-
-def test_oscillatory_panel_cap():
-    # a tail too slow for the panel budget raises rather than returning junk
-    with pytest.raises(QuadratureError):
-        integrate_oscillatory_halfline(lambda t: np.cos(t) / np.log(t + 2.0),
-                                       omega=1.0, tol=1e-13, max_panels=8)
