@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io
 import itertools
 import json
@@ -252,7 +253,8 @@ def _emit_table(rows, columns, out_path: str, fmt: str):
         text = buf.getvalue()
     elif fmt == "json":
         payload = [{key: _json_cell(v) for key, v in zip(columns, row)} for row in rows]
-        text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        # compact: any indent forces json's pure-Python encoder
+        text = json.dumps(payload, sort_keys=True) + "\n"
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
     if out_path == "-":
@@ -414,6 +416,7 @@ def cmd_verify(suite: str, seed: int):
     return rows, columns, EXIT_OK if ok else EXIT_NUMERICAL
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fracext",

@@ -81,19 +81,12 @@ class TraceEstimate:
 
 
 def _sigma_checked(sigma) -> FracOrder:
-    if isinstance(sigma, FracOrder):
-        order = sigma
-    else:
-        order = FracOrder(complex(sigma))
+    order = FracOrder(sigma)
     if not (SIGMA_BAND[0] < order.sigma.real < SIGMA_BAND[1]):
         raise ValueError(
             f"Re(sigma) = {order.sigma.real:g} outside the supported band {SIGMA_BAND}"
         )
     return order
-
-
-def _sector_point(z: complex, closed: bool = False) -> SectorPoint:
-    return SectorPoint(complex(z), math.pi / 4.0, closed=closed)
 
 
 def _points(z) -> np.ndarray:
@@ -118,7 +111,7 @@ def _semigroup_pi(make, family: OperatorFamily, f, z, tol: float):
     if (scalar and np.any(np.abs(phase - math.pi / 4.0) < 1e-12)
             and np.any(np.abs(spectral_eigendata(family.generator)[0].imag) > 1e-9)):
         raise ValueError("sector boundary evaluation needs a generator with real spectrum")
-    kernels = [make(_sector_point(w, closed=True)) for w in zs]
+    kernels = [make(SectorPoint(w, math.pi / 4.0, closed=True)) for w in zs]
     names = [f"at z = {complex(w)!r}" for w in zs for _ in kernels[0]]
     value, err = spectral_integral([_weyl_kernel_fn(k, family.alpha, tol) for ks in kernels
                                     for k in ks], family, f, tol, names=names)
@@ -427,7 +420,7 @@ def pde_residual(solver: ExtensionSolver, A: LinearOperator, sigma, z,
     """Relative residual of u'' + (1-2 sigma)/z u' + A u at z, by centered
     differences of step h along the radial direction (the three values in
     one call)."""
-    order = sigma if isinstance(sigma, FracOrder) else FracOrder(complex(sigma))
+    order = FracOrder(sigma)
     z = complex(z)
     if h > abs(z) / 10.0:
         raise ValueError("step must satisfy h <= |z|/10")

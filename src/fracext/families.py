@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import LinearOperator, apply, resolvent_solve, spectral_decompose
-from .quadrature import DecayHint, _graded_interval, integrate_halfline, integrate_interval
+from .quadrature import DecayHint, _graded, _unary, integrate_halfline, integrate_interval
 from .specfun import (ConvergenceError, _by_regime, _pow, _scaled_upper_u, cpow, gamma,
                       lower_incomplete_gamma)
 
@@ -310,9 +310,7 @@ def integrate_family(base: OperatorFamily, beta: float, spectral: bool | None = 
             d = np.atleast_1d(d)
             return (d ** (mu - 1.0))[:, None] * base.evaluate(t - d, f) / gamma(mu)
 
-        q = mu - 1.0 if mu < 1.0 else None
-        res = _graded_interval(g, 0.0, t, tol, q_left=q)
-        return res.value
+        return _graded(_unary(g), 1, t, mu - 1.0, tol)[0][0]
 
     return OperatorFamily(kind, beta, base.generator, _vector=vec)
 

@@ -21,9 +21,9 @@ import numpy as np
 from .families import (OperatorFamily, family_parts, heat_semigroup, integrate_family,
                        integrated_exponential, spectral_apply, spectral_eigendata,
                        spectral_error)
-from .kernels import Kernel, _HintedFn, _KernelExpr, _halfline_hints, _weyl_kernel_fn
+from .kernels import Kernel, _HintedFn, _KernelExpr, _weyl_kernel_fn
 from .operators import DefectiveOperatorError, LinearOperator, apply, resolvent_solve
-from .quadrature import DecayHint, _graded_interval, _halfline, integrate_halfline
+from .quadrature import DecayHint, _graded, _halfline, _unary, integrate_halfline
 from .specfun import FracOrder, cpow, gamma
 
 __all__ = [
@@ -47,12 +47,6 @@ class FractionalPowerResult:
     def __post_init__(self):
         if self.error_estimate < 0:
             raise ValueError("error_estimate must be nonnegative")
-
-
-def _sigma_value(sigma) -> complex:
-    if isinstance(sigma, FracOrder):
-        return sigma.sigma
-    return complex(sigma)
 
 
 def _rays(sector, rate):
@@ -82,7 +76,8 @@ def spectral_integral(weights, family: OperatorFamily, f, tol: float,
     real or purely imaginary rate decays; so an oscillating mode becomes a
     decaying one and every lane but an undamped zero mode takes the log
     substitution.  A lane is a (weight, ray, rates) triple with its own
-    panels and stopping target, and lanes with equal hints share one
+    panels and stopping target, and lanes with the same algebraic exponent
+    at 0 and tail power (the pair _halfline routes by) share one
     lane-batched quadrature when they also share their eigenvalues.  A
     black-box family makes one real-axis lane of w_k(t) T_alpha(shift + t) f
     per weight.
@@ -97,19 +92,13 @@ def spectral_integral(weights, family: OperatorFamily, f, tol: float,
     groups, lanes = {}, {}
     for k, w in enumerate(weights):
         w_zero, w_tail = w.metadata()
-        prod_zero = None if w_zero is None else w_zero + alpha
+        q = None if w_zero is None or w_zero + alpha >= 0.0 else w_zero + alpha
         damped = w_tail[0] == "exponential"
-        if damped:
-            tail = w_tail
-        else:
-            # |T_alpha(t)| <= C t^alpha eats alpha powers of the weight's decay
-            p_eff = w_tail[1] - alpha
-            tail = ("algebraic", p_eff) if p_eff > 1.0 else None
-        hints = tuple(_halfline_hints(prod_zero, tail))
+        # |T_alpha(t)| <= C t^alpha eats alpha powers of the weight's decay
+        p = None if damped or w_tail[1] - alpha <= 1.0 else w_tail[1] - alpha
         if not spectral:
-            groups.setdefault((hints, tuple(range(f.size))), []).append((k, 0.0, 1.0, None))
+            groups.setdefault((q, p, tuple(range(f.size))), []).append((k, 0.0, 1.0, None))
             continue
-        exp_hints = tuple(_halfline_hints(prod_zero, ("exponential", 1.0)))
         for amp, rate in family_parts(family.kind, eigs):
             theta = _rays(w.sector(), rate)
             turned = rate * np.exp(1j * theta)
@@ -125,11 +114,11 @@ def spectral_integral(weights, family: OperatorFamily, f, tol: float,
                     lanes[key][2] += amp
                 else:
                     lanes[key] = [k, th, amp, rate[ids]]
-                    groups.setdefault((hints if st else exp_hints, tuple(ids)),
+                    groups.setdefault((q, p if st else None, tuple(ids)),
                                       []).append(lanes[key])
     vals = np.zeros((count, eigs.size if spectral else f.size), dtype=complex)
     err = np.zeros(count)
-    for (hints, ids), group in groups.items():
+    for (q, p, ids), group in groups.items():
         owner, thetas, amps, rates = zip(*group)
         ids, rots = list(ids), np.exp(1j * np.array(thetas))
         rotating = any(thetas)
@@ -149,7 +138,7 @@ def spectral_integral(weights, family: OperatorFamily, f, tol: float,
                 return w[:, None] * family.evaluate(shift + t, f)
             return w[:, None] * integrated_exponential(rates[lane], alpha, shift + t[:, None])
 
-        v, e, _ = _halfline(integrand, len(group), list(hints), tol, label=lambda j: (
+        v, e, _ = _halfline(integrand, len(group), q, p, tol, label=lambda j: (
             f"spectral integral {names[owner[j]]}" + " on the rotated ray" * bool(thetas[j])))
         for k, amp, vk, ek in zip(owner, amps, v, e):
             vals[k, ids] += amp * vk
@@ -191,7 +180,7 @@ def balakrishnan_power(A: LinearOperator, sigma, f, tol: float = 1e-11) -> Fract
     error estimate with it), so a zero mode contributes exactly 0; a
     defective A solves the resolvent at every node.
     """
-    s = _sigma_value(sigma)
+    s = complex(sigma)
     if not (0.0 < s.real < 1.0):
         raise ValueError("balakrishnan_power needs 0 < Re sigma < 1")
     f = np.asarray(f, dtype=complex).reshape(-1)
@@ -228,7 +217,7 @@ def integrated_power(family: OperatorFamily, sigma, f,
     Below t = 1 the integrand is evaluated in the cancellation-free form
     T_{alpha+1}(t) A f t^{-sigma-alpha-1}.
     """
-    s = _sigma_value(sigma)
+    s = complex(sigma)
     if not (0.0 < s.real < 1.0):
         raise ValueError("integrated_power needs 0 < Re sigma < 1")
     f = np.asarray(f, dtype=complex).reshape(-1)
@@ -250,16 +239,16 @@ def integrated_power(family: OperatorFamily, sigma, f,
         t = np.atleast_1d(t)
         return T_next.evaluate(t, Af) * (t ** (-s - alpha - 1.0))[:, None]
 
-    r_small = _graded_interval(small, 0.0, 1.0, tol, q_left=-s.real)
+    v_small, e_small, _ = _graded(_unary(small), 1, 1.0, -s.real, tol)
     # past t = 1, T_alpha(t) f t^{-sigma-alpha-1}; the subtracted
     # t^alpha f / Gamma(alpha+1) term integrates to f / (sigma Gamma(alpha+1))
     weight = _HintedFn(lambda tau: (1.0 + tau) ** (-s - alpha - 1.0), 0.0,
                        ("algebraic", 1.0 + s.real + alpha), (-math.pi, math.pi))
     tail, err = spectral_integral([weight], family, f, tol, shift=1.0)
     tail_vec = tail[0] - f / (s * gamma(alpha + 1.0))
-    value = factor * (np.asarray(r_small.value).reshape(-1) + tail_vec)
+    value = factor * (v_small[0] + tail_vec)
     return FractionalPowerResult(value=value, method="integrated_formula",
-                                 error_estimate=abs(factor) * (r_small.error_estimate + err[0]))
+                                 error_estimate=abs(factor) * (e_small[0] + err[0]))
 
 
 def shifted_negative_power(A: LinearOperator, eps: float, sigma, f,
@@ -268,11 +257,9 @@ def shifted_negative_power(A: LinearOperator, eps: float, sigma, f,
     """(eps - A)^{-sigma} f realized as pi_alpha(e_eps h^sigma) f."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    s = _sigma_value(sigma)
     if family is None:
         family = heat_semigroup(A)
-    phi = Kernel("h", FracOrder(s) if not isinstance(sigma, FracOrder) else sigma,
-                 eps=float(eps))
+    phi = Kernel("h", FracOrder(sigma), eps=float(eps))
     return pi_alpha(phi, family, f, tol=tol)
 
 
@@ -292,7 +279,7 @@ def msm_limit_residual(A: LinearOperator, sigma, f, eps_sequence,
 
 def spectral_power_oracle(A: LinearOperator, sigma, f) -> FractionalPowerResult:
     """Ground truth for diagonalizable A: basis diag((-a_k)^sigma) basis^{-1} f."""
-    s = _sigma_value(sigma)
+    s = complex(sigma)
     if s.real <= 0:
         raise ValueError("oracle needs Re sigma > 0")
     eigs = spectral_eigendata(A)[0]

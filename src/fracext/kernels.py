@@ -14,10 +14,11 @@ calculus, the Sobolev-algebra norms, and the half-line convolution here.
 
 Every function of t that the Weyl calculus or the spectral integral sees
 speaks one protocol (_KernelExpr): fn(n) gives the n-th time derivative
-as a vectorized callable, and metadata() its decay, read back through
-zero_exponent() (the algebraic exponent at t -> 0+, None when flat along
-the integration ray) and tail() (('exponential', rate) or ('algebraic',
-power) at infinity, None when unknown); sector() gives the open range
+as a vectorized callable, and metadata() its decay, the pair (zero, tail):
+zero is the algebraic exponent at t -> 0+ (None when flat along the
+integration ray), tail is ('exponential', rate) or ('algebraic', power)
+at infinity (None when unknown).  That pair is the only statement of
+decay; quadrature turns it into a route.  sector() gives the open range
 (lo, hi) of arg t where it is analytic and keeps that decay, the room a
 spectral integral has to rotate its ray.  Kernel takes all of them from
 its closed form; the expressions (_Expr here, extension._CosTerms)
@@ -36,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import DecayHint, _graded_interval, _halfline, integrate_halfline
+from .quadrature import _graded, _halfline, _unary
 from .specfun import FracOrder, cexpm1, cpow, gamma
 
 __all__ = [
@@ -118,7 +119,7 @@ def _z_poly(w: complex, n: int) -> tuple:
 
 def time_derivative_coefficients(kind: str, n: int, sigma) -> DerivativeCoefficients:
     """d_{j,n} (kind 'b') or k_{j,n} (kind 'B') for the n-th time derivative."""
-    s = sigma.sigma if isinstance(sigma, FracOrder) else complex(sigma)
+    s = complex(sigma)
     rho = {"b": -(1.0 + s), "B": -(1.0 - s)}.get(kind)
     if rho is None:
         raise ValueError("time-derivative tables exist for kinds 'b' and 'B'")
@@ -129,7 +130,7 @@ def time_derivative_coefficients(kind: str, n: int, sigma) -> DerivativeCoeffici
 
 def z_derivative_coefficients(kind: str, n: int, sigma) -> DerivativeCoefficients:
     """c_{j,n} for the n-th z-derivative of kind 'b' or 'B'."""
-    s = sigma.sigma if isinstance(sigma, FracOrder) else complex(sigma)
+    s = complex(sigma)
     w = {"b": 2.0 * s, "B": 0.0 + 0.0j}.get(kind)
     if w is None:
         raise ValueError("z-derivative tables exist for kinds 'b' and 'B'")
@@ -141,7 +142,7 @@ def z_derivative_coefficients(kind: str, n: int, sigma) -> DerivativeCoefficient
 
 
 class _KernelExpr:
-    """The kernel protocol: fn(n), zero_exponent(), tail() and sector().
+    """The kernel protocol: fn(n), metadata() and sector().
 
     Subclasses provide metadata() -> (zero exponent, tail), sector() and
     either derivative() or fn() itself.
@@ -154,12 +155,6 @@ class _KernelExpr:
         for _ in range(n):
             f = f.derivative()
         return f
-
-    def zero_exponent(self):
-        return self.metadata()[0]
-
-    def tail(self):
-        return self.metadata()[1]
 
 
 class _Expr(_KernelExpr):
@@ -440,39 +435,17 @@ def _kernel_like(phi) -> _KernelExpr:
     raise TypeError(f"cannot interpret {phi!r} as a half-line function")
 
 
-def _require_integrable(phi: _KernelExpr):
-    tail = phi.tail()
-    if tail is not None and tail[0] == "algebraic" and tail[1] <= 1.0:
-        name = getattr(phi, "kind", "expression")
-        raise ValueError(
-            f"kernel {name!r} is not integrable over (0, inf); multiply by e_eps first"
-        )
-
-
-def _halfline_hints(zero_exp, tail):
-    hints = []
-    if zero_exp is None:
-        hints.append(DecayHint("essential-singularity-at-zero"))
-    elif zero_exp < 0.0:
-        hints.append(DecayHint("algebraic-singularity-at-zero", exponent=zero_exp))
-    if tail is not None:
-        kind, par = tail
-        if kind == "exponential":
-            hints.append(DecayHint("exponential-at-infinity"))
-        elif kind == "algebraic":
-            hints.append(DecayHint("algebraic-at-infinity", power=par))
-    return hints
-
-
 def _weyl_lanes(fn, zero_exp, tail, beta: float, s, tol: float, name: str):
     """(1/Gamma(beta)) int_0^inf tau^{beta-1} fn(s + tau) dtau at every
     entry of s, as one lane-batched half-line quadrature; a complex s
     integrates along the horizontal ray s + tau.
 
     Each point is a lane with its own panels and its own error target;
-    points whose hints differ (the zero exponent of fn adds to the lower
-    endpoint's at s = 0) integrate in separate lane groups.  A failing
-    lane names its point and the operator name.
+    points whose exponent at tau = 0 differs (the zero exponent of fn adds
+    to beta - 1 at s = 0) integrate in separate lane groups.  An algebraic
+    tail of fn takes the graded route, with exponent 0 when that endpoint
+    is bounded; an exponential one the log substitution.  A failing lane
+    names its point and the operator name.
     """
     pts = np.asarray(s, dtype=complex if np.iscomplexobj(s) else float).reshape(-1)
     gb = gamma(beta)
@@ -481,25 +454,21 @@ def _weyl_lanes(fn, zero_exp, tail, beta: float, s, tol: float, name: str):
         q0[pts == 0.0] += zero_exp
     if np.any(q0 <= -1.0):
         raise ValueError("Weyl integral diverges at the lower endpoint")
-    t_kind, t_par = tail if tail is not None else ("exponential", None)
-    if t_kind == "algebraic":
-        power = t_par - (beta - 1.0)
-        if power <= 1.0:
+    p = None
+    if tail is not None and tail[0] == "algebraic":
+        p = tail[1] - (beta - 1.0)
+        if p <= 1.0:
             raise ValueError("Weyl integral diverges at infinity (tail bound fails)")
     out = np.zeros(pts.size, dtype=complex)
     for q in np.unique(q0):
         ids = np.flatnonzero(q0 == q)
         at = pts[ids]
-        if t_kind == "algebraic":
-            hints = [DecayHint("algebraic-singularity-at-zero", exponent=min(float(q), 0.0)),
-                     DecayHint("algebraic-at-infinity", power=power)]
-        else:
-            hints = _halfline_hints(min(float(q), 0.0), ("exponential", 1.0))
 
         def integrand(tau, lane, at=at):
             return tau ** (beta - 1.0) * np.asarray(fn(at[lane] + tau)) / gb
 
-        out[ids] = _halfline(integrand, ids.size, hints, tol,
+        zero = min(float(q), 0.0) if p is not None or q < 0.0 else None
+        out[ids] = _halfline(integrand, ids.size, zero, p, tol,
                              label=lambda k, at=at: f"{name} at s = {at[k].item()!r}")[0]
     return out[0] if np.ndim(s) == 0 else out.reshape(np.shape(s))
 
@@ -555,7 +524,11 @@ def _weyl_kernel_fn(phi, alpha: float, tol: float) -> _HintedFn:
                 "wrap them in a hinted function"
             )
         tail = ("exponential", 1.0)
-    _require_integrable(phi)
+    if tail[0] == "algebraic" and tail[1] <= 1.0:
+        name = getattr(phi, "kind", "expression")
+        raise ValueError(
+            f"kernel {name!r} is not integrable over (0, inf); multiply by e_eps first"
+        )
     if alpha == int(alpha):
         n = int(alpha)
         base = phi.fn(n)
@@ -590,11 +563,9 @@ def sobolev_norm(phi, alpha: float, tol: float = 1e-11) -> float:
         return np.abs(w(t)) * t ** alpha / ga1
 
     # t^alpha adds alpha to the exponent at zero and takes it from the tail
-    if w_tail[0] == "algebraic":
-        w_tail = ("algebraic", w_tail[1] - alpha)
-    hints = _halfline_hints(None if w_zero is None else min(w_zero + alpha, 0.0), w_tail)
-    res = integrate_halfline(integrand, hints, tol=tol)
-    return float(np.real(res.value))
+    q = None if w_zero is None or w_zero + alpha >= 0.0 else w_zero + alpha
+    p = w_tail[1] - alpha if w_tail[0] == "algebraic" else None
+    return float(np.real(_halfline(_unary(integrand), 1, q, p, tol)[0][0]))
 
 
 def convolve_halfline(phi, psi, s: float, tol: float = 1e-11):
@@ -608,8 +579,7 @@ def convolve_halfline(phi, psi, s: float, tol: float = 1e-11):
         raise ValueError("convolution needs s > 0")
     s = float(s)
     phi, psi = _kernel_like(phi), _kernel_like(psi)
-    fphi, q_phi = phi.fn(0), phi.zero_exponent()
-    fpsi, q_psi = psi.fn(0), psi.zero_exponent()
+    fphi, fpsi = phi.fn(0), psi.fn(0)
     mid = 0.5 * s
 
     def left(t):  # t near 0: psi's singularity
@@ -619,7 +589,6 @@ def convolve_halfline(phi, psi, s: float, tol: float = 1e-11):
         return np.asarray(fphi(d)) * np.asarray(fpsi(s - d))
 
     total = 0.0 + 0.0j
-    for g, q in ((left, q_psi), (right, q_phi)):
-        ql = q if (q is not None and q < 0) else None
-        total += _graded_interval(g, 0.0, mid, tol, q_left=ql).value
+    for g, k in ((left, psi), (right, phi)):
+        total += _graded(_unary(g), 1, mid, k.metadata()[0], tol)[0][0]
     return total

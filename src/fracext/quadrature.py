@@ -1,12 +1,14 @@
 """Improper-integral evaluation on (0, inf) and finite intervals, plus limit extrapolation.
 
-The half-line driver picks a variable substitution from decay hints:
-t = e^u for essential singularities at zero and/or exponential or
-algebraic tails (the probe finds the truncation window), power grading
-t = s^{1/(1+q)} for algebraic endpoint singularities, and inversion
-t = 1/s for algebraic tails.  Oscillating integrands are the caller's to
-turn into decaying ones (funcalc rotates them onto rays in the complex
-plane), so every route integrates an integrand that decays.
+A half-line route depends on two numbers only: the algebraic exponent q
+at zero (|f| ~ t^q) and the algebraic tail power p (|f| ~ t^-p), each
+None when absent.  With both, power grading t = s^{1/(1+q)} on [0, 1]
+and inversion t = 1/s, graded the same way, on [1, inf); otherwise the
+log substitution t = e^u, whose probe finds the truncation window.  An
+essential singularity at zero or an exponential tail is that default, so
+those DecayHint kinds choose nothing.  Oscillating integrands are the
+caller's to turn into decaying ones (funcalc rotates them onto rays in
+the complex plane), so every route integrates an integrand that decays.
 
 Integrands are vectorized: f(t: ndarray) -> ndarray whose leading axis
 matches t; trailing axes (vector values) are carried through.
@@ -14,10 +16,12 @@ matches t; trailing axes (vector values) are carried through.
 One adaptive Gauss-Kronrod driver (_adaptive) does all the bisection, for
 independent lanes at once: each lane has its own interval, panels and
 stopping test, and each round samples every unconverged lane in one call
-f(t, lane), lane[i] naming the lane of node t[i].  integrate_interval is
-its one-lane call; _halfline takes lanes through both half-line routes, so
-a Weyl derivative at many points, or a spectral integral over a z grid, a
-trace's y grid or an eps ladder, costs one integrand call per round.
+f(t, lane), lane[i] naming the lane of node t[i].  _graded is the one
+finite-interval entry, [0, b] under the grading of an algebraic zero;
+integrate_interval is its one-lane ungraded call.  _halfline takes lanes
+through both half-line routes, so a Weyl derivative at many points, or a
+spectral integral over a z grid, a trace's y grid or an eps ladder, costs
+one integrand call per round.
 """
 
 from __future__ import annotations
@@ -133,9 +137,6 @@ def _rowmax(v):
 def _with_jacobian(vals, jac):
     vals = np.asarray(vals)
     return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - 1))
-
-
-_LANE0 = np.zeros(1, dtype=int)
 
 
 def _unary(f):
@@ -254,60 +255,38 @@ def _adaptive(f, lanes, a, b, tol, atol, max_panels, label=None):
     return val.sum(axis=1), err.sum(axis=1), evals + 30 * count
 
 
-def integrate_interval(f, a, b, tol: float = DEFAULT_TOL, max_panels: int = 4000,
-                       atol: float = 0.0) -> QuadratureResult:
-    """Adaptive Gauss-Kronrod integration of f over [a, b]: the one-lane
-    call of the lane driver.
+def _graded(f, lanes, b, q, tol, max_panels=4000, label=None):
+    """Lane k of lanes integrates f(., k) over [0, b] under t = s^m,
+    m = 1/(1+q): an algebraic zero |f| ~ t^q with -1 < q < 0 becomes an
+    integrand smooth in s; q None or >= 0 integrates in t itself.
+    Returns (values, error estimates, evaluations) per lane."""
+    if not b > 0:
+        raise ValueError(f"integration needs a < b (interval length {b!r})")
+    g, top = f, b
+    if q is not None and q < 0.0:
+        if q <= -1.0:
+            raise ValueError(f"an algebraic zero t^{q:g} is not integrable")
+        m = 1.0 / (1.0 + q)
+        top = b ** (1.0 / m)
+
+        def g(s, lane):
+            return _with_jacobian(f(s ** m, lane), m * s ** (m - 1.0))
+
+    zero = np.zeros(lanes)
+    return _adaptive(g, np.arange(lanes), zero, np.full(lanes, top), tol, zero,
+                     max_panels, label)
+
+
+def integrate_interval(f, a, b, tol: float = DEFAULT_TOL,
+                       max_panels: int = 4000) -> QuadratureResult:
+    """Adaptive Gauss-Kronrod integration of f over [a, b]: the one-lane,
+    ungraded call of _graded in the offset t - a.
 
     The panel with the worst embedded error estimate is bisected until the
-    summed estimate falls below max(tol*|I|, atol).
+    summed estimate falls below tol*|I|.
     """
-    if not (a < b):
-        raise ValueError("integrate_interval needs a < b")
-    vals, errs, evals = _adaptive(_unary(f), _LANE0, np.array([a], float),
-                                  np.array([b], float), tol, np.array([atol], float),
-                                  max_panels)
+    vals, errs, evals = _graded(lambda t, lane: f(a + t), 1, b - a, None, tol, max_panels)
     return QuadratureResult(vals[0], float(errs[0]), int(evals[0]))
-
-
-def _graded_interval(f, a, b, tol, q_left=None):
-    """Integrate over [a, b] with an algebraic left-endpoint singularity
-    graded out.
-
-    q_left is the exponent of |f| ~ (t-a)^q near a (q > -1).  Grading
-    substitutes the exact power that removes the singularity.
-    """
-    if q_left is not None and q_left <= -1.0:
-        raise ValueError("left exponent must be > -1")
-    mid = 0.5 * (a + b)
-    if q_left is not None and q_left < 0.0:
-        m = 1.0 / (1.0 + q_left)
-
-        def g_left(s, m=m, a=a):
-            return _with_jacobian(f(a + s ** m), m * s ** (m - 1.0))
-
-        left = integrate_interval(g_left, 0.0, (mid - a) ** (1.0 / m), tol=tol)
-    else:
-        left = integrate_interval(f, a, mid, tol=tol)
-    right = integrate_interval(f, mid, b, tol=tol)
-    return QuadratureResult(left.value + right.value,
-                            left.error_estimate + right.error_estimate,
-                            left.evaluations + right.evaluations)
-
-
-def _parse_hints(hints):
-    zero_kind, q = None, None
-    inf_kind, p = None, None
-    for h in hints or ():
-        if h.kind == "essential-singularity-at-zero":
-            zero_kind = "essential"
-        elif h.kind == "algebraic-singularity-at-zero":
-            zero_kind, q = "algebraic", h.exponent
-        elif h.kind == "exponential-at-infinity":
-            inf_kind = "exponential"
-        elif h.kind == "algebraic-at-infinity":
-            inf_kind, p = "algebraic", h.power
-    return zero_kind, q, inf_kind, p
 
 
 _PROBE_U = np.linspace(-6.0, 6.0, 25)
@@ -370,42 +349,43 @@ def _log_substituted(f, lanes, tol, max_panels, label=None, q=None):
     return vals, errs, evals
 
 
-def _halfline(f, lanes, hints, tol, max_panels=6000, label=None):
+def _halfline(f, lanes, q, p, tol, max_panels=6000, label=None):
     """Lane-batched integrate_halfline: lane k integrates f(., k) over
-    (0, inf); returns (values, error estimates, evaluations) per lane."""
-    zero_kind, q, inf_kind, p = _parse_hints(hints)
-    route = ("graded" if zero_kind == "algebraic" and inf_kind == "algebraic"
-             else "log substitution")
+    (0, inf), given the algebraic exponent q at 0 (|f| ~ t^q) and the
+    algebraic tail power p (|f| ~ t^-p), each None when absent; returns
+    (values, error estimates, evaluations) per lane.
+
+    With both, [0, 1] is graded in t and [1, inf) in s = 1/t, where the
+    integrand f(1/s) / s^2 ~ s^{p-2}; otherwise every lane takes the log
+    substitution.
+    """
+    route = "graded" if q is not None and p is not None else "log substitution"
     named = label and (lambda k: f"{label(k)} ({route})")  # failures name the route
-    if route == "graded":
-        # power grading on [0,1], inversion + grading on [1,inf)
-        m = 1.0 / (1.0 + q) if q < 0.0 else 1.0
+    if route == "log substitution":
+        return _log_substituted(f, lanes, tol, max_panels, named, q)
 
-        def g0(s, lane):
-            return _with_jacobian(f(s ** m, lane), m * s ** (m - 1.0))
+    def inverted(s, lane):
+        return _with_jacobian(f(1.0 / s, lane), 1.0 / s ** 2)
 
-        def ginv(s, lane):
-            return _with_jacobian(f(1.0 / s, lane), 1.0 / s ** 2)
-
-        # ginv ~ s^{p-2} near 0, graded out when that is singular
-        qinv = p - 2.0
-        mi = 1.0 / (1.0 + qinv)
-
-        def graded(w, lane):
-            return _with_jacobian(ginv(w ** mi, lane), mi * w ** (mi - 1.0))
-
-        g1 = graded if qinv < 0.0 else ginv
-        ids, zero, one = np.arange(lanes), np.zeros(lanes), np.ones(lanes)
-        r0 = _adaptive(g0, ids, zero, one, tol, zero, max_panels, label=named)
-        r1 = _adaptive(g1, ids, zero, one, tol, zero, max_panels, label=named)
-        return tuple(x + y for x, y in zip(r0, r1))
-    return _log_substituted(f, lanes, tol, max_panels, named, q)
+    r0 = _graded(f, lanes, 1.0, q, tol, max_panels, named)
+    r1 = _graded(inverted, lanes, 1.0, p - 2.0, tol, max_panels, named)
+    return tuple(x + y for x, y in zip(r0, r1))
 
 
 def integrate_halfline(f, hints=(), tol: float = DEFAULT_TOL,
                        max_panels: int = 6000) -> QuadratureResult:
-    """Integrate f over (0, inf), choosing the substitution from the hints."""
-    vals, errs, evals = _halfline(_unary(f), 1, hints, tol, max_panels)
+    """Integrate f over (0, inf), choosing the substitution from the hints.
+
+    Only the algebraic kinds choose a route (_halfline); the essential
+    singularity at zero and the exponential tail are the default it takes.
+    """
+    q = p = None
+    for h in hints or ():
+        if h.kind == "algebraic-singularity-at-zero":
+            q = h.exponent
+        elif h.kind == "algebraic-at-infinity":
+            p = h.power
+    vals, errs, evals = _halfline(_unary(f), 1, q, p, tol, max_panels)
     return QuadratureResult(vals[0], float(errs[0]), int(evals[0]))
 
 

@@ -54,6 +54,9 @@ class FracOrder:
             )
         object.__setattr__(self, "sigma", s)
 
+    def __complex__(self) -> complex:
+        return self.sigma
+
     @property
     def is_half(self) -> bool:
         return abs(self.sigma - 0.5) < 1e-8

@@ -45,8 +45,8 @@ def normalization_error(draws) -> float:
     err = 0.0
     for s, z in draws:
         b = _kernel("b", s, z)
-        r = quadrature.integrate_halfline(b.fn(0), kernels._halfline_hints(*b.metadata()),
-                                          tol=1e-11)
+        tail = quadrature.DecayHint("algebraic-at-infinity", power=b.metadata()[1][1])
+        r = quadrature.integrate_halfline(b.fn(0), [tail], tol=1e-11)
         err = max(err, abs(r.value - 1.0))
     return err
 

@@ -286,3 +286,33 @@ def test_sigma_validation(scalar_op):
         balakrishnan_power(scalar_op, 1.2, [1.0])
     with pytest.raises(ValueError):
         integrated_power(heat_semigroup(scalar_op), 0.0, [1.0])
+
+
+def test_bad_sigma_raises_everywhere(scalar_op):
+    # a FracOrder and a plain number are read alike; an order outside the
+    # strip (or outside the extension band) is a ValueError on every route
+    from fracext.extension import ExtensionSolver, pde_residual, solve_semigroup_form
+    from fracext.kernels import time_derivative_coefficients, z_derivative_coefficients
+
+    fam = heat_semigroup(scalar_op)
+    solver = ExtensionSolver(fam, FracOrder(0.5), [1.0])
+    assert pde_residual(solver, scalar_op, FracOrder(0.5), 0.8, 1e-3) < 1e-5
+    assert time_derivative_coefficients("b", 2, FracOrder(0.3)) == \
+        time_derivative_coefficients("b", 2, 0.3)
+    calls = [
+        lambda s: solve_semigroup_form(fam, s, 1.0, [1.0]),
+        lambda s: ExtensionSolver(fam, s, [1.0]),
+        lambda s: pde_residual(solver, scalar_op, s, 0.8, 1e-3),
+        lambda s: shifted_negative_power(scalar_op, 0.5, s, [1.0]),
+        lambda s: balakrishnan_power(scalar_op, s, [1.0]),
+        lambda s: integrated_power(fam, s, [1.0]),
+    ]
+    for call in calls:
+        for bad in (1.2, -0.3, complex(1.1, 0.2)):
+            with pytest.raises(ValueError):
+                call(bad)
+    with pytest.raises(ValueError):
+        spectral_power_oracle(scalar_op, -0.5, [1.0])
+    for table in (time_derivative_coefficients, z_derivative_coefficients):
+        with pytest.raises(ValueError):
+            table("b", 2, "half")

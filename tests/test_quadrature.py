@@ -25,9 +25,11 @@ def test_interval_beta_endpoint():
     # int_0^1 (1-s)^{-1/2} ds = 2, integrated in the distance variable
     r = integrate_interval(lambda d: d ** -0.5, 1e-300, 1.0, tol=1e-9)
     assert abs(r.value - 2.0) < 2e-4  # raw adaptive on the singular integrand
-    from fracext.quadrature import _graded_interval
-    r = _graded_interval(lambda d: d ** -0.5, 0.0, 1.0, 1e-11, q_left=-0.5)
-    assert abs(r.value - 2.0) < 1e-10
+    from fracext.quadrature import _graded
+    vals, _, _ = _graded(lambda d, lane: d ** -0.5, 1, 1.0, -0.5, 1e-11)
+    assert abs(vals[0] - 2.0) < 1e-10
+    with pytest.raises(ValueError):
+        _graded(lambda d, lane: d ** -1.5, 1, 1.0, -1.5, 1e-11)
 
 
 def test_interval_complex_oscillation():
@@ -173,3 +175,59 @@ def test_richardson_vector_values():
     samples = [(y, np.array([2.0 + y, -1.0 + 3.0 * y])) for y in ys]
     L, _ = richardson_limit(samples, 1.0)
     assert np.allclose(L, [2.0, -1.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["gamma_half", "kernel_b"])
+def test_halfline_routeless_kinds_change_nothing(case):
+    # only the algebraic kinds choose a route: adding or dropping the
+    # essential singularity at zero or the exponential tail leaves the
+    # value bitwise and the evaluation count unchanged
+    if case == "gamma_half":
+        def f(t):
+            return t ** -0.5 * np.exp(-t)
+
+        algebraic = [DecayHint("algebraic-singularity-at-zero", exponent=-0.5)]
+    else:
+        def f(t):
+            return np.exp(-1.0 / (4.0 * t)) * t ** -1.5 / (2.0 * math.sqrt(math.pi))
+
+        algebraic = [DecayHint("algebraic-at-infinity", power=1.5)]
+    routeless = [DecayHint("essential-singularity-at-zero"), EXP_TAIL]
+    bare = integrate_halfline(f, algebraic, tol=1e-11)
+    for extra in ([routeless[0]], [routeless[1]], routeless):
+        r = integrate_halfline(f, extra + algebraic, tol=1e-11)
+        assert r.value == bare.value
+        assert r.evaluations == bare.evaluations
+        assert r.error_estimate == bare.error_estimate
+
+
+@pytest.mark.parametrize("q", [None, -0.5, 0.3])
+def test_graded_lanes_equal_their_one_lane_calls(q):
+    from fracext.quadrature import _graded
+
+    rates = np.array([0.5, 1.0, 2.0])
+
+    def f(t, lane):
+        return t ** -0.5 * np.exp(-rates[lane] * t) if q == -0.5 else np.cos(rates[lane] * t)
+
+    together = _graded(f, rates.size, 2.0, q, 1e-12)
+    for k in range(rates.size):
+        alone = _graded(lambda t, lane, k=k: f(t, np.full(t.shape, k)), 1, 2.0, q, 1e-12)
+        assert [r[k] for r in together] == [r[0] for r in alone]
+
+
+def test_interval_is_the_ungraded_lane():
+    from fracext.quadrature import _graded
+
+    def f(t):
+        return np.exp(1j * t) / (1.0 + t * t)
+
+    r = integrate_interval(f, 0.0, 3.0, tol=1e-12)
+    vals, errs, evals = _graded(lambda t, lane: f(t), 1, 3.0, None, 1e-12)
+    assert (r.value, r.error_estimate, r.evaluations) == (vals[0], errs[0], evals[0])
+    # a left end a != 0 is the same lane in the offset t - a
+    shifted = integrate_interval(lambda t: f(t - 1.0), 1.0, 4.0, tol=1e-12)
+    assert abs(shifted.value - r.value) < 1e-13
+    for a, b in ((1.0, 1.0), (2.0, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            integrate_interval(f, a, b)

@@ -111,6 +111,12 @@ def test_frac_order_validation():
             FracOrder(bad)
 
 
+@pytest.mark.parametrize("s", [0.5, complex(0.4, 0.2)])
+def test_frac_order_reads_itself_and_complex(s):
+    assert FracOrder(FracOrder(s)) == FracOrder(s)
+    assert complex(FracOrder(s)) == s
+
+
 def test_constants_at_half():
     c = constants_for(FracOrder(0.5))
     # 4^{-1/2} Gamma(-1/2)/Gamma(1/2) = (1/2)(-2 sqrt(pi))/sqrt(pi) = -1
