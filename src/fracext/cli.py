@@ -92,21 +92,6 @@ class ProblemConfig:
     seed: int = 0
     output: dict = field(default_factory=lambda: {"path": "-", "format": "csv"})
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "operator": dict(self.operator),
-            "sigma": _encode_complex(self.sigma),
-            "family": dict(self.family),
-            "method": self.method,
-            "z_grid": [_encode_complex(z) for z in self.z_grid],
-            "trace_grid": dict(self.trace_grid),
-            "f": self.f,
-            "tol": self.tol,
-            "seed": self.seed,
-            "output": dict(self.output),
-        }
-
 
 def _finite(values, name: str):
     if not np.all(np.isfinite(values)):

@@ -18,7 +18,8 @@ t = e^{i arg(z^2)/2} s, which restores kernel decay uniformly up to the
 sector boundary; purely oscillating modes (imaginary spectra, and the
 halves e^{+-i omega t} of every cosine mode) run on rays turned into the
 half-plane where they decay, inside the sector where the kernel is
-analytic (funcalc.spectral_integral).
+analytic (funcalc.spectral_integral); each weight is the closed form
+(-1)^n k^(n) of a kernel k against T_n, n = ceil(alpha) (funcalc.pi_rows).
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import OperatorFamily, spectral_apply, spectral_eigendata
-from .funcalc import balakrishnan_power, spectral_integral
-from .kernels import Kernel, SectorPoint, _KernelExpr, _weyl_kernel_fn, z_derivative_fn
-from .operators import LinearOperator, apply
+from .funcalc import balakrishnan_power, pi_rows
+from .kernels import Kernel, SectorPoint, _KernelExpr, z_derivative_fn
+from .operators import MAX_DIMENSION, LinearOperator, apply
 from .quadrature import richardson_multi
 from .specfun import FracOrder, constants_for, cpow
 
@@ -113,8 +114,7 @@ def _semigroup_pi(make, family: OperatorFamily, f, z, tol: float):
         raise ValueError("sector boundary evaluation needs a generator with real spectrum")
     kernels = [make(SectorPoint(w, math.pi / 4.0, closed=True)) for w in zs]
     names = [f"at z = {complex(w)!r}" for w in zs for _ in kernels[0]]
-    value, err = spectral_integral([_weyl_kernel_fn(k, family.alpha, tol) for ks in kernels
-                                    for k in ks], family, f, tol, names=names)
+    value, err = pi_rows([k for ks in kernels for k in ks], family, f, tol, names=names)
     return value.reshape(zs.size, len(kernels[0]), -1), err.reshape(zs.size, -1)
 
 
@@ -294,8 +294,8 @@ def _cosine_pi(family: OperatorFamily, z, f, expr_of, s: complex, tol: float):
     """(int_0^inf W^alpha k(t) C_alpha(t) f dt as row k, error estimates) in
     one spectral integral, k = expr_of(z_k, sigma) for each point z_k."""
     zs = _require_cosine(family, z)
-    weights = [_weyl_kernel_fn(expr_of(w, s), family.alpha, tol) for w in zs]
-    return spectral_integral(weights, family, f, tol, names=[f"at z = {complex(w)!r}" for w in zs])
+    return pi_rows([expr_of(w, s) for w in zs], family, f, tol,
+                   names=[f"at z = {complex(w)!r}" for w in zs])
 
 
 def solve_cosine_form(family: OperatorFamily, sigma, z, f,
@@ -365,11 +365,14 @@ def _trace_exponents(s: complex):
 def trace_grid(A: LinearOperator, y0=None, ratio: float = 0.7, count: int = 13) -> list:
     """The geometric trace grid y0 * ratio^k, k < count.  The default
     y0 = min(0.5, 2/sqrt(||A||)) keeps the samples inside the boundary layer
-    of the stiffest mode, whose width is 1/sqrt(||A||)."""
+    of the stiffest mode, whose width is 1/sqrt(||A||).  Every point is a
+    lane: at most MAX_DIMENSION of them, the last a normal float."""
     if y0 is None:
         y0 = min(0.5, 2.0 / math.sqrt(max(A.norm(), 1e-300)))
-    if not (0 < ratio < 1) or count < 3 or not (0 < y0 < math.inf):
-        raise ValueError("trace_grid needs finite y0 > 0, 0 < ratio < 1, count >= 3")
+    if (not (0 < ratio < 1) or not 3 <= count <= MAX_DIMENSION or not (0 < y0 < math.inf)
+            or y0 * ratio ** (count - 1) < np.finfo(float).tiny):
+        raise ValueError(f"trace_grid needs finite y0 > 0, 0 < ratio < 1, 3 <= count <= "
+                         f"{MAX_DIMENSION} and a normal last point y0 ratio^(count - 1)")
     return [y0 * ratio ** k for k in range(count)]
 
 

@@ -315,6 +315,18 @@ def integrate_family(base: OperatorFamily, beta: float, spectral: bool | None = 
     return OperatorFamily(kind, beta, base.generator, _vector=vec)
 
 
+def ceil_order_family(family: OperatorFamily, tol: float = 1e-11) -> OperatorFamily:
+    """T_n = W^{-(n-alpha)} T_alpha, n = ceil(alpha): the n-fold integral of
+    the root (heat semigroup or cosine family) of the generator, spectral
+    exactly when the family is; at integer alpha the family itself."""
+    n = math.ceil(family.alpha)
+    if n == family.alpha:
+        return family
+    A = family.generator
+    root = cosine_family(A, allow_nonselfadjoint=True) if family.is_cosine else heat_semigroup(A)
+    return integrate_family(root, n, spectral=family.has_scalar, tol=tol)
+
+
 def _expm(m: np.ndarray) -> np.ndarray:
     """Scaling-and-squaring Pade(6) exponential for the defective fallback."""
     norm = float(np.linalg.norm(m, 1))
@@ -349,35 +361,24 @@ def _hermite_row(n: int, x: np.ndarray) -> np.ndarray:
 
 def cosine_to_semigroup(C_alpha: OperatorFamily, z: complex, f,
                         tol: float = 1e-10) -> np.ndarray:
-    """Recover the holomorphic semigroup from the cosine family:
-    T(z) f = int_0^inf W^alpha( e^{-s^2/(4z)} / sqrt(pi z) ) C_alpha(s) f ds."""
+    """Recover the holomorphic semigroup from the cosine family: T(z) f =
+    int_0^inf W^alpha g(s) C_alpha(s) f ds, g(s) = e^{-s^2/(4z)} / sqrt(pi z),
+    as int (-1)^n g^(n)(s) C_n(s) f ds, n = ceil(alpha): Hermite times g."""
     if not C_alpha.is_cosine:
         raise ValueError("cosine_to_semigroup needs a cosine-type family")
     z = complex(z)
     if z.real <= 0:
         raise ValueError("needs Re z > 0")
     f = np.asarray(f, dtype=complex).reshape(-1)
-    alpha = C_alpha.alpha
+    C_n = ceil_order_family(C_alpha, tol)
+    n = int(C_n.alpha)
     inv4z = 1.0 / (4.0 * z)
     sqz = cmath.sqrt(z)
     norm = 1.0 / cmath.sqrt(math.pi * z)
 
-    if alpha == int(alpha):
-        n = int(alpha)
-
-        def wkernel(s):
-            x = s / (2.0 * sqz)
-            return norm * (4.0 * z) ** (-0.5 * n) * _hermite_row(n, x) * np.exp(-s * s * inv4z)
-    else:
-        from .kernels import _HintedFn, weyl_derivative
-
-        def gauss(s):
-            return norm * np.exp(-np.asarray(s) ** 2 * inv4z)
-
-        hinted = _HintedFn(gauss, 0.0, ("exponential", 1.0))
-
-        def wkernel(s):
-            return weyl_derivative(hinted, alpha, np.atleast_1d(s), tol=tol)
+    def wkernel(s):
+        x = s / (2.0 * sqz)
+        return norm * (4.0 * z) ** (-0.5 * n) * _hermite_row(n, x) * np.exp(-s * s * inv4z)
 
     # Gaussian truncation: |exp(-s^2/(4z))| drops below tol at s_max
     rate = (inv4z).real
@@ -385,7 +386,7 @@ def cosine_to_semigroup(C_alpha: OperatorFamily, z: complex, f,
 
     def integrand(s):
         s = np.atleast_1d(s)
-        return np.asarray(wkernel(s))[:, None] * C_alpha.evaluate(s, f)
+        return np.asarray(wkernel(s))[:, None] * C_n.evaluate(s, f)
 
     res = integrate_interval(integrand, 0.0, s_max, tol=tol)
     return np.asarray(res.value).reshape(-1)

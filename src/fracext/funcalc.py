@@ -3,11 +3,12 @@
 pi_alpha(phi) f = int_0^inf W^alpha phi(t) T_alpha(t) f dt sends half-line
 kernels to bounded operators; plugging in the resolvent kernels, the
 power kernels, or the extension kernels yields (eps - A)^{-sigma}, the
-Balakrishnan power, and the extension solution respectively.  Every such
-integral goes through spectral_integral: a spectral family integrates all
-eigenvalues that share a ray in one vector quadrature (purely oscillating
-modes on rays turned until they decay); black-box families go through
-vector quadrature of T_alpha(t) f itself.
+Balakrishnan power, and the extension solution respectively.  pi_rows
+takes every order as int (-1)^n phi^(n)(t) T_n(t) f dt, n = ceil(alpha),
+through spectral_integral: a spectral family integrates all eigenvalues
+that share a ray in one vector quadrature (purely oscillating modes on
+rays turned until they decay); black-box families go through vector
+quadrature of T_n(t) f itself.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import (OperatorFamily, family_parts, heat_semigroup, integrate_family,
-                       integrated_exponential, spectral_apply, spectral_eigendata,
-                       spectral_error)
+from .families import (OperatorFamily, ceil_order_family, family_parts, heat_semigroup,
+                       integrate_family, integrated_exponential, spectral_apply,
+                       spectral_eigendata, spectral_error)
 from .kernels import Kernel, _HintedFn, _KernelExpr, _weyl_kernel_fn
 from .operators import DefectiveOperatorError, LinearOperator, apply, resolvent_solve
 from .quadrature import DecayHint, _graded, _halfline, _unary, integrate_halfline
@@ -65,9 +66,9 @@ def _rays(sector, rate):
 def spectral_integral(weights, family: OperatorFamily, f, tol: float,
                       shift: float = 0.0, names=None):
     """Rows int_0^inf w_k(t) T_alpha(shift + t) f dt for the weights w_k
-    of a list, each speaking the kernel protocol (as _weyl_kernel_fn gives)
-    with a known tail, and their quadrature error estimates in the scale
-    of f; names[k] names weight k in failure messages.
+    of a list, each speaking the kernel protocol with a known tail (pi_rows
+    passes (-1)^n phi^(n) with T_n), and their quadrature error estimates
+    in the scale of f; names[k] names weight k in failure messages.
 
     A spectral family writes the factor of each eigenvalue as parts amp *
     E(rate, t), E the alpha-fold integrated exponential (family_parts: a
@@ -148,10 +149,18 @@ def spectral_integral(weights, family: OperatorFamily, f, tol: float,
     return spectral_apply(family.generator, f, vals), spectral_error(family.generator, f, err)
 
 
+def pi_rows(kernels, family: OperatorFamily, f, tol: float, names=None):
+    """Rows pi_alpha(k) f of the kernels k and their error estimates, in one
+    spectral integral of (-1)^n k^(n) against T_n, n = ceil(alpha): Fubini
+    moves W^{-(n-alpha)} of W^alpha = W^{-(n-alpha)} (-1)^n d^n onto T_alpha."""
+    fam = ceil_order_family(family, tol)
+    return spectral_integral([_weyl_kernel_fn(k, fam.alpha, tol) for k in kernels], fam, f,
+                             tol, names=names)
+
+
 def pi_alpha(phi, family: OperatorFamily, f, tol: float = 1e-11) -> np.ndarray:
     """The functional-calculus value int_0^inf W^alpha phi(t) T_alpha(t) f dt."""
-    weight = _weyl_kernel_fn(phi, family.alpha, tol)
-    return spectral_integral([weight], family, f, tol)[0][0]
+    return pi_rows([phi], family, f, tol)[0][0]
 
 
 def cero_residual(phi, family: OperatorFamily, f, phi_zero=None,

@@ -25,7 +25,9 @@ its closed form; the expressions (_Expr here, extension._CosTerms)
 compute them from their own terms; a sampled function (_HintedFn) states
 them (its sector is the real axis alone unless given) and differences
 its samples for derivatives up to order 2.  This module alone decides
-what W^alpha phi is and how it decays (_weyl_kernel_fn).
+what W^alpha phi is and how it decays (_weyl_kernel_fn): at integer order
+(-1)^n phi^(n), the only weight pi_alpha uses (funcalc.pi_rows), at a
+fractional one a Weyl quadrature per point, for weyl_* and sobolev_norm.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -103,7 +104,6 @@ class DerivativeCoefficients:
     table: tuple
 
 
-@lru_cache(maxsize=None)
 def _z_poly(w: complex, n: int) -> tuple:
     # P_0 = 1, P_{m+1}(y) = 2 y P_m'(y) + (w - m - y/2) P_m(y);
     # d^n/dz^n kernel = z^{-n} P_n(z^2/t) kernel   (w = 2 sigma for b, 0 for B)

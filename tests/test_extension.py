@@ -487,13 +487,15 @@ def test_regularized_sequence_validation(scalar_op):
 
 def test_black_box_family_route(laplacian3, f3):
     # a family without per-eigenvalue closed forms goes through the vector
-    # quadrature route; it must agree with the spectral route
-    fam_bb = integrate_family(heat_semigroup(laplacian3), 1.0, spectral=False,
-                              tol=1e-10)
-    fam_sp = integrate_family(heat_semigroup(laplacian3), 1.0)
-    u_bb = solve_semigroup_form(fam_bb, 0.4, 0.8, f3, tol=1e-9).value
-    u_sp = solve_semigroup_form(fam_sp, 0.4, 0.8, f3).value
-    assert np.linalg.norm(u_bb - u_sp) <= 1e-7 * np.linalg.norm(u_sp)
+    # quadrature route; it must agree with the spectral route, at a
+    # fractional order through the once-integrated black-box family
+    for alpha in (1.0, 0.5):
+        fam_bb = integrate_family(heat_semigroup(laplacian3), alpha, spectral=False,
+                                  tol=1e-10)
+        fam_sp = integrate_family(heat_semigroup(laplacian3), alpha)
+        u_bb = solve_semigroup_form(fam_bb, 0.4, 0.8, f3, tol=1e-9).value
+        u_sp = solve_semigroup_form(fam_sp, 0.4, 0.8, f3).value
+        assert np.linalg.norm(u_bb - u_sp) <= 1e-7 * np.linalg.norm(u_sp)
 
 
 def test_semigroup_form_mixed_spectrum_vs_bessel_k():
@@ -515,8 +517,8 @@ def test_semigroup_form_mixed_spectrum_vs_bessel_k():
 
 
 def test_semigroup_form_fractional_alpha_vs_bessel_k():
-    # fractional-order integrated families weigh the kernel with W^alpha b,
-    # all nodes of one call in one lane-batched Weyl quadrature
+    # fractional-order integrated families integrate the ceil(alpha)-th
+    # derivative of b against the ceil(alpha)-times integrated family
     sigma, z = 0.35, 0.8
     A = LinearOperator("diagonal", [-2.0])
     f = np.array([1.0])
@@ -529,7 +531,7 @@ def test_semigroup_form_fractional_alpha_vs_bessel_k():
 
 def test_semigroup_form_fractional_alpha_rotated_vs_bessel_k():
     # off the real axis a fractional-order family rotates its real modes
-    # too: W^alpha b and the integrated exponential at complex t
+    # too: the derivative of b and the integrated exponential at complex t
     z = 0.6 * cmath.exp(1j * math.pi / 8)
     A, f = LinearOperator("diagonal", [-1.0, -2.5]), np.array([1.0, -0.6])
     got = solve_semigroup_form(integrate_family(heat_semigroup(A), 0.5), 0.35, z, f)
@@ -659,7 +661,7 @@ def _lane_case(case):
     if case == "periodic":
         return (heat_semigroup(build_laplacian_1d(8, 1.0, "periodic")), 0.5, f,
                 [0.2, 0.7, 0.5 * cmath.exp(1j * math.pi / 6)])
-    # fractional alpha: every lane carries its own Weyl weight (real z only)
+    # fractional alpha: every lane carries its own derivative weight (real z only)
     A = LinearOperator("diagonal", [-1.0, -2.5])
     return integrate_family(heat_semigroup(A), 0.5), 0.35, np.array([1.0, -0.6]), [0.4, 1.3]
 
@@ -702,14 +704,14 @@ def test_lane_failure_names_its_z(monkeypatch, route):
     # the route of the lane; the graded lane is the zero mode of a periodic
     # Laplacian under the algebraic cosine_fractional weight, and the
     # oscillating lanes are the modes of i xi^3, turned onto decaying rays
-    import fracext.extension as ext
+    import fracext.funcalc as funcalc
     from fracext.kernels import _HintedFn
     from fracext.operators import build_laplacian_1d
     from fracext.quadrature import QuadratureError
 
     graded, rotated = route == "graded", route != "log substitution"
     z = 0.35 * cmath.exp(1j * math.pi / 8) if route == "rotated ray" else 0.35
-    real = ext._weyl_kernel_fn
+    real = funcalc._weyl_kernel_fn
 
     def poisoned(kernel, alpha, tol):
         w = real(kernel, alpha, tol)
@@ -717,7 +719,7 @@ def test_lane_failure_names_its_z(monkeypatch, route):
             return _HintedFn(lambda t: np.full(np.shape(t), np.nan), *w.metadata(), w.sector())
         return w
 
-    monkeypatch.setattr(ext, "_weyl_kernel_fn", poisoned)
+    monkeypatch.setattr(funcalc, "_weyl_kernel_fn", poisoned)
     if route == "oscillating lane":
         A = build_fourier_multiplier(lambda xi: 1j * xi ** 3, [-2.0, -1.0, 1.0, 2.0])
     else:

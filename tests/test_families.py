@@ -305,13 +305,15 @@ def test_pure_imaginary_mode_resolvent():
 
 
 def test_cosine_to_semigroup_fractional_order():
-    # derivative-first Weyl of the Gaussian for a non-integer order
+    # a non-integer order integrates the Hermite form of the Gaussian's
+    # ceil(alpha)-th derivative against C_ceil(alpha)
     A = LinearOperator("diagonal", [-1.0, -2.5])
     f = np.array([1.0, 0.7])
-    fam = integrate_family(cosine_family(A), 0.5)
-    got = cosine_to_semigroup(fam, 1.0, f, tol=1e-8)
     ref = heat_semigroup(A).evaluate(1.0, f)
-    assert np.linalg.norm(got - ref) <= 1e-7 * np.linalg.norm(ref)
+    for alpha in (0.5, 1.5):
+        fam = integrate_family(cosine_family(A), alpha)
+        got = cosine_to_semigroup(fam, 1.0, f, tol=1e-8)
+        assert np.linalg.norm(got - ref) <= 1e-7 * np.linalg.norm(ref)
 
 
 def test_integrated_exponential_array_regimes_vs_hyp1f1():

@@ -12,9 +12,10 @@ from fracext.funcalc import (
     msm_limit_residual,
     pi_alpha,
     shifted_negative_power,
+    spectral_integral,
     spectral_power_oracle,
 )
-from fracext.kernels import Kernel, SectorPoint, _Expr, _HintedFn
+from fracext.kernels import Kernel, SectorPoint, _Expr, _HintedFn, _weyl_kernel_fn
 from fracext.operators import LinearOperator, apply, spectral_decompose
 from fracext.specfun import FracOrder
 from tests.conftest import bessel_k_solution, simpson_log
@@ -168,7 +169,7 @@ def test_method_agreement_imaginary(imag_multiplier, f4):
             assert np.linalg.norm(vals[i] - vals[j]) <= 1e-5 * np.linalg.norm(oracle)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0])
 def test_pi_alpha_b_kernel_on_i_xi3_vs_bessel_k(alpha):
     # pi_alpha(b^{sigma,z}) is the extension value, every mode of i xi^3 on
     # its own turned ray; the cero identity holds through the b' weight
@@ -180,6 +181,19 @@ def test_pi_alpha_b_kernel_on_i_xi3_vs_bessel_k(alpha):
         ref = bessel_k_solution(eigs, f, sigma, z)
         assert np.max(np.abs(pi_alpha(k, fam, f) - ref)) <= 1e-10 * np.max(np.abs(ref))
         assert cero_residual(k, fam, f) <= 1e-9
+
+
+@pytest.mark.parametrize("eigs", [[-1.0, -2.5], [1j, -2j, 0.5j]], ids=["real", "imaginary"])
+def test_pi_alpha_fractional_matches_weyl_weight_against_t_alpha(eigs):
+    # pi_alpha at fractional alpha integrates -phi' against T_1; the
+    # defining integral, W^alpha phi (a Weyl quadrature per node) against
+    # T_alpha, is the reference
+    A = LinearOperator("diagonal", eigs)
+    fam = integrate_family(heat_semigroup(A), 0.5)
+    f = np.linspace(1.0, 0.4, len(eigs)) + 0.3j
+    k = Kernel("b", FracOrder(0.3), SectorPoint(0.7))
+    ref = spectral_integral([_weyl_kernel_fn(k, 0.5, 1e-11)], fam, f, 1e-11)[0][0]
+    assert np.max(np.abs(pi_alpha(k, fam, f) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_sampled_weight_needs_sector_on_oscillating_modes():
