@@ -15,13 +15,15 @@ matches t; trailing axes (vector values) are carried through.
 
 One adaptive Gauss-Kronrod driver (_adaptive) does all the bisection, for
 independent lanes at once: each lane has its own interval, panels and
-stopping test, and each round samples every unconverged lane in one call
-f(t, lane), lane[i] naming the lane of node t[i].  _graded is the one
-finite-interval entry, [0, b] under the grading of an algebraic zero;
-integrate_interval is its one-lane ungraded call.  _halfline takes lanes
-through both half-line routes, so a Weyl derivative at many points, or a
-spectral integral over a z grid, a trace's y grid or an eps ladder, costs
-one integrand call per round.
+stopping test.  Each round every unconverged lane bisects all the worst
+panels that hold its excess error, and the halves of all lanes are
+sampled together in calls f(t, lane) of at most 52 panels, lane[i] naming
+the lane of node t[i]; so the rounds grow with the log of the panel count.
+_graded is the one finite-interval entry, [0, b] under the grading of an
+algebraic zero; integrate_interval is its one-lane ungraded call.
+_halfline takes lanes through both half-line routes, so a Weyl derivative
+at many points, or a spectral integral over a z grid, a trace's y grid or
+an eps ladder, costs the integrand calls of one integral.
 """
 
 from __future__ import annotations
@@ -131,7 +133,14 @@ _WG_FULL[1::2] = np.concatenate([_WG[:3], _WG[::-1]])
 
 def _rowmax(v):
     """max |v[i, ...]| for every leading index i."""
-    return np.max(np.abs(v.reshape(v.shape[0], -1)), axis=1)
+    return np.abs(v.reshape(v.shape[0], -1)).max(axis=1)
+
+
+def _lane_total(v):
+    # per-lane sum over the panel axis in slot order: np.sum groups a row
+    # pairwise by its padded width, which differs between a lane alone and
+    # the same lane in company
+    return v.cumsum(axis=1)[:, -1]
 
 
 def _with_jacobian(vals, jac):
@@ -159,9 +168,19 @@ def _sample(f, x, owner, label=None):
     return vals
 
 
+# the most panels (of 15 nodes) one call of f samples: bigger calls save
+# little Python time and grow the integrand's temporaries
+_CALL_PANELS = 52
+
+
 def _panels(f, lo, hi, lane, label=None):
     """Kronrod values and |Kronrod - Gauss| estimates of the panels
-    [lo[i], hi[i]] of the lanes lane[i], all sampled in one call of f."""
+    [lo[i], hi[i]] of the lanes lane[i], sampled _CALL_PANELS a call of f."""
+    if lo.size > _CALL_PANELS:
+        parts = [_panels(f, lo[i:i + _CALL_PANELS], hi[i:i + _CALL_PANELS],
+                         lane[i:i + _CALL_PANELS], label)
+                 for i in range(0, lo.size, _CALL_PANELS)]
+        return tuple(np.concatenate(v) for v in zip(*parts))
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     x = (c[:, None] + h[:, None] * _NODES).reshape(-1)
@@ -179,12 +198,16 @@ def _adaptive(f, lanes, a, b, tol, atol, max_panels, label=None):
     """Globally adaptive Gauss-Kronrod quadrature of independent lanes.
 
     Lane lanes[k] integrates f(., lanes[k]) over [a[k], b[k]] until its
-    summed error estimate falls below max(tol*|I_k|, atol[k], 1e-15 * the
-    sum of its |panel|); that roundoff floor keeps cancellation-dominated
-    integrals from refining forever.  Each round, every lane still above
-    its target bisects its worst panel, and the halves of all lanes are
-    sampled in one call f(x, lane) (x the 1-D nodes, lane[i] the lane of
-    x[i]).  A lane's choices depend on its own samples only, so it refines
+    summed error estimate falls below target = max(tol*|I_k|, atol[k],
+    1e-15 * the sum of its |panel|); that roundoff floor keeps
+    cancellation-dominated integrals from refining forever.  Each round,
+    every lane still above its target ranks its panels by error and
+    bisects the shortest worst-first prefix whose errors sum to at least
+    its error sum - target/8 (the rule of scipy's quad_vec), never holding
+    more than max_panels panels; the halves of all lanes are sampled
+    together, in calls f(x, lane) of at most 52 panels (x the 1-D nodes,
+    lane[i] the lane of x[i]).  So rounds grow with the log of the panel
+    count.  A lane's choices depend on its own samples only, so it refines
     exactly the panels it would refine alone.  A failure names its lane
     through label(lane).  Returns (values, error estimates, evaluations) per lane.
     """
@@ -205,54 +228,58 @@ def _adaptive(f, lanes, a, b, tol, atol, max_panels, label=None):
         err[z, 0] = seen.reshape(z.size, 15).max(axis=1) * (b - a)[z]
         evals[z] += 15
     evals -= 30 * count  # each bisection adds one panel and 30 evaluations
-    pick = err.copy()  # bisection priority; -1 marks a panel never to split
-    top, rounds = 1, 0  # every open lane takes one step a round
+    pick = err.copy()  # bisection priority; 0 marks a panel never to split
     r = np.arange(L)
     while True:
-        errsum = err[r].sum(axis=1)
-        target = np.fmax(np.fmax(tol * _rowmax(val[r].sum(axis=1)), atol[r]),
-                         1e-15 * mag[r].sum(axis=1))
+        errsum = _lane_total(err[r])
+        target = np.fmax(np.fmax(tol * _rowmax(_lane_total(val[r])), atol[r]),
+                         1e-15 * _lane_total(mag[r]))
         go = errsum > target
         if not go.all():
             r, errsum, target = r[go], errsum[go], target[go]
             if not r.size:
                 break
-        key = pick[r]
-        worst = key.argmax(axis=1)
+        # rank the panels worst first (minus their priority, ascending) and
+        # take the fewest that leave at most target/8 of the error behind
+        key = -pick[r]
+        order = key.argsort(axis=1, kind="stable")
+        key.sort(axis=1)
+        short = (key.cumsum(axis=1) > (target / 8.0 - errsum)[:, None]).sum(axis=1) + 1
+        take = np.minimum(np.minimum(short, (key < 0.0).sum(axis=1)), max_panels - count[r])
         # at the cap, or with nothing left to bisect, accept within 10x
-        stuck = key[np.arange(r.size), worst] <= 0.0
-        if rounds >= max_panels or stuck.any():
-            stuck |= rounds >= max_panels
+        stuck = take <= 0
+        if stuck.any():
             fail = np.flatnonzero(stuck & (errsum > 10.0 * np.fmax(target, 1e-300)))
             if fail.size:
                 k = fail[0]
                 raise _failure(label, lanes[r[k]], f"refinement cap exceeded: error "
                                f"{errsum[k]:.3e} vs target {target[k]:.3e}")
-            r, worst = r[~stuck], worst[~stuck]
+            r, order, take = r[~stuck], order[~stuck], take[~stuck]
             if not r.size:
                 break
-        rounds += 1
-        plo, phi = lo[r, worst], hi[r, worst]
+        s = np.repeat(r, take)
+        at = order[np.arange(order.shape[1]) < take[:, None]]
+        plo, phi = lo[s, at], hi[s, at]
         mid = 0.5 * (plo + phi)
-        s = r
         split = (mid > plo) & (mid < phi)
         if not split.all():
             # interval exhausted at machine resolution: keep its estimate
-            pick[r[~split], worst[~split]] = -1.0
-            s, worst, plo, phi, mid = (v[split] for v in (r, worst, plo, phi, mid))
+            pick[s[~split], at[~split]] = 0.0
+            s, at, plo, phi, mid = (v[split] for v in (s, at, plo, phi, mid))
             if not s.size:
                 continue
-        if top >= lo.shape[1]:
+        # right halves take the lane's next free slots, in rank order
+        new = count[s] + np.arange(s.size) - np.searchsorted(s, s)
+        while new.max() >= lo.shape[1]:
             lo, hi, err, pick, mag, val = (np.concatenate([v, np.zeros_like(v)], axis=1)
                                            for v in (lo, hi, err, pick, mag, val))
-        top += 1
-        ss, at = np.concatenate([s, s]), np.concatenate([worst, count[s]])
+        ss, at = np.concatenate([s, s]), np.concatenate([at, new])
         los, his = np.concatenate([plo, mid]), np.concatenate([mid, phi])
         ik, e = _panels(f, los, his, lanes[ss], label)
         lo[ss, at], hi[ss, at] = los, his
         val[ss, at], err[ss, at], pick[ss, at], mag[ss, at] = ik, e, e, _rowmax(ik)
-        count[s] += 1
-    return val.sum(axis=1), err.sum(axis=1), evals + 30 * count
+        count += np.bincount(s, minlength=L)
+    return _lane_total(val), _lane_total(err), evals + 30 * count
 
 
 def _graded(f, lanes, b, q, tol, max_panels=4000, label=None):
@@ -282,8 +309,10 @@ def integrate_interval(f, a, b, tol: float = DEFAULT_TOL,
     """Adaptive Gauss-Kronrod integration of f over [a, b]: the one-lane,
     ungraded call of _graded in the offset t - a.
 
-    The panel with the worst embedded error estimate is bisected until the
-    summed estimate falls below tol*|I|.
+    Each round bisects the fewest panels, worst embedded error estimate
+    first, that leave at most tol*|I|/8 of the summed estimate unbisected,
+    until the summed estimate falls below tol*|I|; max_panels caps the
+    panels held.
     """
     vals, errs, evals = _graded(lambda t, lane: f(a + t), 1, b - a, None, tol, max_panels)
     return QuadratureResult(vals[0], float(errs[0]), int(evals[0]))
@@ -291,7 +320,6 @@ def integrate_interval(f, a, b, tol: float = DEFAULT_TOL,
 
 _PROBE_U = np.linspace(-6.0, 6.0, 25)
 _WIDE_U = np.concatenate([np.linspace(-120, -6, 20), np.linspace(6, 120, 20)])
-_WALK = np.array([0.0, 3.0, 6.0])
 
 
 def _log_substituted(f, lanes, tol, max_panels, label=None, q=None):
@@ -308,41 +336,52 @@ def _log_substituted(f, lanes, tol, max_panels, label=None, q=None):
     probe = np.asarray(g(np.tile(_PROBE_U, lanes), np.repeat(ids, 25)))
     scale = _rowmax(probe).reshape(lanes, 25).max(axis=1)
     half = np.full(lanes, 6.0)
+    evals = np.full(lanes, 25)
     quiet = np.flatnonzero(scale == 0.0)
     if quiet.size:
         # expand the probe before concluding the integrand vanishes
         wmags = _rowmax(np.asarray(g(np.tile(_WIDE_U, quiet.size), np.repeat(quiet, 40))))
         scale[quiet] = wmags.reshape(quiet.size, 40).max(axis=1)
         half[quiet] = 120.0
+        evals[quiet] += 40
     cut = np.maximum(scale * tol * 1e-2, 1e-290)
     live = np.flatnonzero(scale != 0.0)
     # walk both window edges of every lane outward in steps of 3 until
     # three consecutive samples fall below the cut, never past |u| = 690;
-    # each call samples the next three steps of every edge still walking
+    # call k samples the next 3 * 2^k steps of every edge still walking.
+    # Samples past the stop are dropped, so they are taken with floating
+    # point warnings off (a kernel may overflow far outside its window);
+    # a non-finite sample at or before the stop fails the lane
     owner = np.concatenate([live, live])
     way = np.repeat([-1.0, 1.0], live.size)
     edge = way * half[owner]
     last2 = np.zeros((owner.size, 2), dtype=bool)  # were the last two below?
-    w = np.arange(owner.size)
+    w, steps = np.arange(owner.size), 3
     while w.size:
-        u = edge[w, None] + way[w, None] * _WALK
+        u = edge[w, None] + way[w, None] * (3.0 * np.arange(steps))
         inside = way[w, None] * u < 690.0
         who = np.broadcast_to(owner[w, None], u.shape)[inside]
-        below = np.zeros(u.shape, dtype=bool)
-        below[inside] = _rowmax(np.asarray(g(u[inside], who))) < cut[who]
-        seq = np.concatenate([last2[w], below], axis=1)
-        three = seq[:, :3] & seq[:, 1:4] & seq[:, 2:]
+        mags = np.full(u.shape, np.nan)
+        with np.errstate(all="ignore"):
+            mags[inside] = _rowmax(np.asarray(g(u[inside], who)))
+        evals += np.bincount(who, minlength=lanes)
+        seq = np.concatenate([last2[w], mags < cut[owner[w], None]], axis=1)
+        three = seq[:, :-2] & seq[:, 1:-1] & seq[:, 2:]
         hit = three.any(axis=1)
-        last2[w] = seq[:, 3:]
-        edge[w] += 3.0 * way[w] * np.where(hit, three.argmax(axis=1), inside.sum(axis=1))
-        w = w[~hit & (way[w] * edge[w] < 690.0)]
+        stop = np.where(hit, three.argmax(axis=1), inside.sum(axis=1))
+        bad = inside & ~np.isfinite(mags) & (np.arange(steps) <= stop[:, None])
+        if bad.any():
+            raise _failure(label, owner[w[bad.any(axis=1).argmax()]], "NaN/Inf sample detected")
+        last2[w] = seq[:, -2:]
+        edge[w] += 3.0 * way[w] * stop
+        w, steps = w[~hit & (way[w] * edge[w] < 690.0)], 2 * steps
     vals = np.zeros((lanes,) + probe.shape[1:], dtype=probe.dtype)
     errs = np.zeros(lanes)
-    evals = np.full(lanes, 65)
     if live.size:
         lo, hi = edge[:live.size], edge[live.size:]
-        vals[live], errs[live], evals[live] = _adaptive(
+        vals[live], errs[live], used = _adaptive(
             g, live, lo, hi, tol, cut[live] * (hi - lo), max_panels, label=label)
+        evals[live] += used
         if q is not None:
             vals[live] += _sample(g, lo, live, label) / (q + 1.0)
             evals[live] += 1

@@ -231,3 +231,107 @@ def test_interval_is_the_ungraded_lane():
     for a, b in ((1.0, 1.0), (2.0, 1.0), (0.0, math.nan)):
         with pytest.raises(ValueError):
             integrate_interval(f, a, b)
+
+
+def _counting(f, lanes):
+    # f in the lane convention, with the nodes each lane was given counted
+    seen = np.zeros(lanes, dtype=int)
+
+    def g(t, lane):
+        seen[:] += np.bincount(lane, minlength=lanes)
+        return f(t, lane)
+
+    return g, seen
+
+
+@pytest.mark.parametrize("route", ["graded", "log", "log add-back"])
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_evaluations_count_every_sample(route, lanes):
+    # evaluations is the number of nodes the integrand saw: on the log
+    # route that takes in the probe, the wide probe of a quiet lane, every
+    # walk sample and the add-back sample; the last of three lanes is zero
+    from fracext.quadrature import _halfline
+
+    q, p = {"graded": (-0.5, 2.5), "log": (None, None), "log add-back": (-0.5, None)}[route]
+    rates = np.array([1.0, 3.0, 0.0])[:lanes]
+
+    def f(t, lane):
+        if route == "graded":
+            return rates[lane] * t ** -0.5 / (1.0 + t) ** 3
+        return rates[lane] * t ** (0.5 if q is None else q) * np.exp(-rates[lane] * t)
+
+    g, seen = _counting(f, lanes)
+    _, _, evals = _halfline(g, lanes, q, p, 1e-10)
+    assert list(evals) == list(seen)
+    if lanes == 1:
+        hints = [DecayHint("algebraic-singularity-at-zero", exponent=q)] if q else []
+        if p:
+            hints.append(DecayHint("algebraic-at-infinity", power=p))
+        g, seen = _counting(f, 1)
+        r = integrate_halfline(lambda t: g(t, np.zeros(t.shape, dtype=int)), hints, tol=1e-10)
+        assert r.evaluations == seen[0]
+
+
+@pytest.mark.parametrize("bad", ["nan", "overflow"])
+def test_walk_overshoot_is_dropped(bad):
+    # the window walk samples past its stop; an integrand that is NaN, or
+    # overflows with a RuntimeWarning, only there integrates cleanly, and
+    # the smallest t sampled shows the bad region was reached
+    smallest = [np.inf]
+
+    def f(t):
+        smallest[0] = min(smallest[0], float(np.min(t)))
+        if bad == "nan":
+            return np.where(t < 1e-20, np.nan, np.exp(-t))
+        return np.exp(-t) / np.exp(1e-25 / t)  # overflows below t = 1.4e-28
+
+    r = integrate_halfline(f, [EXP_TAIL], tol=1e-10)
+    assert abs(r.value - 1.0) < 1e-9
+    assert smallest[0] < (1e-20 if bad == "nan" else 1.4e-28)
+
+
+def test_nonfinite_inside_window_names_its_lane():
+    from fracext.quadrature import _halfline
+
+    def f(t, lane):
+        return np.where((lane == 1) & (t < 1e-8), np.nan, np.exp(-t))
+
+    with pytest.raises(QuadratureError) as info:
+        _halfline(f, 3, None, None, 1e-10, label=lambda k: f"lane {k}")
+    assert str(info.value) == "lane 1 (log substitution): NaN/Inf sample detected"
+
+
+def test_panel_cap_is_per_lane():
+    # a jump at 1/pi cannot reach tol 1e-15 in 30 panels: the failure names
+    # that lane, and no lane ever held more than 30 panels
+    from fracext.quadrature import _graded
+
+    def f(t, lane):
+        return np.where(lane == 1, (t > 1.0 / math.pi).astype(float), np.cos(t))
+
+    g, seen = _counting(f, 2)
+    with pytest.raises(QuadratureError) as info:
+        _graded(g, 2, 2.0, None, 1e-15, max_panels=30, label=lambda k: f"lane {k}")
+    assert str(info.value).startswith("lane 1: refinement cap exceeded")
+    held = 1 + (seen // 15 - 1) // 2  # one panel, then two sampled per bisection
+    assert held.max() == 30
+
+
+def test_split_rounds_keep_lanes_independent():
+    # 64 lanes bisect more than 52 panels a round, so a round is sampled
+    # in several calls of at most 780 nodes; each lane still equals its
+    # one-lane call bitwise
+    from fracext.quadrature import _graded
+
+    rates = np.linspace(0.5, 40.0, 64)
+    sizes = []
+
+    def f(t, lane):
+        sizes.append(t.size)
+        return t ** -0.5 * np.cos(rates[lane] * t)
+
+    together = _graded(f, rates.size, 2.0, -0.5, 1e-12)
+    assert max(sizes) == 780
+    for k in range(rates.size):
+        alone = _graded(lambda t, lane, k=k: f(t, np.full(t.shape, k)), 1, 2.0, -0.5, 1e-12)
+        assert [r[k] for r in together] == [r[0] for r in alone]
