@@ -48,6 +48,7 @@ class LinearOperator:
     data: np.ndarray
     dimension: int = 0
     _decomposition: SpectralDecomposition | None = field(default=None, repr=False)
+    _norm: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind == "dense":
@@ -71,7 +72,10 @@ class LinearOperator:
         return np.diag(self.data)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix(), 2))
+        """The 2-norm, computed once (by the decomposition check if that ran first)."""
+        if self._norm is None:
+            self._norm = float(np.linalg.norm(self.matrix(), 2))
+        return self._norm
 
     @property
     def is_hermitian(self) -> bool:
@@ -99,7 +103,7 @@ def build_laplacian_1d(n: int, h: float, boundary: str = "dirichlet") -> LinearO
         raise ValueError(f"unknown boundary {boundary!r}")
     op = LinearOperator("dense", m / h ** 2)
     eig, basis = _laplacian_spectrum(n, h, boundary)
-    op._decomposition = _checked_decomposition(op.data, eig, basis, basis.conj().T)
+    _checked_decomposition(op, eig, basis, basis.conj().T)
     return op
 
 
@@ -169,16 +173,19 @@ def spectral_decompose(op: LinearOperator) -> SpectralDecomposition:
             inv = np.linalg.inv(basis)
         except np.linalg.LinAlgError as exc:
             raise DefectiveOperatorError("eigenvector matrix is singular") from exc
-    op._decomposition = _checked_decomposition(m, eig, basis, inv)
-    return op._decomposition
+    return _checked_decomposition(op, eig, basis, inv)
 
 
-def _checked_decomposition(m, eig, basis, inv) -> SpectralDecomposition:
+def _checked_decomposition(op, eig, basis, inv) -> SpectralDecomposition:
+    """Check V diag(eig) V^{-1} against the matrix of op and cache it on op
+    (op.norm() keeps the 2-norm the check computes)."""
+    m = op.matrix()
     recon = np.einsum("ij,jk->ik", basis * eig, inv)
-    scale = max(float(np.linalg.norm(m, 2)), 1e-300)
+    scale = max(op.norm(), 1e-300)
     if float(np.linalg.norm(recon - m, 2)) > 1e-10 * scale:
         raise DefectiveOperatorError("reconstruction residual above 1e-10 * ||A||")
-    return SpectralDecomposition(eig, basis, inv)
+    op._decomposition = SpectralDecomposition(eig, basis, inv)
+    return op._decomposition
 
 
 def apply(op: LinearOperator, f) -> np.ndarray:

@@ -4,7 +4,9 @@ A half-line route depends on two numbers only: the algebraic exponent q
 at zero (|f| ~ t^q) and the algebraic tail power p (|f| ~ t^-p), each
 None when absent.  With both, power grading t = s^{1/(1+q)} on [0, 1]
 and inversion t = 1/s, graded the same way, on [1, inf); otherwise the
-log substitution t = e^u, whose probe finds the truncation window.  An
+log substitution t = e^u, whose probe finds the truncation window: one
+integrand call samples the probe and the first steps of the walk to the
+window's edges, and later calls go on in doubling strides.  An
 essential singularity at zero or an exponential tail is that default, so
 those DecayHint kinds choose nothing.  Oscillating integrands are the
 caller's to turn into decaying ones (funcalc rotates them onto rays in
@@ -15,10 +17,11 @@ matches t; trailing axes (vector values) are carried through.
 
 One adaptive Gauss-Kronrod driver (_adaptive) does all the bisection, for
 independent lanes at once: each lane has its own interval, panels and
-stopping test.  Each round every unconverged lane bisects all the worst
-panels that hold its excess error, and the halves of all lanes are
-sampled together in calls f(t, lane) of at most 52 panels, lane[i] naming
-the lane of node t[i]; so the rounds grow with the log of the panel count.
+stopping test, and starts from 8 equal panels.  Each round every
+unconverged lane bisects all the worst panels that hold its excess error,
+and the halves of all lanes are sampled together in calls f(t, lane) of at
+most 52 panels, lane[i] naming the lane of node t[i]; so the rounds grow
+with the log of the panel count over 8.
 _graded is the one finite-interval entry, [0, b] under the grading of an
 algebraic zero; integrate_interval is its one-lane ungraded call.
 _halfline takes lanes through both half-line routes, so a Weyl derivative
@@ -171,6 +174,9 @@ def _sample(f, x, owner, label=None):
 # the most panels (of 15 nodes) one call of f samples: bigger calls save
 # little Python time and grow the integrand's temporaries
 _CALL_PANELS = 52
+# the equal panels every lane of _adaptive starts from: fewer rounds than
+# one panel, and on the benchmark's requests the fewest nodes
+_START_PANELS = 8
 
 
 def _panels(f, lo, hi, lane, label=None):
@@ -197,36 +203,42 @@ def _panels(f, lo, hi, lane, label=None):
 def _adaptive(f, lanes, a, b, tol, atol, max_panels, label=None):
     """Globally adaptive Gauss-Kronrod quadrature of independent lanes.
 
-    Lane lanes[k] integrates f(., lanes[k]) over [a[k], b[k]] until its
-    summed error estimate falls below target = max(tol*|I_k|, atol[k],
-    1e-15 * the sum of its |panel|); that roundoff floor keeps
-    cancellation-dominated integrals from refining forever.  Each round,
-    every lane still above its target ranks its panels by error and
-    bisects the shortest worst-first prefix whose errors sum to at least
-    its error sum - target/8 (the rule of scipy's quad_vec), never holding
-    more than max_panels panels; the halves of all lanes are sampled
-    together, in calls f(x, lane) of at most 52 panels (x the 1-D nodes,
-    lane[i] the lane of x[i]).  So rounds grow with the log of the panel
-    count.  A lane's choices depend on its own samples only, so it refines
-    exactly the panels it would refine alone.  A failure names its lane
-    through label(lane).  Returns (values, error estimates, evaluations) per lane.
+    Lane lanes[k] integrates f(., lanes[k]) over [a[k], b[k]], starting
+    from _START_PANELS equal panels, until its summed error estimate falls
+    below target = max(tol*|I_k|, atol[k], 1e-15 * the sum of its |panel|);
+    that roundoff floor keeps cancellation-dominated integrals from
+    refining forever.  Each round, every lane still above its target ranks
+    its panels by error and bisects the shortest worst-first prefix whose
+    errors sum to at least its error sum - target/8 (the rule of scipy's
+    quad_vec), never holding more than max_panels panels; the halves of all
+    lanes are sampled together, in calls f(x, lane) of at most 52 panels
+    (x the 1-D nodes, lane[i] the lane of x[i]).  So rounds grow with the
+    log of the panel count over _START_PANELS.  A lane's choices depend on
+    its own samples only, so it refines exactly the panels it would refine
+    alone.  A failure names its lane through label(lane).  Returns
+    (values, error estimates, evaluations) per lane.
     """
-    L = a.size
-    ik, e = _panels(f, a, b, lanes, label)
-    count = np.ones(L, dtype=int)
-    lo, hi, err, mag = (np.zeros((L, 17)) for _ in range(4))
-    val = np.zeros((L, 17) + ik.shape[1:], dtype=ik.dtype)
-    lo[:, 0], hi[:, 0] = a, b
-    val[:, 0], err[:, 0], mag[:, 0] = ik, e, _rowmax(ik)
-    evals = np.full(L, 15)
-    # a panel whose nodes all read zero gets a second look between
-    # them; mass seen there becomes its error, so it is bisected
-    z = np.flatnonzero((mag[:, 0] == 0.0) & (err[:, 0] == 0.0))
+    L, n = a.size, min(_START_PANELS, max_panels)
+    edges = a[:, None] + (b - a)[:, None] * (np.arange(n + 1) / n)
+    edges[:, -1] = b
+    ik, e = _panels(f, edges[:, :-1].ravel(), edges[:, 1:].ravel(), np.repeat(lanes, n), label)
+    lo, hi, err, mag = (np.zeros((L, 2 * n)) for _ in range(4))
+    val = np.zeros((L, 2 * n) + ik.shape[1:], dtype=ik.dtype)
+    lo[:, :n], hi[:, :n] = edges[:, :-1], edges[:, 1:]
+    val[:, :n] = ik.reshape((L, n) + ik.shape[1:])
+    err[:, :n], mag[:, :n] = e.reshape(L, n), _rowmax(ik).reshape(L, n)
+    count = np.full(L, n)
+    evals = np.full(L, 15 * n)
+    # a lane whose nodes all read zero gets a second look half way between
+    # each panel's centre and ends; mass seen in a panel becomes its error,
+    # so it is bisected
+    z = np.flatnonzero(~mag.any(axis=1) & ~err.any(axis=1))
     if z.size:
-        x = (a[z, None] + ((b - a)[z, None] / 16.0) * np.arange(1.0, 16.0)).reshape(-1)
-        seen = _rowmax(_sample(f, x, lanes[np.repeat(z, 15)], label))
-        err[z, 0] = seen.reshape(z.size, 15).max(axis=1) * (b - a)[z]
-        evals[z] += 15
+        c, h = 0.5 * (lo[z, :n] + hi[z, :n]), 0.5 * (hi[z, :n] - lo[z, :n])
+        x = (c[..., None] + h[..., None] * np.array([-0.5, 0.5])).reshape(-1)
+        seen = _rowmax(_sample(f, x, lanes[np.repeat(z, 2 * n)], label))
+        err[z, :n] = seen.reshape(z.size, n, 2).max(axis=2) * (2.0 * h)
+        evals[z] += 2 * n
     evals -= 30 * count  # each bisection adds one panel and 30 evaluations
     pick = err.copy()  # bisection priority; 0 marks a panel never to split
     r = np.arange(L)
@@ -320,51 +332,73 @@ def integrate_interval(f, a, b, tol: float = DEFAULT_TOL,
 
 _PROBE_U = np.linspace(-6.0, 6.0, 25)
 _WIDE_U = np.concatenate([np.linspace(-120, -6, 20), np.linspace(6, 120, 20)])
+# walk steps beyond either end of a probe that the probe's own call samples
+_PROBE_STEPS = 12
 
 
 def _log_substituted(f, lanes, tol, max_panels, label=None, q=None):
     """t = e^u route: each lane probes the window where its integrand
-    matters, then all lanes integrate g(u) = f(e^u) e^u adaptively.  Under
-    an algebraic zero |f| ~ t^q, g ~ e^{(q+1) u} leaves g(edge) / (q+1)
-    below the window, which is added back."""
+    matters, then all lanes integrate g(u) = f(e^u) e^u adaptively.
+
+    The probe's call also samples the first _PROBE_STEPS steps of the
+    window walk beyond either probe end, whose own sample is the walk's
+    first; the walk goes on in doubling strides.  Under an algebraic zero
+    |f| ~ t^q, g ~ e^{(q+1) u} leaves g(edge) / (q+1) below the window; it
+    is added back from the walk's sample at the lower edge (one more
+    sample only for an edge that reached |u| = 690, where none sits)."""
 
     def g(u, lane):
         t = np.exp(u)
         return _with_jacobian(f(t, lane), t)
 
-    ids = np.arange(lanes)
-    probe = np.asarray(g(np.tile(_PROBE_U, lanes), np.repeat(ids, 25)))
-    scale = _rowmax(probe).reshape(lanes, 25).max(axis=1)
+    evals = np.zeros(lanes, dtype=int)
+
+    def probe(ids, grid):
+        # one call: the grid of every lane in ids and the walk's first steps
+        # beyond its ends.  Returns the grid's largest |g| per lane (a
+        # non-finite sample fails its lane) and g outward from each grid
+        # end, lower edges first; warnings are off for the walk's overshoot
+        k = _PROBE_STEPS
+        out = grid[-1] + 3.0 * np.arange(1, k + 1)
+        u = np.concatenate([-out[::-1], grid, out])
+        with np.errstate(all="ignore"):
+            vals = np.asarray(g(np.tile(u, ids.size), np.repeat(ids, u.size)))
+        evals[ids] += u.size
+        mags = _rowmax(vals).reshape(ids.size, u.size)[:, k:-k]
+        bad = ~np.isfinite(mags).all(axis=1)
+        if bad.any():
+            raise _failure(label, ids[bad.argmax()], "NaN/Inf sample detected")
+        vals = vals.reshape((ids.size, u.size) + vals.shape[1:])
+        return mags.max(axis=1), np.concatenate([vals[:, k::-1], vals[:, -k - 1:]])
+
+    scale, first = probe(np.arange(lanes), _PROBE_U)
     half = np.full(lanes, 6.0)
-    evals = np.full(lanes, 25)
     quiet = np.flatnonzero(scale == 0.0)
     if quiet.size:
         # expand the probe before concluding the integrand vanishes
-        wmags = _rowmax(np.asarray(g(np.tile(_WIDE_U, quiet.size), np.repeat(quiet, 40))))
-        scale[quiet] = wmags.reshape(quiet.size, 40).max(axis=1)
+        scale[quiet], wide = probe(quiet, _WIDE_U)
         half[quiet] = 120.0
-        evals[quiet] += 40
+        first[np.concatenate([quiet, quiet + lanes])] = wide
     cut = np.maximum(scale * tol * 1e-2, 1e-290)
     live = np.flatnonzero(scale != 0.0)
-    # walk both window edges of every lane outward in steps of 3 until
-    # three consecutive samples fall below the cut, never past |u| = 690;
-    # call k samples the next 3 * 2^k steps of every edge still walking.
-    # Samples past the stop are dropped, so they are taken with floating
-    # point warnings off (a kernel may overflow far outside its window);
-    # a non-finite sample at or before the stop fails the lane
+    # walk both window edges of every live lane outward in steps of 3
+    # until three consecutive samples fall below the cut, never past
+    # |u| = 690; after the probe's call, each call samples twice as many
+    # steps of every edge still walking as the last.  Samples past the stop
+    # are dropped, so they are taken with floating point warnings off (a
+    # kernel may overflow far outside its window); a non-finite sample at
+    # or before the stop fails the lane
     owner = np.concatenate([live, live])
     way = np.repeat([-1.0, 1.0], live.size)
     edge = way * half[owner]
     last2 = np.zeros((owner.size, 2), dtype=bool)  # were the last two below?
-    w, steps = np.arange(owner.size), 3
+    at_edge = np.zeros((owner.size,) + first.shape[2:], dtype=first.dtype)
+    w, vals = np.arange(owner.size), first[np.concatenate([live, live + lanes])]
     while w.size:
+        steps = vals.shape[1]
         u = edge[w, None] + way[w, None] * (3.0 * np.arange(steps))
         inside = way[w, None] * u < 690.0
-        who = np.broadcast_to(owner[w, None], u.shape)[inside]
-        mags = np.full(u.shape, np.nan)
-        with np.errstate(all="ignore"):
-            mags[inside] = _rowmax(np.asarray(g(u[inside], who)))
-        evals += np.bincount(who, minlength=lanes)
+        mags = _rowmax(vals.reshape((-1,) + vals.shape[2:])).reshape(u.shape)
         seq = np.concatenate([last2[w], mags < cut[owner[w], None]], axis=1)
         three = seq[:, :-2] & seq[:, 1:-1] & seq[:, 2:]
         hit = three.any(axis=1)
@@ -372,20 +406,33 @@ def _log_substituted(f, lanes, tol, max_panels, label=None, q=None):
         bad = inside & ~np.isfinite(mags) & (np.arange(steps) <= stop[:, None])
         if bad.any():
             raise _failure(label, owner[w[bad.any(axis=1).argmax()]], "NaN/Inf sample detected")
+        at_edge[w[hit]] = vals[hit, stop[hit]]
         last2[w] = seq[:, -2:]
         edge[w] += 3.0 * way[w] * stop
-        w, steps = w[~hit & (way[w] * edge[w] < 690.0)], 2 * steps
-    vals = np.zeros((lanes,) + probe.shape[1:], dtype=probe.dtype)
+        w = w[~hit & (way[w] * edge[w] < 690.0)]
+        if w.size:
+            u = edge[w, None] + way[w, None] * (3.0 * np.arange(2 * steps))
+            inside = way[w, None] * u < 690.0
+            who = np.broadcast_to(owner[w, None], u.shape)[inside]
+            vals = np.full(u.shape + first.shape[2:], np.nan, dtype=first.dtype)
+            with np.errstate(all="ignore"):
+                vals[inside] = g(u[inside], who)
+            evals += np.bincount(who, minlength=lanes)
+    out = np.zeros((lanes,) + first.shape[2:], dtype=first.dtype)
     errs = np.zeros(lanes)
     if live.size:
         lo, hi = edge[:live.size], edge[live.size:]
-        vals[live], errs[live], used = _adaptive(
+        out[live], errs[live], used = _adaptive(
             g, live, lo, hi, tol, cut[live] * (hi - lo), max_panels, label=label)
         evals[live] += used
         if q is not None:
-            vals[live] += _sample(g, lo, live, label) / (q + 1.0)
-            evals[live] += 1
-    return vals, errs, evals
+            at_lo = at_edge[:live.size]
+            far = np.flatnonzero(lo <= -690.0)  # walked to the end: no sample there
+            if far.size:
+                at_lo[far] = _sample(g, lo[far], live[far], label)
+                evals[live[far]] += 1
+            out[live] += at_lo / (q + 1.0)
+    return out, errs, evals
 
 
 def _halfline(f, lanes, q, p, tol, max_panels=6000, label=None):

@@ -159,3 +159,16 @@ def test_laplacian_closed_form_spectrum(n, h, boundary):
     assert not lam.imag.any() and not V.imag.any()
     if boundary == "periodic":
         assert np.count_nonzero(lam == 0.0) == 1
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_laplacian_norm_is_the_decomposition_checks(boundary, monkeypatch):
+    # norm() returns the 2-norm the decomposition check computed at build
+    # time, bitwise, without a second SVD
+    A = build_laplacian_1d(64, 0.05, boundary)
+    expected = np.linalg.norm(A.matrix(), 2)
+    calls = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(a) or norm(*a, **k))
+    assert A.norm() == expected
+    assert calls == []

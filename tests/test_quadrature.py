@@ -276,18 +276,20 @@ def test_evaluations_count_every_sample(route, lanes):
 def test_walk_overshoot_is_dropped(bad):
     # the window walk samples past its stop; an integrand that is NaN, or
     # overflows with a RuntimeWarning, only there integrates cleanly, and
-    # the smallest t sampled shows the bad region was reached
+    # the smallest t sampled shows the bad region was reached.  The lower
+    # edge stops at u = -36 (t = 2.3e-16); the probe's call samples on to
+    # u = -42 (t = 5.7e-19), so both bad regions lie in that overshoot
     smallest = [np.inf]
 
     def f(t):
         smallest[0] = min(smallest[0], float(np.min(t)))
         if bad == "nan":
-            return np.where(t < 1e-20, np.nan, np.exp(-t))
-        return np.exp(-t) / np.exp(1e-25 / t)  # overflows below t = 1.4e-28
+            return np.where(t < 1e-16, np.nan, np.exp(-t))
+        return np.exp(-t) / np.exp(np.where(t < 1e-17, 1e3, 0.0))  # overflows below t = 1e-17
 
     r = integrate_halfline(f, [EXP_TAIL], tol=1e-10)
     assert abs(r.value - 1.0) < 1e-9
-    assert smallest[0] < (1e-20 if bad == "nan" else 1.4e-28)
+    assert smallest[0] < (1e-16 if bad == "nan" else 1e-17)
 
 
 def test_nonfinite_inside_window_names_its_lane():
@@ -313,7 +315,7 @@ def test_panel_cap_is_per_lane():
     with pytest.raises(QuadratureError) as info:
         _graded(g, 2, 2.0, None, 1e-15, max_panels=30, label=lambda k: f"lane {k}")
     assert str(info.value).startswith("lane 1: refinement cap exceeded")
-    held = 1 + (seen // 15 - 1) // 2  # one panel, then two sampled per bisection
+    held = 8 + (seen // 15 - 8) // 2  # eight panels, then two sampled per bisection
     assert held.max() == 30
 
 
@@ -335,3 +337,148 @@ def test_split_rounds_keep_lanes_independent():
     for k in range(rates.size):
         alone = _graded(lambda t, lane, k=k: f(t, np.full(t.shape, k)), 1, 2.0, -0.5, 1e-12)
         assert [r[k] for r in together] == [r[0] for r in alone]
+
+
+def test_interval_second_look_between_start_panel_nodes():
+    # a narrow hat between the Kronrod nodes of the start panel [0, 1/4]:
+    # every node of every start panel reads zero, and the second look half
+    # way between that panel's centre and right end finds it
+    def hat(x):
+        return np.maximum(0.0, 1.0 - np.abs(x - 0.1875) / 0.01)
+
+    r = integrate_interval(hat, -1.0, 1.0)
+    assert abs(r.value - 0.01) < 1e-12
+
+
+def _reference_window(g, tol):
+    # the plain window walk: the probe (widened when it reads zero), then
+    # steps of 3 outward from each probe end until three samples in a row
+    # fall below the cut, never past |u| = 690.  Returns the window and the
+    # grid points each edge needed, or None for a lane that reads zero
+    scale, half = np.abs(g(np.linspace(-6.0, 6.0, 25))).max(), 6.0
+    if scale == 0.0:
+        wide = np.concatenate([np.linspace(-120, -6, 20), np.linspace(6, 120, 20)])
+        scale, half = np.abs(g(wide)).max(), 120.0
+    if scale == 0.0:
+        return None
+    cut = max(scale * tol * 1e-2, 1e-290)
+    window, needed = [], []
+    for way in (-1.0, 1.0):
+        u = way * (half + 3.0 * np.arange(np.ceil((690.0 - half) / 3.0)))
+        below = np.abs(g(u)) < cut
+        three = np.flatnonzero(below[:-2] & below[1:-1] & below[2:])
+        j = three[0] + 2 if three.size else u.size
+        window.append(u[j] if three.size else way * (half + 3.0 * u.size))
+        needed.append(j + 1 if three.size else u.size)
+    return window, needed, half == 120.0
+
+
+def test_walk_windows_match_the_plain_walk(monkeypatch):
+    # every window _adaptive receives is bitwise the plain step-3 walk's,
+    # on random lanes t^a e^{-r t}: quiet ones (r large, zero on the probe),
+    # windows ending inside and beyond the probe call's walk steps
+    # (|u| <= 42), and lower edges that reach |u| = 690 (a + 1 small).  The
+    # probe's call holds the first 13 samples of each edge and each later
+    # call twice the last, so the calls before _adaptive are set by the edge
+    # that needed the most samples
+    from fracext import quadrature
+
+    seen = {}
+
+    def capture(f, lanes, a, b, tol, atol, max_panels, label=None):
+        seen["window"] = (lanes.copy(), a.copy(), b.copy())
+        seen["calls"] = calls[0]
+        return np.zeros(a.size), np.zeros(a.size), np.ones(a.size, dtype=int)
+
+    monkeypatch.setattr(quadrature, "_adaptive", capture)
+    rng = np.random.default_rng(20120)
+    kinds = set()
+    for _ in range(120):
+        n = rng.integers(1, 5)
+        power = 10 ** rng.uniform(-2.0, 0.0, n) - 1.0
+        rate = 10 ** rng.uniform(-8.0, 8.0, n)
+        amp = 10 ** rng.uniform(-5.0, 5.0, n) * (rng.uniform(size=n) > 0.1)
+        amp[0] = max(amp[0], 1.0)
+        tol = rng.choice([1e-6, 1e-10, 1e-13])
+        calls = [0]
+
+        def f(t, lane):
+            calls[0] += 1
+            return amp[lane] * t ** power[lane] * np.exp(-rate[lane] * t)
+
+        quadrature._halfline(f, n, None, None, tol)
+        ref = []
+        with np.errstate(all="ignore"):
+            for k in range(n):
+                ref.append(_reference_window(
+                    lambda u, k=k: f(np.exp(u), np.full(u.shape, k)) * np.exp(u), tol))
+        live = [k for k in range(n) if ref[k] is not None]
+        lanes, a, b = seen["window"]
+        assert list(lanes) == live
+        assert list(a) == [ref[k][0][0] for k in live]
+        assert list(b) == [ref[k][0][1] for k in live]
+        first = 13
+        walks = max(int(np.ceil(np.log2(m / first + 1.0))) - 1
+                    for k in live for m in ref[k][1])
+        quiet = any(r is None or r[2] for r in ref)  # a lane reading zero widened its probe
+        assert seen["calls"] == 1 + quiet + walks
+        for k in live:
+            kinds.add("quiet" if ref[k][2] else "probed")
+            for edge in ref[k][0]:
+                kinds.add("690" if abs(edge) == 690.0
+                          else "first stride" if abs(edge) <= 42.0 else "beyond")
+    assert kinds == {"quiet", "probed", "690", "first stride", "beyond"}
+
+
+def test_pinned_integrand_calls():
+    # one log-route integral: one probe call (its walk included) and four
+    # rounds from eight panels; three lanes with add-back: the add-back
+    # reads the walk's sample at each lower edge
+    from fracext.quadrature import _halfline
+
+    calls = [0]
+
+    def f(t):
+        calls[0] += 1
+        return t ** 0.5 * np.exp(-t)
+
+    r = integrate_halfline(f, tol=1e-10)
+    assert abs(r.value - math.gamma(1.5)) < 1e-10
+    assert calls[0] == 5
+    rates, calls[0] = np.array([0.5, 1.0, 2.0]), 0
+
+    def g(t, lane):
+        calls[0] += 1
+        return t ** -0.5 * np.exp(-rates[lane] * t)
+
+    vals, _, _ = _halfline(g, 3, -0.5, None, 1e-10)
+    assert np.abs(vals - np.sqrt(np.pi / rates)).max() < 1e-12
+    assert calls[0] == 6
+
+
+def test_add_back_at_the_walk_end():
+    # t^-0.99 e^-t decays too slowly in u for the lower edge to stop before
+    # |u| = 690, where the walk has no sample: the add-back takes one more
+    from fracext.quadrature import _halfline
+
+    g, seen = _counting(lambda t, lane: t ** -0.99 * np.exp(-t), 1)
+    vals, _, evals = _halfline(g, 1, -0.99, None, 1e-10)
+    assert abs(vals[0] - math.gamma(0.01)) < 1e-12 * math.gamma(0.01)
+    assert evals[0] == seen[0]
+
+
+def test_nonfinite_probe_sample_fails_at_once():
+    # a NaN inside the probe range t in [e^-6, e^6] fails its lane by name
+    # from the probe's call, without walking the window first
+    from fracext.quadrature import _halfline
+
+    calls = [0]
+
+    def f(t, lane):
+        calls[0] += 1
+        return np.where((lane == 2) & (t > 0.5) & (t < 2.0), np.nan, np.exp(-t))
+
+    with pytest.raises(QuadratureError) as info:
+        _halfline(f, 3, None, None, 1e-10, label=lambda k: f"lane {k}")
+    assert str(info.value) == "lane 2 (log substitution): NaN/Inf sample detected"
+    assert calls[0] == 1
