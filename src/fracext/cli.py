@@ -130,6 +130,11 @@ def parse_config(data: dict) -> ProblemConfig:
             f"({SIGMA_BAND[0]}, {SIGMA_BAND[1]})"
         )
     z_grid = _typed(data, "z_grid", [], list, "z_grid")
+    output = {"path": "-", "format": "csv", **_typed(data, "output", {}, dict, "output")}
+    if not (isinstance(output["path"], str) and output["path"]):
+        raise ConfigError(f"output.path must be a nonempty string, got {output['path']!r}")
+    if output["format"] not in ("csv", "json"):
+        raise ConfigError(f"output.format must be 'csv' or 'json', got {output['format']!r}")
     return ProblemConfig(
         operator=_typed(data, "operator", None, dict, "operator"),
         sigma=sigma,
@@ -140,7 +145,7 @@ def parse_config(data: dict) -> ProblemConfig:
         f=data.get("f"),
         tol=_number(data.get("tol", 1e-6), "tol", lambda x: x > 0, " > 0"),
         seed=_number(data.get("seed", 0), "seed", lambda x: x >= 0, " >= 0", integer=True),
-        output=_typed(data, "output", {"path": "-", "format": "csv"}, dict, "output"),
+        output=output,
     )
 
 
@@ -236,12 +241,10 @@ def _emit_table(rows, columns, out_path: str, fmt: str):
         for row in rows:
             writer.writerow([_fmt_cell(v) for v in row])
         text = buf.getvalue()
-    elif fmt == "json":
+    else:  # json: the config and the argument parser admit no other format
         payload = [{key: _json_cell(v) for key, v in zip(columns, row)} for row in rows]
         # compact: any indent forces json's pure-Python encoder
         text = json.dumps(payload, sort_keys=True) + "\n"
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
     if out_path == "-":
         sys.stdout.write(text)
     else:
@@ -464,11 +467,11 @@ def main(argv=None) -> int:
             rows, columns, code = cmd_extend(cfg)
         else:
             rows, columns, code = cmd_trace(cfg)
-        fmt = cfg.output.get("format", "csv")
-        ext = os.path.splitext(str(cfg.output.get("path", "-")))[1].lower()
+        fmt = cfg.output["format"]
+        ext = os.path.splitext(cfg.output["path"])[1].lower()
         if ext in (".json", ".csv") and args.format is None:
             fmt = ext[1:]
-        _emit_table(rows, columns, cfg.output.get("path", "-"), fmt)
+        _emit_table(rows, columns, cfg.output["path"], fmt)
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -20,6 +20,8 @@ halves e^{+-i omega t} of every cosine mode) run on rays turned into the
 half-plane where they decay, inside the sector where the kernel is
 analytic (funcalc.spectral_integral); each weight is the closed form
 (-1)^n k^(n) of a kernel k against T_n, n = ceil(alpha) (funcalc.pi_rows).
+A generator without an eigenbasis takes the matrix route of families on
+real-axis lanes, open sector only; the cosine solvers need an eigenbasis.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def _semigroup_pi(make, family: OperatorFamily, f, z, tol: float):
     zs, scalar = _points(z), family.has_scalar
     phase = np.abs(np.angle(zs))
     if not scalar and np.any(phase >= math.pi / 4.0 - 1e-12):
-        raise ValueError("black-box families support only the open sector")
+        raise ValueError("families without an eigenbasis support only the open sector")
     if (scalar and np.any(np.abs(phase - math.pi / 4.0) < 1e-12)
             and np.any(np.abs(spectral_eigendata(family.generator)[0].imag) > 1e-9)):
         raise ValueError("sector boundary evaluation needs a generator with real spectrum")
@@ -283,8 +285,6 @@ def _require_cosine(family: OperatorFamily, z) -> np.ndarray:
     zs = _points(z)
     if not family.is_cosine:
         raise ValueError("needs a cosine-type family")
-    if not family.has_scalar:
-        raise ValueError("cosine solvers need a spectrally decomposable family")
     if np.any(zs.real <= 0):
         raise ValueError("cosine representation needs Re z > 0")
     return zs
@@ -357,11 +357,6 @@ class ExtensionSolver:
         return _evaluation(z, value[:, 0], err[:, 0], "semigroup").value
 
 
-def _trace_exponents(s: complex):
-    # boundary error exponents from the sqrt(Re z^2) bounds: 2-2*sigma, 2, 4-2*sigma
-    return [2.0 - 2.0 * s, 2.0, 4.0 - 2.0 * s]
-
-
 def trace_grid(A: LinearOperator, y0=None, ratio: float = 0.7, count: int = 13) -> list:
     """The geometric trace grid y0 * ratio^k, k < count.  The default
     y0 = min(0.5, 2/sqrt(||A||)) keeps the samples inside the boundary layer
@@ -397,7 +392,8 @@ def boundary_traces(solver: ExtensionSolver, theta: float = 0.0, grid=None,
         neumann = kind == "neumann"
         samples = [(y, cpow(z, 1.0 - 2.0 * s) * u if neumann
                     else (u - solver.f) * cpow(z, -2.0 * s)) for y, z, u in zip(ys, zs, rows)]
-        fits = [richardson_multi(samples[:k], _trace_exponents(s))
+        # boundary error exponents from the sqrt(Re z^2) bounds
+        fits = [richardson_multi(samples[:k], [2.0 - 2.0 * s, 2.0, 4.0 - 2.0 * s])
                 for k in range(3, len(samples) + 1)]
         running = [v for _, v in samples[:2]] + [np.asarray(v).reshape(-1) for v, _ in fits]
         limit, diag = running[-1], fits[-1][1]

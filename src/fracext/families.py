@@ -1,12 +1,13 @@
 """Semigroup and cosine-family engines with their defining-identity verifiers.
 
 A family T_alpha(t) of temperedness order alpha evaluates t -> T_alpha(t) f.
-Diagonalizable generators make spectral families: T_alpha(t) scales each
-eigenvector by the factor family_factor(kind, alpha, a, t) (the alpha-fold
-integral of e^{a s} has the closed form t^alpha * sum_n
-(a t)^n / Gamma(alpha+n+1)), evaluated for all eigenvalues and times at
-once; families produced from black-box bases fall back to graded
-quadrature of the defining fractional integral.
+A family is (kind, alpha, generator), on a route fixed when it is built.
+A generator with an eigenbasis makes a spectral family: T_alpha(t) scales
+each eigenvector by family_factor(kind, alpha, a, t), the closed form
+t^alpha sum_n (a t)^n / Gamma(alpha+n+1) of the alpha-fold integral of
+e^{a s}, for all eigenvalues and times at once.  Without one (semigroup
+kinds only), T_m(t) f = t^m phi_m(tA) f is one augmented matrix
+exponential per time, and a fractional order integrates it once more.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import LinearOperator, apply, resolvent_solve, spectral_decompose
-from .quadrature import DecayHint, _graded, _unary, integrate_halfline, integrate_interval
+from .operators import (DefectiveOperatorError, LinearOperator, apply, resolvent_solve,
+                        spectral_decompose)
+from .quadrature import DecayHint, _graded, integrate_halfline, integrate_interval
 from .specfun import (ConvergenceError, _by_regime, _pow, _scaled_upper_u, cpow, gamma,
                       lower_incomplete_gamma)
 
@@ -39,6 +41,7 @@ __all__ = [
 ]
 
 _COSINE_KINDS = ("cosine", "integrated_cosine")
+_MATRIX_TOL = 1e-12  # of the matrix route's one graded integral at fractional order
 
 
 def spectral_eigendata(op):
@@ -211,29 +214,30 @@ def family_factor(kind: str, alpha: float, a, t):
 @dataclass
 class OperatorFamily:
     """An evaluator t -> T_alpha(t) f (or C_alpha(t) f) with its generator.
-
-    Without a vector evaluator the family is spectral: T_alpha(t) scales
-    each eigenvector of the generator by family_factor(kind, alpha, a, t).
-    """
+    has_scalar records, when it is built, whether the generator has an
+    eigenbasis: the spectral route, else _matrix_family (not for cosines)."""
 
     kind: str
     alpha: float
     generator: LinearOperator
-    _vector: object = field(default=None, repr=False)
+    has_scalar: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("semigroup", "integrated_semigroup") + _COSINE_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
+        try:
+            spectral_decompose(self.generator)
+            self.has_scalar = True
+        except (DefectiveOperatorError, np.linalg.LinAlgError) as exc:
+            if self.is_cosine:
+                raise ValueError("cosine families need a generator with an eigenbasis") from exc
+            self.has_scalar = False
 
     @property
     def is_cosine(self) -> bool:
         return self.kind in _COSINE_KINDS
-
-    @property
-    def has_scalar(self) -> bool:
-        return self._vector is None
 
     def evaluate(self, t, f) -> np.ndarray:
         """T_alpha(t) f; an array of t gives one row per entry."""
@@ -241,34 +245,54 @@ class OperatorFamily:
         t = np.asarray(t)
         if self.is_cosine and np.isrealobj(t):
             t = np.abs(t)  # cosine families are even in t
-        if self._vector is None:
+        if self.has_scalar:
             eigs, _, _ = spectral_eigendata(self.generator)
             vals = family_factor(self.kind, self.alpha, eigs, t[..., None])
             return spectral_apply(self.generator, f, vals)
-        rows = [np.asarray(self._vector(tk, f), dtype=complex).reshape(-1)
-                for tk in t.reshape(-1).tolist()]
-        return rows[0] if t.ndim == 0 else np.stack(rows).reshape(t.shape + (-1,))
+        rows = _matrix_family(self.generator.matrix(), self.alpha, t.reshape(-1) + 0j, f)
+        return rows[0] if t.ndim == 0 else rows.reshape(t.shape + (-1,))
 
     def matrix_at(self, t) -> np.ndarray:
-        n = self.generator.dimension
-        cols = [self.evaluate(t, e) for e in np.eye(n)]
-        return np.stack(cols, axis=1)
+        return np.stack([self.evaluate(t, e) for e in np.eye(self.generator.dimension)], axis=1)
+
+
+def _phi_columns(A: np.ndarray, m: int, t: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Rows t_k^m phi_m(t_k A) f, the m-fold integrated semigroup at each
+    t_k: for m >= 1 the top n entries of the last column of exp(t_k B), B the
+    (n + m)-square [[A, f, 0], [0, 0, I], [0, 0, 0]] (Van Loan, IEEE TAC 23,
+    1978; Higham, Functions of Matrices, 10.7.4), with f scaled to unit size."""
+    if m == 0:
+        return np.einsum("kij,j->ki", _expm(t[:, None, None] * A), f)
+    n = A.shape[0]
+    scale = float(np.abs(f).max(initial=0.0)) or 1.0
+    B = np.zeros((n + m, n + m), dtype=complex)
+    B[:n, :n], B[:n, n] = A, f / scale
+    B[range(n, n + m - 1), range(n + 1, n + m)] = 1.0
+    return scale * _expm(t[:, None, None] * B)[:, :n, -1]
+
+
+def _matrix_family(A: np.ndarray, beta: float, t: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Rows T_beta(t_k) f without an eigenbasis.  With m = floor(beta) and
+    mu = beta - m > 0, T_beta(t) f = t^mu / Gamma(mu) int_0^1 v^{mu-1}
+    T_m(t (1 - v)) f dv: one graded integral, a lane per t_k, at _MATRIX_TOL."""
+    m, mu = math.floor(beta), beta - math.floor(beta)
+    if mu == 0.0:
+        return _phi_columns(A, m, t, f)
+
+    def g(v, lane):
+        return (v ** (mu - 1.0))[:, None] * _phi_columns(A, m, t[lane] * (1.0 - v), f)
+
+    return (t ** mu / gamma(mu))[:, None] * _graded(g, t.size, 1.0, mu - 1.0, _MATRIX_TOL)[0]
 
 
 def heat_semigroup(A: LinearOperator) -> OperatorFamily:
-    """The C0 family t -> exp(tA); spectral when A is diagonalizable, with a
-    scaling-and-squaring fallback for defective matrices."""
-    try:
-        spectral_decompose(A)
-        return OperatorFamily("semigroup", 0.0, A)
-    except Exception:
-        def vec(t, f, A=A):
-            return _expm(complex(t) * A.matrix()) @ f
-        return OperatorFamily("semigroup", 0.0, A, _vector=vec)
+    """The C0 family t -> exp(tA)."""
+    return OperatorFamily("semigroup", 0.0, A)
 
 
 def cosine_family(A: LinearOperator, allow_nonselfadjoint: bool = False) -> OperatorFamily:
-    """t -> cos(t sqrt(-A)); requires self-adjoint A unless overridden."""
+    """t -> cos(t sqrt(-A)); requires self-adjoint A unless overridden, and
+    an eigenbasis in any case."""
     if not A.is_hermitian and not allow_nonselfadjoint:
         raise ValueError("cosine_family needs a self-adjoint generator "
                          "(pass allow_nonselfadjoint=True to override)")
@@ -278,74 +302,42 @@ def cosine_family(A: LinearOperator, allow_nonselfadjoint: bool = False) -> Oper
 def integrated_cosine(A: LinearOperator, alpha: float,
                       allow_nonselfadjoint: bool = False) -> OperatorFamily:
     base = cosine_family(A, allow_nonselfadjoint)
-    if alpha == 0.0:
-        return base
-    return integrate_family(base, alpha)
+    return base if alpha == 0.0 else integrate_family(base, alpha)
 
 
-def integrate_family(base: OperatorFamily, beta: float, spectral: bool | None = None,
-                     tol: float = 1e-11) -> OperatorFamily:
+def integrate_family(base: OperatorFamily, beta: float) -> OperatorFamily:
     """Raise the temperedness order: T_beta(t) f = (1/Gamma(beta-alpha))
-    int_0^t (t-s)^{beta-alpha-1} T_alpha(s) f ds.
-
-    For spectrally decomposable bases the result uses the per-eigenvalue
-    closed form (exactly the same operator); spectral=False forces the
-    defining graded quadrature at the given tolerance.
-    """
+    int_0^t (t-s)^{beta-alpha-1} T_alpha(s) f ds, the order-beta family of
+    the same generator (either route evaluates T_beta itself)."""
     if beta <= base.alpha:
         raise ValueError("beta must exceed the base order")
     kind = "integrated_cosine" if base.is_cosine else "integrated_semigroup"
-    use_spectral = base.has_scalar if spectral is None else spectral
-    if use_spectral and base.has_scalar:
-        # the scalar closed form depends only on the target order
-        return OperatorFamily(kind, beta, base.generator)
-    mu = beta - base.alpha
-
-    def vec(t, f, base=base, mu=mu):
-        t = float(t)
-        if t == 0.0:
-            return np.zeros_like(np.asarray(f, dtype=complex).reshape(-1))
-
-        def g(d):
-            d = np.atleast_1d(d)
-            return (d ** (mu - 1.0))[:, None] * base.evaluate(t - d, f) / gamma(mu)
-
-        return _graded(_unary(g), 1, t, mu - 1.0, tol)[0][0]
-
-    return OperatorFamily(kind, beta, base.generator, _vector=vec)
+    return OperatorFamily(kind, beta, base.generator)
 
 
-def ceil_order_family(family: OperatorFamily, tol: float = 1e-11) -> OperatorFamily:
-    """T_n = W^{-(n-alpha)} T_alpha, n = ceil(alpha): the n-fold integral of
-    the root (heat semigroup or cosine family) of the generator, spectral
-    exactly when the family is; at integer alpha the family itself."""
+def ceil_order_family(family: OperatorFamily) -> OperatorFamily:
+    """T_n = W^{-(n-alpha)} T_alpha, n = ceil(alpha); at integer alpha the
+    family itself."""
     n = math.ceil(family.alpha)
-    if n == family.alpha:
-        return family
-    A = family.generator
-    root = cosine_family(A, allow_nonselfadjoint=True) if family.is_cosine else heat_semigroup(A)
-    return integrate_family(root, n, spectral=family.has_scalar, tol=tol)
+    return family if n == family.alpha else integrate_family(family, n)
 
 
 def _expm(m: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring Pade(6) exponential for the defective fallback."""
-    norm = float(np.linalg.norm(m, 1))
-    s = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
-    a = m / (2 ** s)
-    n = m.shape[0]
-    ident = np.eye(n, dtype=complex)
-    c = 1.0
-    num = ident.copy()
-    den = ident.copy()
-    apow = ident.copy()
+    """Scaling-and-squaring Pade(6) exponential of each matrix of a stack."""
+    norm = np.abs(m).sum(axis=-2).max(axis=-1)
+    # a nonfinite matrix is left unscaled and comes out nonfinite
+    s = np.ceil(np.log2(np.where(np.isfinite(norm) & (norm > 0.5), norm, 0.5) / 0.5))
+    a = m / (2.0 ** s)[:, None, None]
+    c, num = 1.0, np.broadcast_to(np.eye(m.shape[-1], dtype=complex), a.shape)
+    den = apow = num
     for k in range(1, 7):
         c *= (7 - k) / (k * (13 - k))
         apow = apow @ a
-        num = num + c * apow
-        den = den + c * (-1) ** k * apow
+        num, den = num + c * apow, den + c * (-1) ** k * apow
     out = np.linalg.solve(den, num)
-    for _ in range(s):
-        out = out @ out
+    for k in range(int(s.max(initial=0.0))):
+        live = s > k
+        out[live] = out[live] @ out[live]
     return out
 
 
@@ -370,7 +362,7 @@ def cosine_to_semigroup(C_alpha: OperatorFamily, z: complex, f,
     if z.real <= 0:
         raise ValueError("needs Re z > 0")
     f = np.asarray(f, dtype=complex).reshape(-1)
-    C_n = ceil_order_family(C_alpha, tol)
+    C_n = ceil_order_family(C_alpha)
     n = int(C_n.alpha)
     inv4z = 1.0 / (4.0 * z)
     sqz = cmath.sqrt(z)
@@ -380,9 +372,8 @@ def cosine_to_semigroup(C_alpha: OperatorFamily, z: complex, f,
         x = s / (2.0 * sqz)
         return norm * (4.0 * z) ** (-0.5 * n) * _hermite_row(n, x) * np.exp(-s * s * inv4z)
 
-    # Gaussian truncation: |exp(-s^2/(4z))| drops below tol at s_max
-    rate = (inv4z).real
-    s_max = math.sqrt(max(80.0, -math.log(1e-18)) / max(rate, 1e-12))
+    # Gaussian truncation: |exp(-s^2/(4z))| = e^{-80} at s_max
+    s_max = math.sqrt(80.0 / max(inv4z.real, 1e-12))
 
     def integrand(s):
         s = np.atleast_1d(s)
@@ -459,11 +450,8 @@ def temperedness_profile(family: OperatorFamily, t_grid=None) -> dict:
     """Empirical sup of t^{-alpha} ||T_alpha(t)|| over the grid (reported, not assumed)."""
     if t_grid is None:
         t_grid = np.geomspace(1e-3, 1e3, 25)
-    vals = []
-    for t in t_grid:
-        nrm = float(np.linalg.norm(family.matrix_at(float(t)), 2))
-        vals.append(nrm / float(t) ** family.alpha)
-    vals = np.asarray(vals)
+    vals = np.array([float(np.linalg.norm(family.matrix_at(float(t)), 2))
+                     / float(t) ** family.alpha for t in t_grid])
     return {
         "max": float(np.max(vals)),
         "median": float(np.median(vals)),

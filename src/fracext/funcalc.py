@@ -7,8 +7,9 @@ Balakrishnan power, and the extension solution respectively.  pi_rows
 takes every order as int (-1)^n phi^(n)(t) T_n(t) f dt, n = ceil(alpha),
 through spectral_integral: a spectral family integrates all eigenvalues
 that share a ray in one vector quadrature (purely oscillating modes on
-rays turned until they decay); black-box families go through vector
-quadrature of T_n(t) f itself.
+rays turned until they decay); a generator without an eigenbasis
+integrates T_n(t) f itself, from the matrix route of families (one
+augmented matrix exponential per node), on one real-axis lane per weight.
 """
 
 from __future__ import annotations
@@ -63,12 +64,23 @@ def _rays(sector, rate):
     return np.where(np.abs(theta) > 1e-12, theta, 0.0)
 
 
+def _span(x) -> str:
+    lo, hi = f"{x.min():.4g}", f"{x.max():.4g}"  # of a real array
+    return lo if lo == hi else f"{lo}..{hi}"
+
+
+def _eigen_range(e) -> str:
+    nonreal = f" + i({_span(e.imag)})" if e.imag.any() else ""
+    return f" over eigenvalues {_span(e.real)}{nonreal}"
+
+
 def spectral_integral(weights, family: OperatorFamily, f, tol: float,
                       shift: float = 0.0, names=None):
     """Rows int_0^inf w_k(t) T_alpha(shift + t) f dt for the weights w_k
     of a list, each speaking the kernel protocol with a known tail (pi_rows
     passes (-1)^n phi^(n) with T_n), and their quadrature error estimates
-    in the scale of f; names[k] names weight k in failure messages.
+    in the scale of f; names[k] names weight k in failure messages, which
+    give the range of the failing group's eigenvalues too.
 
     A spectral family writes the factor of each eigenvalue as parts amp *
     E(rate, t), E the alpha-fold integrated exponential (family_parts: a
@@ -80,8 +92,8 @@ def spectral_integral(weights, family: OperatorFamily, f, tol: float,
     panels and stopping target, and lanes with the same algebraic exponent
     at 0 and tail power (the pair _halfline routes by) share one
     lane-batched quadrature when they also share their eigenvalues.  A
-    black-box family makes one real-axis lane of w_k(t) T_alpha(shift + t) f
-    per weight.
+    family on the matrix route (a generator without an eigenbasis) makes
+    one real-axis lane of w_k(t) T_alpha(shift + t) f per weight.
     """
     count, alpha = len(weights), family.alpha
     names = names or [f"of weight {k}" for k in range(count)]
@@ -140,7 +152,8 @@ def spectral_integral(weights, family: OperatorFamily, f, tol: float,
             return w[:, None] * integrated_exponential(rates[lane], alpha, shift + t[:, None])
 
         v, e, _ = _halfline(integrand, len(group), q, p, tol, label=lambda j: (
-            f"spectral integral {names[owner[j]]}" + " on the rotated ray" * bool(thetas[j])))
+            f"spectral integral {names[owner[j]]}" + (_eigen_range(eigs[ids]) if spectral else "")
+            + " on the rotated ray" * bool(thetas[j])))
         for k, amp, vk, ek in zip(owner, amps, v, e):
             vals[k, ids] += amp * vk
             err[k] += abs(amp) * ek
@@ -153,7 +166,7 @@ def pi_rows(kernels, family: OperatorFamily, f, tol: float, names=None):
     """Rows pi_alpha(k) f of the kernels k and their error estimates, in one
     spectral integral of (-1)^n k^(n) against T_n, n = ceil(alpha): Fubini
     moves W^{-(n-alpha)} of W^alpha = W^{-(n-alpha)} (-1)^n d^n onto T_alpha."""
-    fam = ceil_order_family(family, tol)
+    fam = ceil_order_family(family)
     return spectral_integral([_weyl_kernel_fn(k, fam.alpha, tol) for k in kernels], fam, f,
                              tol, names=names)
 

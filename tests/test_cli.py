@@ -302,6 +302,9 @@ _BAD_FIELDS = [
     ("extend", {"z_grid": [{"re": math.cos(0.876), "im": math.sin(0.876)}]}, [], "z_grid"),
     ("trace", {"trace_grid": {"count": 2500}}, [], "trace_grid"),
     ("trace", {"trace_grid": {"y0": 1e-320}}, [], "trace_grid"),
+    ("fracpow", {"output": {"path": None, "format": "csv"}}, [], "output.path"),
+    ("fracpow", {"output": {"path": 2, "format": "csv"}}, [], "output.path"),
+    ("fracpow", {"output": {"path": "-", "format": "xml"}}, [], "output.format"),
 ]
 
 

@@ -20,7 +20,7 @@ from fracext.families import cosine_family, heat_semigroup, integrate_family, in
 from fracext.funcalc import balakrishnan_power, spectral_power_oracle
 from fracext.operators import LinearOperator, build_fourier_multiplier, spectral_decompose
 from fracext.specfun import FracOrder, constants_for
-from tests.conftest import bessel_k_solution, simpson_log
+from tests.conftest import JORDAN, bessel_k_solution, jordan_solution, simpson_log
 
 # frozen values of the scalar extension (brute-force subordination quadrature,
 # cross-checked against the closed Bessel-type form)
@@ -485,17 +485,43 @@ def test_regularized_sequence_validation(scalar_op):
         solve_regularized(fam, 0.5, 1.0, [1.0], (0.1,))  # too short
 
 
-def test_black_box_family_route(laplacian3, f3):
-    # a family without per-eigenvalue closed forms goes through the vector
-    # quadrature route; it must agree with the spectral route, at a
-    # fractional order through the once-integrated black-box family
-    for alpha in (1.0, 0.5):
-        fam_bb = integrate_family(heat_semigroup(laplacian3), alpha, spectral=False,
-                                  tol=1e-10)
-        fam_sp = integrate_family(heat_semigroup(laplacian3), alpha)
-        u_bb = solve_semigroup_form(fam_bb, 0.4, 0.8, f3, tol=1e-9).value
+def test_black_box_family_route():
+    # a Jordan block has no eigenbasis, so its families take the matrix
+    # route (augmented matrix exponentials at integer order); the solve is
+    # exact to roundoff and the estimate bounds the error
+    A, f = LinearOperator("dense", JORDAN), np.array([1.0, 0.5])
+    ref = jordan_solution(f, 0.4, 0.8)
+    for alpha in (0.0, 0.5, 1.0, 2.0):
+        fam = heat_semigroup(A) if alpha == 0 else integrate_family(heat_semigroup(A), alpha)
+        assert not fam.has_scalar
+        got = solve_semigroup_form(fam, 0.4, 0.8, f, tol=1e-9)
+        err = np.max(np.abs(got.value - ref))
+        assert err <= 1e-12 * np.max(np.abs(ref))
+        assert err <= got.error_estimate
+
+
+def test_matrix_route_matches_spectral_route(monkeypatch, laplacian3, f3):
+    # the same generator on both routes: refusing its eigenbasis while the
+    # family is built sends it through the matrix route
+    import fracext.families as families
+    from fracext.operators import DefectiveOperatorError
+
+    def refuse(op):
+        raise DefectiveOperatorError("eigenbasis withheld")
+
+    ts = np.array([0.3, 2.0, 9.0])
+    for beta in (0.0, 0.5, 1.0, 2.0):
+        fam_sp = heat_semigroup(laplacian3) if beta == 0 else \
+            integrate_family(heat_semigroup(laplacian3), beta)
+        with monkeypatch.context() as m:
+            m.setattr(families, "spectral_decompose", refuse)
+            fam_mx = families.OperatorFamily(fam_sp.kind, beta, laplacian3)
+        assert fam_sp.has_scalar and not fam_mx.has_scalar
+        ref = fam_sp.evaluate(ts, f3)
+        assert np.max(np.abs(fam_mx.evaluate(ts, f3) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        u_mx = solve_semigroup_form(fam_mx, 0.4, 0.8, f3, tol=1e-9).value
         u_sp = solve_semigroup_form(fam_sp, 0.4, 0.8, f3).value
-        assert np.linalg.norm(u_bb - u_sp) <= 1e-7 * np.linalg.norm(u_sp)
+        assert np.linalg.norm(u_mx - u_sp) <= 1e-12 * np.linalg.norm(u_sp)
 
 
 def test_semigroup_form_mixed_spectrum_vs_bessel_k():
@@ -700,10 +726,11 @@ def test_spectral_lanes_match_per_z(case):
 @pytest.mark.parametrize("route", ["log substitution", "rotated ray", "graded",
                                    "oscillating lane"])
 def test_lane_failure_names_its_z(monkeypatch, route):
-    # a NaN in one z lane fails the call with a message naming that z and
-    # the route of the lane; the graded lane is the zero mode of a periodic
-    # Laplacian under the algebraic cosine_fractional weight, and the
-    # oscillating lanes are the modes of i xi^3, turned onto decaying rays
+    # a NaN in one z lane fails the call with a message naming that z, the
+    # range of the lane's eigenvalues and its route; the graded lane is the
+    # zero mode of a periodic Laplacian under the algebraic cosine_fractional
+    # weight, and the oscillating lanes are the modes of i xi^3, turned onto
+    # decaying rays
     import fracext.funcalc as funcalc
     from fracext.kernels import _HintedFn
     from fracext.operators import build_laplacian_1d
@@ -731,5 +758,8 @@ def test_lane_failure_names_its_z(monkeypatch, route):
         else:
             ExtensionSolver(heat_semigroup(A), 0.4, f).value(zs)
     where = " on the rotated ray (log substitution)" if rotated and not graded else f" ({route})"
-    assert str(info.value) == (f"spectral integral at z = {complex(z)!r}{where}: "
-                               "NaN/Inf sample detected")
+    # the failing group's eigenvalues: all four Dirichlet ones, the periodic
+    # zero mode alone, or the modes of i xi^3 on the ray below the axis
+    span = {"graded": "0", "oscillating lane": "0 + i(-8..-1)"}.get(route, "-3.618..-0.382")
+    assert str(info.value) == (f"spectral integral at z = {complex(z)!r} over eigenvalues "
+                               f"{span}{where}: NaN/Inf sample detected")

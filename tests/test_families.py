@@ -17,7 +17,7 @@ from fracext.families import (
     verify_resolvent,
 )
 from fracext.operators import LinearOperator, apply
-from tests.conftest import simpson
+from tests.conftest import JORDAN, jordan_family, simpson
 
 
 def test_heat_semigroup_scalar(scalar_op):
@@ -26,7 +26,7 @@ def test_heat_semigroup_scalar(scalar_op):
 
 
 def test_heat_semigroup_defective_fallback():
-    # a Jordan block has no eigenbasis, so exp(tA) comes from the Pade fallback
+    # a Jordan block has no eigenbasis, so exp(tA) comes from the matrix route
     fam = heat_semigroup(LinearOperator("dense", [[-1.0, 1.0], [0.0, -1.0]]))
     assert not fam.has_scalar
     for t in (0.0, 0.3, 1.0, 2.5, 7.5):
@@ -63,14 +63,22 @@ def test_integrate_family_closed_forms(scalar_op):
     assert abs(fam2.evaluate(1.0, f)[0] - math.exp(-1.0)) < 1e-12  # t - 1 + e^{-t} at 1
 
 
-def test_integrate_family_order_additivity(scalar_op):
-    # brute-force double integral: two successive black-box integrations
-    fam0 = heat_semigroup(scalar_op)
-    f = np.array([1.0])
-    half = integrate_family(fam0, 0.5, spectral=False, tol=1e-10)
-    full = integrate_family(half, 1.0, spectral=False, tol=1e-9)
-    direct = integrate_family(fam0, 1.0, spectral=False, tol=1e-10)
-    assert abs(full.evaluate(1.0, f)[0] - direct.evaluate(1.0, f)[0]) < 1e-8
+def test_integrate_family_order_additivity():
+    # half-order integration of the matrix route's T_{1/2} by brute force
+    # gives its T_1: s = t sin^2(theta) makes (t-s)^{-1/2} T_{1/2}(s) ds
+    # analytic in theta
+    A, f, t = LinearOperator("dense", JORDAN), np.array([1.0, 0.5]), 1.0
+    half = integrate_family(heat_semigroup(A), 0.5)
+    full = integrate_family(half, 1.0)
+
+    def integrand(theta, k):
+        s = t * np.sin(theta) ** 2
+        return 2.0 * math.sqrt(t) * np.sin(theta) * half.evaluate(s, f)[:, k] / math.gamma(0.5)
+
+    brute = np.array([simpson(lambda th: integrand(th, k), 0.0, math.pi / 2, 401)
+                      for k in range(2)])
+    assert np.max(np.abs(full.evaluate(t, f) - brute)) < 1e-12
+    assert np.max(np.abs(full.evaluate(t, f) - jordan_family(1.0, t, f))) < 1e-14
 
 
 def test_integrated_exponential_examples():
@@ -81,11 +89,13 @@ def test_integrated_exponential_examples():
     assert abs(v - 2.0 ** 1.5 / math.gamma(2.5)) < 1e-14
 
 
-def test_integrated_exponential_matches_quadrature(scalar_op):
-    fam = integrate_family(heat_semigroup(scalar_op), 1.5, spectral=False, tol=1e-11)
-    got = fam.evaluate(1.0, np.array([1.0]))[0]
-    closed = integrated_exponential(-1.0, 1.5, 1.0)
-    assert abs(got - closed) < 1e-9
+def test_integrated_exponential_matches_quadrature():
+    # the matrix route's one graded integral at a fractional order against
+    # the closed form of the Jordan block
+    A, f = LinearOperator("dense", JORDAN), np.array([1.0, 0.5])
+    fam = integrate_family(heat_semigroup(A), 1.5)
+    for t in (0.3, 1.0, 4.0):
+        assert np.max(np.abs(fam.evaluate(t, f) - jordan_family(1.5, t, f))) < 1e-12
 
 
 def test_integrated_exponential_regimes_vs_simpson():
@@ -240,9 +250,23 @@ def test_resolvent_identity_cosine_grid(laplacian8, f8):
     assert worst <= 1e-8
 
 
-def test_integrate_family_preserves_generator(laplacian8, f8):
-    fam = integrate_family(heat_semigroup(laplacian8), 1.0, spectral=False, tol=1e-10)
-    assert verify_resolvent(fam, 1.0, f8, tol=1e-10) <= 1e-8
+def test_integrate_family_preserves_generator():
+    # the Laplace transform of the matrix route's T_1 is the resolvent of
+    # the Jordan block it was built from
+    A, f = LinearOperator("dense", JORDAN), np.array([1.0, 0.5])
+    fam = integrate_family(heat_semigroup(A), 1.0)
+    assert fam.generator is A
+    assert verify_resolvent(fam, 1.0, f, tol=1e-10) <= 1e-8
+
+
+def test_cosine_family_needs_an_eigenbasis():
+    # cosine kinds have no matrix route: a Jordan block is refused when the
+    # family is built, not when it is evaluated
+    A = LinearOperator("dense", JORDAN)
+    with pytest.raises(ValueError, match="eigenbasis"):
+        cosine_family(A, allow_nonselfadjoint=True)
+    with pytest.raises(ValueError, match="eigenbasis"):
+        integrated_cosine(A, 1.5, allow_nonselfadjoint=True)
 
 
 def test_integra_identity(scalar_op, laplacian3, f3):

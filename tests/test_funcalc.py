@@ -18,7 +18,7 @@ from fracext.funcalc import (
 from fracext.kernels import Kernel, SectorPoint, _Expr, _HintedFn, _weyl_kernel_fn
 from fracext.operators import LinearOperator, apply, spectral_decompose
 from fracext.specfun import FracOrder
-from tests.conftest import bessel_k_solution, simpson_log
+from tests.conftest import JORDAN, bessel_k_solution, simpson_log
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -134,6 +134,16 @@ def test_integrated_power_alpha1_scalar(scalar_op):
     fam1 = integrate_family(heat_semigroup(scalar_op), 1.0)
     r = integrated_power(fam1, 0.5, [1.0])
     assert abs(r.value[0] - 1.0) <= 1e-8
+
+
+def test_integrated_power_jordan_block():
+    # (-A)^sigma = (I - N)^sigma = I - sigma N on the Jordan block A = -I + N,
+    # through the matrix route's T_1 and T_2
+    A, f = LinearOperator("dense", JORDAN), np.array([1.0, 0.5])
+    r = integrated_power(integrate_family(heat_semigroup(A), 1.0), 0.4, f, tol=1e-9)
+    err = np.max(np.abs(r.value - (f - 0.4 * np.array([0.5, 0.0]))))
+    assert err <= 1e-10
+    assert err <= r.error_estimate
 
 
 def test_integrated_power_alpha15_laplacian(laplacian3, f3):
