@@ -10,7 +10,6 @@ Exit codes: 0 ok, 2 usage/config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import functools
 import io
@@ -37,6 +36,7 @@ from .extension import (
 )
 from .families import cosine_family, heat_semigroup, integrate_family, integrated_cosine
 from .funcalc import balakrishnan_power, integrated_power, spectral_power_oracle
+from .kernels import SectorPoint
 from .operators import MAX_DIMENSION, LinearOperator, build_fourier_multiplier, build_laplacian_1d
 from .quadrature import QuadratureError
 from .specfun import ConvergenceError
@@ -294,12 +294,9 @@ def _extend_at(cfg, A, fam, f, zs, power, wanted):
         if m == "semigroup":
             evals[m] = solve_semigroup_form(fam, cfg.sigma, zs, f, tol=1e-10)
         elif m == "regularized":
-            evals[m] = solve_regularized(fam, cfg.sigma, zs, f,
-                                         (1e-2, 1e-3, 1e-4, 1e-5),
-                                         power_input=power, tol=1e-10)
+            evals[m] = solve_regularized(fam, cfg.sigma, zs, f, power_input=power, tol=1e-10)
         elif m == "fractional_data":
-            evals[m] = solve_fractional_data(fam, cfg.sigma, zs, f,
-                                             power_input=power, tol=1e-10)
+            evals[m] = solve_fractional_data(fam, cfg.sigma, zs, f, power_input=power, tol=1e-10)
         elif m == "cosine":
             evals[m] = solve_cosine_form(cosine_family(A), cfg.sigma, zs, f, tol=1e-9)
         elif m == "cosine_fractional":
@@ -314,9 +311,10 @@ def cmd_extend(cfg: ProblemConfig):
     if not cfg.z_grid:
         raise ConfigError("extend needs a nonempty z_grid")
     for z in cfg.z_grid:
-        # the closed sector |arg z| <= pi/4 without its vertex, edge tolerance as in SectorPoint
-        if z == 0 or abs(cmath.phase(z)) > math.pi / 4.0 + 1e-12:
-            raise ConfigError(f"z_grid entries must be nonzero with |arg z| <= pi/4, got {z!r}")
+        try:
+            SectorPoint(z, closed=True)
+        except ValueError as exc:
+            raise ConfigError(f"z_grid entry {z!r}: {exc}")
     A = build_operator(cfg)
     f = resolve_f(cfg, A.dimension)
     fam = build_family(cfg, A)

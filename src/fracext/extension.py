@@ -4,22 +4,19 @@ The degenerate elliptic problem
 
     u''(z) + (1-2*sigma)/z * u'(z) = -A u(z),   u(0) = f,
 
-is solved by integral representations against the heat family (open
-sector S_{pi/4}, plus the closed sector through the fractional-data
-form) and against the cosine family (right half-plane).  The weighted
-boundary derivative recovers the fractional power:
+is solved by integral representations against the heat family (closed
+sector |arg z| <= pi/4) and against the cosine family (right half-plane).
+The weighted boundary derivative recovers the fractional power:
 
     lim z^{1-2 sigma} u'(z) = 2 sigma c_sigma (-A)^sigma f,
 
 extracted here by Richardson extrapolation along rays.
 
-The t-integrals of real modes are taken along the rotated ray
-t = e^{i arg(z^2)/2} s, which restores kernel decay uniformly up to the
-sector boundary; purely oscillating modes (imaginary spectra, and the
-halves e^{+-i omega t} of every cosine mode) run on rays turned into the
-half-plane where they decay, inside the sector where the kernel is
-analytic (funcalc.spectral_integral); each weight is the closed form
-(-1)^n k^(n) of a kernel k against T_n, n = ceil(alpha) (funcalc.pi_rows).
+Each mode of a t-integral runs on the ray midway through the kernel's
+sector and the half-plane where it decays, so every spectrum with
+Re lambda < 0 reaches the sector edge (funcalc.spectral_integral).  Each
+weight is the closed form (-1)^n k^(n) of a kernel k against T_n,
+n = ceil(alpha) (funcalc.pi_rows).
 A generator without an eigenbasis takes the matrix route of families on
 real-axis lanes, open sector only; the cosine solvers need an eigenbasis.
 """
@@ -107,13 +104,9 @@ def _semigroup_pi(make, family: OperatorFamily, f, z, tol: float):
     """pi_alpha(k) f and its error estimate for every kernel k of make(point)
     at every point of z, shaped (points, kernels, n) and (points, kernels),
     all in one spectral integral."""
-    zs, scalar = _points(z), family.has_scalar
-    phase = np.abs(np.angle(zs))
-    if not scalar and np.any(phase >= math.pi / 4.0 - 1e-12):
+    zs = _points(z)
+    if not family.has_scalar and np.any(np.abs(np.angle(zs)) >= math.pi / 4.0 - 1e-12):
         raise ValueError("families without an eigenbasis support only the open sector")
-    if (scalar and np.any(np.abs(phase - math.pi / 4.0) < 1e-12)
-            and np.any(np.abs(spectral_eigendata(family.generator)[0].imag) > 1e-9)):
-        raise ValueError("sector boundary evaluation needs a generator with real spectrum")
     kernels = [make(SectorPoint(w, math.pi / 4.0, closed=True)) for w in zs]
     names = [f"at z = {complex(w)!r}" for w in zs for _ in kernels[0]]
     value, err = pi_rows([k for ks in kernels for k in ks], family, f, tol, names=names)
@@ -139,7 +132,7 @@ def _power_input(family: OperatorFamily, sigma, f, power_input, tol):
     return balakrishnan_power(family.generator, sigma, f, tol=tol).value
 
 
-def solve_regularized(family: OperatorFamily, sigma, z, f, eps_sequence=(1.0, 0.1, 0.01),
+def solve_regularized(family: OperatorFamily, sigma, z, f, eps_sequence=(1e-2, 1e-3, 1e-4, 1e-5),
                       power_input=None, tol: float = 1e-11) -> ExtensionEvaluation:
     """u(z) = lim_{eps -> 0+} pi_alpha(B^{sigma,z} e_eps) (-A)^sigma f.
 
@@ -151,8 +144,7 @@ def solve_regularized(family: OperatorFamily, sigma, z, f, eps_sequence=(1.0, 0.
     members.  (-A)^sigma f vanishes on ker A, where u(z) = f: spectral
     families add the projection of f onto the eigenvalues that are exactly
     zero."""
-    order = _sigma_checked(sigma)
-    zs = _points(z)
+    order, zs = _sigma_checked(sigma), _points(z)
     eps_sequence = [float(e) for e in eps_sequence]
     if len(eps_sequence) < 3 or any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
         raise ValueError("eps_sequence must be strictly decreasing with >= 3 entries")

