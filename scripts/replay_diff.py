@@ -2,11 +2,12 @@
 requests whose exit code or stdout bytes differ.
 
 The requests are those of the three workloads of `bench/workloads.py`, as
-`generate(name, seed, seconds)` draws them for each seed (the module is
-imported, never changed).  For each tree one child process, with that
-tree on PYTHONPATH, sends them all through `fracext.cli.main` in-process,
-one after the other as the benchmark worker does, and records each exit
-code with a hash of its stdout.
+`generate(name, seed, SECONDS)` draws them for each seed in a run of the
+benchmark's standard length (the module is imported, never changed).  For
+each tree one child process, with that tree on PYTHONPATH, sends them all
+through `fracext.cli.main` in-process, one after the other as the
+benchmark worker does, and records each exit code with a hash of its
+stdout.
 
     python scripts/replay_diff.py --before PARENT/src [--after src] [--seeds 11-20]
 
@@ -30,6 +31,7 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.normpath(os.path.join(HERE, ".."))
+SECONDS = 24.0  # the benchmark's run length, which sets the cycles per seed
 
 
 def _seeds(spec: str) -> list:
@@ -37,8 +39,8 @@ def _seeds(spec: str) -> list:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
-def _child(seeds, seconds: float, bench: str, out: str) -> None:
-    sys.path.insert(0, bench)
+def _child(seeds, out: str) -> None:
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
     import workloads
 
     import fracext.cli as cli
@@ -48,7 +50,7 @@ def _child(seeds, seconds: float, bench: str, out: str) -> None:
         path = os.path.join(tmp, "cfg.json")
         for name in sorted(workloads.WORKLOADS):
             for seed in seeds:
-                for i, req in enumerate(workloads.generate(name, seed, seconds)["requests"]):
+                for i, req in enumerate(workloads.generate(name, seed, SECONDS)["requests"]):
                     with open(path, "w") as fh:
                         json.dump(req["config"], fh)
                     stdout = io.StringIO()
@@ -70,15 +72,11 @@ def main(argv=None) -> int:
     ap.add_argument("--after", default=os.path.join(ROOT, "src"),
                     help="source tree of the change (default: this checkout's src)")
     ap.add_argument("--seeds", default="11-20", help="seed or inclusive range, e.g. 11-20")
-    ap.add_argument("--seconds", type=float, default=24.0,
-                    help="the benchmark's --seconds, which sets the cycles per seed")
-    ap.add_argument("--bench", default=os.path.join(ROOT, "bench"),
-                    help="directory holding workloads.py")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     seeds = _seeds(args.seeds)
     if args.child:
-        _child(seeds, args.seconds, os.path.abspath(args.bench), args.child)
+        _child(seeds, args.child)
         return 0
     with tempfile.TemporaryDirectory() as tmp:
         procs, outs = [], []
@@ -87,8 +85,7 @@ def main(argv=None) -> int:
             env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
             procs.append(subprocess.Popen(
                 [sys.executable, os.path.abspath(__file__), "--before", src,
-                 "--seeds", args.seeds, "--seconds", str(args.seconds),
-                 "--bench", args.bench, "--child", outs[-1]], env=env))
+                 "--seeds", args.seeds, "--child", outs[-1]], env=env))
         if any(p.wait() for p in procs):
             print("a replay child failed", file=sys.stderr)
             return 2

@@ -216,21 +216,15 @@ def resolve_f(cfg: ProblemConfig, n: int) -> np.ndarray:
     raise ConfigError(f"cannot parse data vector spec {spec!r}")
 
 
-def _fmt_cell(v):
+def _cell(v, fmt: str):
+    """A table cell: CSV text, or a JSON value."""
     if isinstance(v, (complex, np.complexfloating)) and not isinstance(v, float):
         v = complex(v)
-        return f"{v.real!r};{v.imag!r}"
+        return f"{v.real!r};{v.imag!r}" if fmt == "csv" else _encode_complex(v)
     if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
-def _json_cell(v):
-    if isinstance(v, (complex, np.complexfloating)) and not isinstance(v, float):
-        return _encode_complex(complex(v))
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    return int(v) if isinstance(v, np.integer) else v
+        return repr(float(v)) if fmt == "csv" else float(v)
+    v = int(v) if isinstance(v, np.integer) else v
+    return str(v) if fmt == "csv" else v
 
 
 def _emit_table(rows, columns, out_path: str, fmt: str):
@@ -239,10 +233,10 @@ def _emit_table(rows, columns, out_path: str, fmt: str):
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+            writer.writerow([_cell(v, fmt) for v in row])
         text = buf.getvalue()
     else:  # json: the config and the argument parser admit no other format
-        payload = [{key: _json_cell(v) for key, v in zip(columns, row)} for row in rows]
+        payload = [{key: _cell(v, fmt) for key, v in zip(columns, row)} for row in rows]
         # compact: any indent forces json's pure-Python encoder
         text = json.dumps(payload, sort_keys=True) + "\n"
     if out_path == "-":
@@ -296,7 +290,8 @@ def _extend_at(cfg, A, fam, f, zs, power, wanted):
         elif m == "regularized":
             evals[m] = solve_regularized(fam, cfg.sigma, zs, f, power_input=power, tol=1e-10)
         elif m == "fractional_data":
-            evals[m] = solve_fractional_data(fam, cfg.sigma, zs, f, power_input=power, tol=1e-10)
+            evals[m] = solve_fractional_data(fam, cfg.sigma, zs, f,
+                                             power_input=power, tol=1e-10)
         elif m == "cosine":
             evals[m] = solve_cosine_form(cosine_family(A), cfg.sigma, zs, f, tol=1e-9)
         elif m == "cosine_fractional":

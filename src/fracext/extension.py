@@ -13,10 +13,10 @@ The weighted boundary derivative recovers the fractional power:
 extracted here by Richardson extrapolation along rays.
 
 Each mode of a t-integral runs on the ray midway through the kernel's
-sector and the half-plane where it decays, so every spectrum with
-Re lambda < 0 reaches the sector edge (funcalc.spectral_integral).  Each
-weight is the closed form (-1)^n k^(n) of a kernel k against T_n,
-n = ceil(alpha) (funcalc.pi_rows).
+sector and the half-plane where it decays, so a generator with an
+eigenbasis and Re lambda < 0 reaches the sector edge
+(funcalc.spectral_integral).  Each weight is the closed form
+(-1)^n k^(n) of a kernel k against T_n, n = ceil(alpha) (funcalc.pi_rows).
 A generator without an eigenbasis takes the matrix route of families on
 real-axis lanes, open sector only; the cosine solvers need an eigenbasis.
 """
@@ -34,7 +34,7 @@ from .funcalc import balakrishnan_power, pi_rows
 from .kernels import Kernel, SectorPoint, _KernelExpr, z_derivative_fn
 from .operators import MAX_DIMENSION, LinearOperator, apply
 from .quadrature import richardson_multi
-from .specfun import FracOrder, constants_for, cpow
+from .specfun import FracOrder, cexpm1, constants_for, cpow
 
 __all__ = [
     "SIGMA_BAND",
@@ -144,7 +144,8 @@ def solve_regularized(family: OperatorFamily, sigma, z, f, eps_sequence=(1e-2, 1
     members.  (-A)^sigma f vanishes on ker A, where u(z) = f: spectral
     families add the projection of f onto the eigenvalues that are exactly
     zero."""
-    order, zs = _sigma_checked(sigma), _points(z)
+    order = _sigma_checked(sigma)
+    zs = _points(z)
     eps_sequence = [float(e) for e in eps_sequence]
     if len(eps_sequence) < 3 or any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
         raise ValueError("eps_sequence must be strictly decreasing with >= 3 entries")
@@ -199,7 +200,6 @@ def _cpowm1(x, p):
     val = p * _clog1p(x)
     # clip the real part: oversize entries are masked out by the caller
     val = np.where(val.real > 700.0, 700.0 + 1j * val.imag, val)
-    from .specfun import cexpm1
     return cexpm1(val)
 
 

@@ -52,12 +52,9 @@ def spectral_eigendata(op):
     into e^{at} overflow on the huge-t probes of the half-line quadrature.
     """
     dec = spectral_decompose(op)
-    eigs = dec.eigenvalues.copy()
-    scale = max(float(np.max(np.abs(eigs))), 1.0)
-    re = eigs.real.copy()
-    im = eigs.imag.copy()
-    re[np.abs(re) <= 1e-12 * scale] = 0.0
-    im[np.abs(im) <= 1e-12 * scale] = 0.0
+    scale = max(float(np.max(np.abs(dec.eigenvalues))), 1.0)
+    re, im = (np.where(np.abs(x) <= 1e-12 * scale, 0.0, x)
+              for x in (dec.eigenvalues.real, dec.eigenvalues.imag))
     return re + 1j * im, dec.basis, dec.inverse_basis
 
 

@@ -5,9 +5,9 @@ kernels to bounded operators; plugging in the resolvent kernels, the
 power kernels, or the extension kernels yields (eps - A)^{-sigma}, the
 Balakrishnan power, and the extension solution respectively.  pi_rows
 takes every order as int (-1)^n phi^(n)(t) T_n(t) f dt, n = ceil(alpha),
-through spectral_integral: a spectral family integrates all eigenvalues
-that share a ray in one vector quadrature (every mode on a ray turned
-until it decays); a generator without an eigenbasis integrates T_n(t) f
+through spectral_integral: a spectral family integrates the eigenvalues
+of every ray, each mode on a ray turned until it decays, in few
+lane-batched quadratures; a generator without an eigenbasis integrates T_n(t) f
 itself, from the matrix route of families (one augmented matrix
 exponential per node), on one real-axis lane per weight.
 """
@@ -57,7 +57,8 @@ def _rays(sector, rate):
     decays (Re t > 0 at rate 0); the real axis for a growing rate or an
     empty middle."""
     mid = np.where(np.abs(rate) <= 1e-9, 0.0, np.angle(-np.conj(rate)))
-    lo, hi = np.maximum(sector[0], mid - 0.5 * math.pi), np.minimum(sector[1], mid + 0.5 * math.pi)
+    lo = np.maximum(sector[0], mid - 0.5 * math.pi)
+    hi = np.minimum(sector[1], mid + 0.5 * math.pi)
     theta = np.where((rate.real <= 1e-9) & (lo <= hi), 0.5 * (lo + hi), 0.0)
     return np.where(np.abs(theta) > 1e-12, theta, 0.0)
 
@@ -86,11 +87,11 @@ def spectral_integral(weights, family: OperatorFamily, f, tol: float,
     ray t = e^{i theta} s of _rays; so every lane but an undamped zero mode
     takes the log substitution, and an algebraic weight refuses a mode
     that decays on no ray of its sector.  A lane is a (weight, ray, rates)
-    triple with its own panels and stopping target, and lanes with the
-    same algebraic exponent at 0 and tail power (the pair _halfline routes
-    by) share one lane-batched quadrature when they also share their
-    eigenvalues.  A family on the matrix route (a generator without an
-    eigenbasis) makes one real-axis lane per weight.
+    triple with its own panels and stopping target.  Lanes that agree in
+    the pair _halfline routes by (algebraic exponent at 0, tail power), in
+    their count of rates and in whether a lane on the same eigenvalues
+    turns share one lane-batched quadrature.  A family on the matrix route
+    (a generator without an eigenbasis) makes one real-axis lane per weight.
     """
     count, alpha = len(weights), family.alpha
     names = names or [f"of weight {k}" for k in range(count)]
@@ -107,7 +108,7 @@ def spectral_integral(weights, family: OperatorFamily, f, tol: float,
         # |T_alpha(t)| <= C t^alpha eats alpha powers of the weight's decay
         p = None if damped or w_tail[1] - alpha <= 1.0 else w_tail[1] - alpha
         if not spectral:
-            groups.setdefault((q, p, tuple(range(f.size))), []).append((k, 0.0, 1.0, None))
+            groups.setdefault((q, p, tuple(range(f.size))), []).append([k, 0.0, 1.0, None])
             continue
         for amp, rate in family_parts(family.kind, eigs):
             theta = _rays(w.sector(), rate)
@@ -126,12 +127,13 @@ def spectral_integral(weights, family: OperatorFamily, f, tol: float,
                     lanes[key] = [k, th, amp, rate[ids]]
                     groups.setdefault((q, p if st else None, tuple(ids)),
                                       []).append(lanes[key])
-    vals = np.zeros((count, eigs.size if spectral else f.size), dtype=complex)
-    err = np.zeros(count)
+    batches = {}  # groups of equal width share one quadrature if they rotate alike
     for (q, p, ids), group in groups.items():
-        owner, thetas, amps, rates = zip(*group)
-        ids, rots = list(ids), np.exp(1j * np.array(thetas))
-        rotating = any(thetas)
+        key = (q, p, len(ids), any(lane[1] for lane in group))
+        batches.setdefault(key, []).extend((ids, lane) for lane in group)
+    for (q, p, _, rotating), batch in batches.items():
+        owner, thetas, _, rates = zip(*(lane[:4] for _, lane in batch))
+        rots = np.exp(1j * np.array(thetas))
         rates = np.array(rates) if spectral else None
 
         def integrand(s, lane):
@@ -148,11 +150,17 @@ def spectral_integral(weights, family: OperatorFamily, f, tol: float,
                 return w[:, None] * family.evaluate(shift + t, f)
             return w[:, None] * integrated_exponential(rates[lane], alpha, shift + t[:, None])
 
-        v, e, _ = _halfline(integrand, len(group), q, p, tol, label=lambda j: (
-            f"spectral integral {names[owner[j]]}" + (_eigen_range(eigs[ids]) if spectral else "")
+        v, e, _ = _halfline(integrand, len(batch), q, p, tol, label=lambda j: (
+            f"spectral integral {names[owner[j]]}"
+            + (_eigen_range(eigs[list(batch[j][0])]) if spectral else "")
             + " on the rotated ray" * bool(thetas[j])))
-        for k, amp, vk, ek in zip(owner, amps, v, e):
-            vals[k, ids] += amp * vk
+        for (_, lane), vk, ek in zip(batch, v, e):
+            lane += [vk, ek]
+    vals = np.zeros((count, eigs.size if spectral else f.size), dtype=complex)
+    err = np.zeros(count)
+    for (_, _, ids), group in groups.items():  # sums in the order of the groups
+        for k, _, amp, _, vk, ek in group:
+            vals[k, list(ids)] += amp * vk
             err[k] += abs(amp) * ek
     if not spectral:
         return vals, err

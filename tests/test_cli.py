@@ -340,12 +340,11 @@ def test_extend_on_closed_sector_edge(tmp_path, capsys, alpha, z):
         got = np.array([_decode_complex(r["u_semigroup"]) for r in rows])
         ref = bessel_k_solution(eigs, np.array(f), 0.4, z)
         assert np.max(np.abs(got - ref)) <= rows[0]["error_estimate"]
-        if alpha == 2.0 and z.imag < 0 and isinstance(eigs[0], complex):
-            # -0.2 + 5i decays below the edge only within 0.04 rad of the
-            # kernel's sector: on that ray the peak of b'' sets the window
-            # cut, and the error (1e-9 relative) stays below the estimate
-            continue
-        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+        # -0.2 + 5i decays below the edge only within 0.04 rad of the kernel's
+        # sector, where neither factor of the weight b'' T_2 damps the other:
+        # the error, 9.8e-10 relative, misses tol and stays below the estimate
+        wedge = alpha == 2.0 and z.imag < 0 and isinstance(eigs[0], complex)
+        assert np.linalg.norm(got - ref) <= (2e-9 if wedge else 1e-10) * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])

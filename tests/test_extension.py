@@ -656,29 +656,55 @@ def test_error_estimates_bound_scaled_errors(scale):
     assert ev.error_estimate >= np.max(np.abs(ev.value - ref))
 
 
+def _edge_sweep_cases():
+    # (lam, sigma, z, solve, diverges) over both edges |arg z| = pi/4
+    lams = [complex(-1, 0.5), complex(-1, 3), complex(-0.2, 5), complex(-3, -2),
+            complex(-0.05, 8), 2j, -2j, -1.0]
+    for lam in lams:
+        for sigma in (0.3, 0.5, 0.8, complex(0.4, 0.2)):
+            for z in (0.9 * cmath.exp(0.25j * math.pi), 0.9 * cmath.exp(-0.25j * math.pi)):
+                for solve in (solve_semigroup_form, solve_fractional_data):
+                    yield lam, sigma, z, solve, lam.real == 0 and lam.imag * z.imag < 0
+
+
 def test_closed_sector_edge_sweep_vs_bessel_k():
     # z on both edges |arg z| = pi/4: each mode runs on the ray midway
     # through the kernel's sector and the half-plane where it decays.  An
     # imaginary mode whose half-plane misses the sector (2i below the axis,
     # -2i above it), where the representation diverges, is refused by name
-    lams = [complex(-1, 0.5), complex(-1, 3), complex(-0.2, 5), complex(-3, -2),
-            complex(-0.05, 8), 2j, -2j, -1.0]
     f = np.array([1.0])
     solved = refused = 0
-    for lam in lams:
+    for lam, sigma, z, solve, diverges in _edge_sweep_cases():
         fam = heat_semigroup(LinearOperator("diagonal", [lam]))
-        for sigma in (0.3, 0.5, 0.8, complex(0.4, 0.2)):
-            for z in (0.9 * cmath.exp(0.25j * math.pi), 0.9 * cmath.exp(-0.25j * math.pi)):
-                for solve in (solve_semigroup_form, solve_fractional_data):
-                    if lam.real == 0 and lam.imag * z.imag < 0:
-                        with pytest.raises(ValueError, match="no ray"):
-                            solve(fam, sigma, z, f, tol=1e-10)
-                        refused += 1
-                    else:
-                        got = solve(fam, sigma, z, f, tol=1e-10)
-                        _assert_oracle(got, bessel_k_solution([lam], f, sigma, z), 1e-10)
-                        solved += 1
+        if diverges:
+            with pytest.raises(ValueError, match="no ray"):
+                solve(fam, sigma, z, f, tol=1e-10)
+            refused += 1
+        else:
+            got = solve(fam, sigma, z, f, tol=1e-10)
+            _assert_oracle(got, bessel_k_solution([lam], f, sigma, z), 1e-10)
+            solved += 1
     assert (solved, refused) == (112, 16)
+
+
+def test_closed_sector_edge_sweep_integrated_family():
+    # the sweep on the once-integrated family, whose weight is b'.  Below the
+    # axis, -0.2 + 5i and -0.05 + 8i decay only within 0.04 and 0.006 rad of
+    # the kernel's sector: on that ray neither factor damps the other, and
+    # the error (4.7e-10 at worst) misses tol but stays below the estimate
+    f = np.array([1.0])
+    narrow = 0
+    for lam, sigma, z, solve, diverges in _edge_sweep_cases():
+        fam = integrate_family(heat_semigroup(LinearOperator("diagonal", [lam])), 1.0)
+        if diverges:
+            with pytest.raises(ValueError, match="no ray"):
+                solve(fam, sigma, z, f, tol=1e-10)
+            continue
+        wedge = lam in (complex(-0.2, 5), complex(-0.05, 8)) and z.imag < 0
+        narrow += wedge
+        _assert_oracle(solve(fam, sigma, z, f, tol=1e-10), bessel_k_solution([lam], f, sigma, z),
+                       1e-9 if wedge else 1e-10)
+    assert narrow == 16
 
 
 @pytest.mark.parametrize("theta", [math.pi / 4 - 1e-3, -(math.pi / 4 - 1e-3)])
