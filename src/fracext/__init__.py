@@ -62,7 +62,6 @@ from .operators import (
     spectral_decompose,
 )
 from .quadrature import (
-    DecayHint,
     QuadratureResult,
     integrate_halfline,
     integrate_interval,

@@ -34,7 +34,7 @@ from .extension import (
     solve_semigroup_form,
     trace_grid,
 )
-from .families import cosine_family, heat_semigroup, integrate_family, integrated_cosine
+from .families import cosine_family, heat_semigroup, integrate_family
 from .funcalc import balakrishnan_power, integrated_power, spectral_power_oracle
 from .kernels import SectorPoint
 from .operators import MAX_DIMENSION, LinearOperator, build_fourier_multiplier, build_laplacian_1d
@@ -185,19 +185,17 @@ def build_operator(cfg: ProblemConfig) -> LinearOperator:
 
 
 def build_family(cfg: ProblemConfig, A: LinearOperator):
+    """The heat semigroup of A (kind 'semigroup', alpha 0) or its alpha-times
+    integrated family (kind 'integrated_semigroup', alpha > 0)."""
     kind = cfg.family.get("kind", "semigroup")
-    alpha = _number(cfg.family.get("alpha", 0.0), "family.alpha", lambda a: a >= 0, " >= 0")
-    if kind == "semigroup":
-        return heat_semigroup(A)
-    if kind == "integrated_semigroup":
-        if alpha <= 0:
-            raise ConfigError("integrated_semigroup needs alpha > 0")
-        return integrate_family(heat_semigroup(A), alpha)
-    if kind == "cosine":
-        return cosine_family(A)
-    if kind == "integrated_cosine":
-        return integrated_cosine(A, alpha)
-    raise ConfigError(f"unknown family kind {kind!r}")
+    if kind not in ("semigroup", "integrated_semigroup"):
+        raise ConfigError(f"unknown family.kind {kind!r}; choose 'semigroup' or "
+                          "'integrated_semigroup'")
+    integrated = kind == "integrated_semigroup"
+    alpha = _number(cfg.family.get("alpha", 0.0), "family.alpha",
+                    (lambda a: a > 0) if integrated else (lambda a: a == 0),
+                    f" {'> 0' if integrated else 'equal to 0'} for kind {kind!r}")
+    return integrate_family(heat_semigroup(A), alpha) if integrated else heat_semigroup(A)
 
 
 def resolve_f(cfg: ProblemConfig, n: int) -> np.ndarray:
@@ -205,7 +203,7 @@ def resolve_f(cfg: ProblemConfig, n: int) -> np.ndarray:
     if spec is None:
         return np.ones(n)
     if isinstance(spec, list):
-        vec = _finite(np.array([_decode_complex(v) for v in spec]), "f")
+        vec = _finite(np.array([_decode_complex(v, "f") for v in spec]), "f")
         if vec.shape[0] != n:
             raise ConfigError(f"f has length {vec.shape[0]}, operator dimension is {n}")
         return vec
@@ -257,8 +255,6 @@ def cmd_fracpow(cfg: ProblemConfig):
                         balakrishnan_power(A, cfg.sigma, f, tol=1e-9).value))
     if cfg.method in ("integrated", "all"):
         fam = build_family(cfg, A)
-        if fam.is_cosine:
-            raise ConfigError("fracpow integrated method needs a semigroup-side family")
         methods.append((f"integrated(alpha={fam.alpha:g})",
                         integrated_power(fam, cfg.sigma, f, tol=1e-9).value))
     if not methods and cfg.method != "oracle":
@@ -313,9 +309,6 @@ def cmd_extend(cfg: ProblemConfig):
     A = build_operator(cfg)
     f = resolve_f(cfg, A.dimension)
     fam = build_family(cfg, A)
-    if fam.is_cosine:
-        raise ConfigError("extend expects a semigroup-side family; cosine forms are "
-                          "selected through 'method'")
     wanted = _EXTEND_METHODS if cfg.method == "all" else (cfg.method,)
     columns = (["z", "component"] + [f"u_{m}" for m in wanted]
                + ["error_estimate", "max_pairwise_delta"])
@@ -342,8 +335,6 @@ def cmd_trace(cfg: ProblemConfig):
     A = build_operator(cfg)
     f = resolve_f(cfg, A.dimension)
     fam = build_family(cfg, A)
-    if fam.is_cosine:
-        raise ConfigError("traces run on semigroup-side families")
     gspec = cfg.trace_grid
     theta = _number(gspec.get("theta", 0.0), "trace_grid.theta",
                     lambda x: abs(x) < math.pi / 4.0, " with |theta| < pi/4")
@@ -422,6 +413,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _writable(path: str, name: str):
+    """Refuse, before any solve, an output path that cannot be written."""
+    folder = os.path.dirname(path) or "."
+    if path != "-" and (os.path.isdir(path) or not os.access(folder, os.W_OK)):
+        raise ConfigError(f"{name}: cannot write {path!r}")
+
+
 def _load_config(args) -> ProblemConfig:
     try:
         with open(args.config) as fh:
@@ -437,6 +435,7 @@ def _load_config(args) -> ProblemConfig:
         cfg.seed = _number(args.seed, "--seed", lambda x: x >= 0, " >= 0", integer=True)
     if args.out is not None:
         cfg.output["path"] = args.out
+    _writable(cfg.output["path"], "output.path" if args.out is None else "--out")
     if args.format is not None:
         cfg.output["format"] = args.format
     return cfg
@@ -450,7 +449,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         if args.command == "verify":
-            rows, columns, code = cmd_verify(args.suite, args.seed)
+            seed = _number(args.seed, "--seed", lambda x: x >= 0, " >= 0", integer=True)
+            _writable(args.out, "--out")
+            rows, columns, code = cmd_verify(args.suite, seed)
             _emit_table(rows, columns, args.out, args.format)
             return code
         cfg = _load_config(args)

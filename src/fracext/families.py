@@ -21,7 +21,7 @@ import numpy as np
 
 from .operators import (DefectiveOperatorError, LinearOperator, apply, resolvent_solve,
                         spectral_decompose)
-from .quadrature import DecayHint, _graded, integrate_halfline, integrate_interval
+from .quadrature import _graded, integrate_halfline, integrate_interval
 from .specfun import (ConvergenceError, _by_regime, _pow, _scaled_upper_u, cpow, gamma,
                       lower_incomplete_gamma)
 
@@ -396,7 +396,7 @@ def verify_resolvent(family: OperatorFamily, lam: complex, f,
         damp = np.exp(-lam.real * t) * np.exp(-1j * lam.imag * t)
         return damp[:, None] * family.evaluate(t, f)
 
-    res = integrate_halfline(integrand, [DecayHint("exponential-at-infinity")], tol=tol)
+    res = integrate_halfline(integrand, tol=tol)
     if family.is_cosine:
         value = cpow(lam, family.alpha - 1.0) * np.asarray(res.value)
         ref = resolvent_solve(family.generator, lam * lam, f)

@@ -25,7 +25,7 @@ from .families import (OperatorFamily, ceil_order_family, family_parts, heat_sem
                        spectral_eigendata, spectral_error)
 from .kernels import Kernel, _HintedFn, _KernelExpr, _weyl_kernel_fn
 from .operators import DefectiveOperatorError, LinearOperator, apply, resolvent_solve
-from .quadrature import DecayHint, _graded, _halfline, _unary, integrate_halfline
+from .quadrature import _graded, _halfline, _route, _unary, integrate_halfline
 from .specfun import FracOrder, cpow, gamma
 
 __all__ = [
@@ -88,7 +88,7 @@ def spectral_integral(weights, family: OperatorFamily, f, tol: float,
     takes the log substitution, and an algebraic weight refuses a mode
     that decays on no ray of its sector.  A lane is a (weight, ray, rates)
     triple with its own panels and stopping target.  Lanes that agree in
-    the pair _halfline routes by (algebraic exponent at 0, tail power), in
+    their route (q, p), which quadrature._route takes from the weight's decay, in
     their count of rates and in whether a lane on the same eigenvalues
     turns share one lane-batched quadrature.  A family on the matrix route
     (a generator without an eigenbasis) makes one real-axis lane per weight.
@@ -103,10 +103,9 @@ def spectral_integral(weights, family: OperatorFamily, f, tol: float,
     groups, lanes = {}, {}
     for k, w in enumerate(weights):
         w_zero, w_tail = w.metadata()
-        q = None if w_zero is None or w_zero + alpha >= 0.0 else w_zero + alpha
-        damped = w_tail[0] == "exponential"
         # |T_alpha(t)| <= C t^alpha eats alpha powers of the weight's decay
-        p = None if damped or w_tail[1] - alpha <= 1.0 else w_tail[1] - alpha
+        q, p = _route(w_zero, w_tail, alpha)
+        damped = w_tail[0] == "exponential"
         if not spectral:
             groups.setdefault((q, p, tuple(range(f.size))), []).append([k, 0.0, 1.0, None])
             continue
@@ -225,8 +224,7 @@ def balakrishnan_power(A: LinearOperator, sigma, f, tol: float = 1e-11) -> Fract
             return w * resolvent_solve(A, lam, mAf)
         return w * (-eigs / (lam[:, None] - eigs))
 
-    hints = [DecayHint("algebraic-singularity-at-zero", exponent=s.real - 1.0)]
-    res = integrate_halfline(integrand, hints, tol=tol)
+    res = integrate_halfline(integrand, zero=s.real - 1.0, tol=tol)
     pref = cmath.sin(cmath.pi * s) / math.pi
     value = pref * np.asarray(res.value).reshape(-1)
     err = abs(pref) * res.error_estimate

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import _graded, _halfline, _unary
+from .quadrature import _graded, _halfline, _route, _unary
 from .specfun import FracOrder, cexpm1, cpow, gamma
 
 __all__ = [
@@ -441,34 +441,29 @@ def _weyl_lanes(fn, zero_exp, tail, beta: float, s, tol: float, name: str):
     integrates along the horizontal ray s + tau.
 
     Each point is a lane with its own panels and its own error target;
-    points whose exponent at tau = 0 differs (the zero exponent of fn adds
-    to beta - 1 at s = 0) integrate in separate lane groups.  An algebraic
-    tail of fn takes the graded route, with exponent 0 when that endpoint
-    is bounded; an exponential one the log substitution.  A failing lane
-    names its point and the operator name.
+    points whose exponent at tau = 0 differs (the zero exponent of fn at
+    s = 0, 0 elsewhere) integrate in separate lane groups, each on the
+    route quadrature._route gives tau^{beta-1} times that decay.  A
+    failing lane names its point and the operator name.
     """
     pts = np.asarray(s, dtype=complex if np.iscomplexobj(s) else float).reshape(-1)
     gb = gamma(beta)
-    q0 = np.full(pts.size, beta - 1.0)
+    z0 = np.zeros(pts.size)
     if zero_exp is not None:
-        q0[pts == 0.0] += zero_exp
-    if np.any(q0 <= -1.0):
+        z0[pts == 0.0] = zero_exp
+    if np.any(z0 + (beta - 1.0) <= -1.0):
         raise ValueError("Weyl integral diverges at the lower endpoint")
-    p = None
-    if tail is not None and tail[0] == "algebraic":
-        p = tail[1] - (beta - 1.0)
-        if p <= 1.0:
-            raise ValueError("Weyl integral diverges at infinity (tail bound fails)")
+    if tail is not None and tail[0] == "algebraic" and tail[1] - (beta - 1.0) <= 1.0:
+        raise ValueError("Weyl integral diverges at infinity (tail bound fails)")
     out = np.zeros(pts.size, dtype=complex)
-    for q in np.unique(q0):
-        ids = np.flatnonzero(q0 == q)
+    for zero in np.unique(z0):
+        ids = np.flatnonzero(z0 == zero)
         at = pts[ids]
 
         def integrand(tau, lane, at=at):
             return tau ** (beta - 1.0) * np.asarray(fn(at[lane] + tau)) / gb
 
-        zero = min(float(q), 0.0) if p is not None or q < 0.0 else None
-        out[ids] = _halfline(integrand, ids.size, zero, p, tol,
+        out[ids] = _halfline(integrand, ids.size, *_route(float(zero), tail, beta - 1.0), tol,
                              label=lambda k, at=at: f"{name} at s = {at[k].item()!r}")[0]
     return out[0] if np.ndim(s) == 0 else out.reshape(np.shape(s))
 
@@ -556,16 +551,13 @@ def sobolev_norm(phi, alpha: float, tol: float = 1e-11) -> float:
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     w = _weyl_kernel_fn(phi, alpha, tol * 10)
-    w_zero, w_tail = w.metadata()
     ga1 = gamma(alpha + 1.0)
 
     def integrand(t):
         return np.abs(w(t)) * t ** alpha / ga1
 
-    # t^alpha adds alpha to the exponent at zero and takes it from the tail
-    q = None if w_zero is None or w_zero + alpha >= 0.0 else w_zero + alpha
-    p = w_tail[1] - alpha if w_tail[0] == "algebraic" else None
-    return float(np.real(_halfline(_unary(integrand), 1, q, p, tol)[0][0]))
+    return float(np.real(_halfline(_unary(integrand), 1, *_route(*w.metadata(), alpha),
+                                   tol)[0][0]))
 
 
 def convolve_halfline(phi, psi, s: float, tol: float = 1e-11):

@@ -2,15 +2,15 @@
 
 A half-line route depends on two numbers only: the algebraic exponent q
 at zero (|f| ~ t^q) and the algebraic tail power p (|f| ~ t^-p), each
-None when absent.  With both, power grading t = s^{1/(1+q)} on [0, 1]
-and inversion t = 1/s, graded the same way, on [1, inf); otherwise the
-log substitution t = e^u, whose probe finds the truncation window: one
-integrand call samples the probe and the first steps of the walk to the
-window's edges, and later calls go on in doubling strides.  An
-essential singularity at zero or an exponential tail is that default, so
-those DecayHint kinds choose nothing.  Oscillating integrands are the
-caller's to turn into decaying ones (funcalc rotates them onto rays in
-the complex plane), so every route integrates an integrand that decays.
+None when absent, which _route alone derives from the kernel protocol's
+decay pair (zero, tail).  With both, power grading t = s^{1/(1+q)} on
+[0, 1] and inversion t = 1/s, graded the same way, on [1, inf);
+otherwise the log substitution t = e^u, whose probe finds the truncation
+window: one integrand call samples the probe and the first steps of the
+walk to the window's edges, and later calls go on in doubling strides.
+Oscillating integrands are the caller's to turn into decaying ones
+(funcalc rotates them onto rays in the complex plane), so every route
+integrates an integrand that decays.
 
 Integrands are vectorized: f(t: ndarray) -> ndarray whose leading axis
 matches t; trailing axes (vector values) are carried through.
@@ -38,7 +38,6 @@ import numpy as np
 
 __all__ = [
     "QuadratureResult",
-    "DecayHint",
     "QuadratureError",
     "integrate_interval",
     "integrate_halfline",
@@ -63,38 +62,6 @@ class QuadratureResult:
             raise ValueError("error_estimate must be nonnegative")
         if self.evaluations <= 0:
             raise ValueError("evaluations must be positive")
-
-
-_HINT_KINDS = (
-    "exponential-at-infinity",
-    "algebraic-at-infinity",
-    "essential-singularity-at-zero",
-    "algebraic-singularity-at-zero",
-)
-
-
-@dataclass(frozen=True)
-class DecayHint:
-    """Asymptotic behaviour of an integrand at one end of (0, inf).
-
-    kind "algebraic-at-infinity" carries power p (|f| ~ t^-p, p > 1);
-    kind "algebraic-singularity-at-zero" carries exponent q (|f| ~ t^q,
-    q > -1 for integrability).  The other two kinds carry no parameter.
-    """
-
-    kind: str
-    power: float | None = None
-    exponent: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in _HINT_KINDS:
-            raise ValueError(f"unknown hint kind {self.kind!r}")
-        if self.kind == "algebraic-singularity-at-zero":
-            if self.exponent is None or self.exponent <= -1.0:
-                raise ValueError("algebraic singularity needs exponent q > -1")
-        if self.kind == "algebraic-at-infinity":
-            if self.power is None or self.power <= 1.0:
-                raise ValueError("algebraic tail needs power p > 1")
 
 
 # 15-point Kronrod nodes (positive half, descending) and weights, with the
@@ -435,11 +402,20 @@ def _log_substituted(f, lanes, tol, max_panels, label=None, q=None):
     return out, errs, evals
 
 
+def _route(zero, tail, power=0.0):
+    """The route (q, p) of _halfline for w(t) t^power, w of decay (zero, tail):
+    q = zero + power if negative, p = the algebraic tail power - power if
+    above 1, each else None (a bounded or flat zero, an exponential tail)."""
+    q = None if zero is None or zero + power >= 0.0 else zero + power
+    algebraic = tail is not None and tail[0] == "algebraic" and tail[1] - power > 1.0
+    return q, tail[1] - power if algebraic else None
+
+
 def _halfline(f, lanes, q, p, tol, max_panels=6000, label=None):
     """Lane-batched integrate_halfline: lane k integrates f(., k) over
-    (0, inf), given the algebraic exponent q at 0 (|f| ~ t^q) and the
-    algebraic tail power p (|f| ~ t^-p), each None when absent; returns
-    (values, error estimates, evaluations) per lane.
+    (0, inf) on the route (q, p) of _route, the algebraic exponent at 0
+    and the algebraic tail power, each None when absent; returns (values,
+    error estimates, evaluations) per lane.
 
     With both, [0, 1] is graded in t and [1, inf) in s = 1/t, where the
     integrand f(1/s) / s^2 ~ s^{p-2}; otherwise every lane takes the log
@@ -458,20 +434,19 @@ def _halfline(f, lanes, q, p, tol, max_panels=6000, label=None):
     return tuple(x + y for x, y in zip(r0, r1))
 
 
-def integrate_halfline(f, hints=(), tol: float = DEFAULT_TOL,
+def integrate_halfline(f, zero=None, tail=None, tol: float = DEFAULT_TOL,
                        max_panels: int = 6000) -> QuadratureResult:
-    """Integrate f over (0, inf), choosing the substitution from the hints.
-
-    Only the algebraic kinds choose a route (_halfline); the essential
-    singularity at zero and the exponential tail are the default it takes.
-    """
-    q = p = None
-    for h in hints or ():
-        if h.kind == "algebraic-singularity-at-zero":
-            q = h.exponent
-        elif h.kind == "algebraic-at-infinity":
-            p = h.power
-    vals, errs, evals = _halfline(_unary(f), 1, q, p, tol, max_panels)
+    """Integrate f over (0, inf) on the route _route takes from its decay,
+    stated as in the kernel protocol: zero the algebraic exponent at 0+
+    (|f| ~ t^zero, zero > -1; None when flat), tail ("exponential", rate)
+    or ("algebraic", power) with power > 1 (None when unknown)."""
+    if zero is not None and zero <= -1.0:
+        raise ValueError(f"an algebraic zero t^{zero:g} is not integrable")
+    if tail is not None and tail[0] not in ("exponential", "algebraic"):
+        raise ValueError(f"unknown tail kind {tail[0]!r}")
+    if tail is not None and tail[0] == "algebraic" and tail[1] <= 1.0:
+        raise ValueError(f"an algebraic tail t^-{tail[1]:g} is not integrable")
+    vals, errs, evals = _halfline(_unary(f), 1, *_route(zero, tail), tol, max_panels)
     return QuadratureResult(vals[0], float(errs[0]), int(evals[0]))
 
 

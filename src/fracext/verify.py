@@ -45,8 +45,7 @@ def normalization_error(draws) -> float:
     err = 0.0
     for s, z in draws:
         b = _kernel("b", s, z)
-        tail = quadrature.DecayHint("algebraic-at-infinity", power=b.metadata()[1][1])
-        r = quadrature.integrate_halfline(b.fn(0), [tail], tol=1e-11)
+        r = quadrature.integrate_halfline(b.fn(0), *b.metadata(), tol=1e-11)
         err = max(err, abs(r.value - 1.0))
     return err
 
@@ -228,13 +227,10 @@ def run_specfun(seed: int = 0):
 
 def run_quadrature(seed: int = 0):
     out = []
-    r = quadrature.integrate_halfline(
-        lambda t: np.exp(-t), [quadrature.DecayHint("exponential-at-infinity")])
+    r = quadrature.integrate_halfline(lambda t: np.exp(-t), tail=("exponential", 1.0))
     out.append(_check("int e^-t = 1", abs(r.value - 1.0), 1e-9))
-    r = quadrature.integrate_halfline(
-        lambda t: t ** -0.5 * np.exp(-t),
-        [quadrature.DecayHint("algebraic-singularity-at-zero", exponent=-0.5),
-         quadrature.DecayHint("exponential-at-infinity")])
+    r = quadrature.integrate_halfline(lambda t: t ** -0.5 * np.exp(-t), -0.5,
+                                      ("exponential", 1.0))
     out.append(_check("int t^-1/2 e^-t = sqrt(pi)",
                       abs(r.value - math.sqrt(math.pi)), 1e-9))
     out.append(_check("int b^{1/2,1} = 1", normalization_error([(0.5, 1.0)]), 1e-9))

@@ -219,6 +219,16 @@ def test_verify_quadrature_suite(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("argv,name", [(["--seed", "-1"], "--seed"),
+                                       (["--out", "no-such-dir/table.csv"], "--out")])
+def test_bad_verify_argument_exits_2_naming_it(capsys, monkeypatch, argv, name):
+    # refused before the suite runs
+    monkeypatch.setattr("fracext.verify.run_suite", lambda *args: pytest.fail("suite ran"))
+    code = main(["verify", "--suite", "quadrature"] + argv)
+    assert code == EXIT_CONFIG
+    assert name in capsys.readouterr().err
+
+
 def test_threads_env_cap(tmp_path, capsys, monkeypatch):
     # FRACEXT_THREADS is no longer read: it changes neither exit code nor table
     path = write_config(tmp_path, base_config(method="semigroup", tol=1e-5))
@@ -305,6 +315,14 @@ _BAD_FIELDS = [
     ("fracpow", {"output": {"path": None, "format": "csv"}}, [], "output.path"),
     ("fracpow", {"output": {"path": 2, "format": "csv"}}, [], "output.path"),
     ("fracpow", {"output": {"path": "-", "format": "xml"}}, [], "output.format"),
+    # "f:" and not "f", which "config error" already holds
+    ("fracpow", {"f": ["x", 1, 2, 3]}, [], "f:"),
+    ("fracpow", {"output": {"path": "no-such-dir/table.csv", "format": "csv"}}, [],
+     "output.path"),
+    ("fracpow", {}, ["--out", "no-such-dir/table.csv"], "--out"),
+    ("fracpow", {"family": {"kind": "semigroup", "alpha": 1.5}}, [], "family.alpha"),
+    ("fracpow", {"family": {"kind": "cosine", "alpha": 0.0}}, [], "family.kind"),
+    ("extend", {"family": {"kind": "integrated_cosine", "alpha": 1.0}}, [], "family.kind"),
 ]
 
 

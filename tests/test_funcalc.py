@@ -116,11 +116,9 @@ def test_balakrishnan_composition(laplacian8, f8):
 
 def test_moment_identity():
     # int_0^inf (e^{-t} - 1) t^{-3/2} dt = Gamma(-1/2) = -2 sqrt(pi)
-    from fracext.quadrature import DecayHint, integrate_halfline
-    r = integrate_halfline(
-        lambda t: np.expm1(-t) * t ** -1.5,
-        [DecayHint("algebraic-singularity-at-zero", exponent=-0.5),
-         DecayHint("algebraic-at-infinity", power=1.5)], tol=1e-11)
+    from fracext.quadrature import integrate_halfline
+    r = integrate_halfline(lambda t: np.expm1(-t) * t ** -1.5, -0.5, ("algebraic", 1.5),
+                           tol=1e-11)
     assert abs(r.value + 2.0 * SQRT_PI) < 1e-9
 
 

@@ -19,7 +19,7 @@ from fracext.kernels import (
     z_derivative,
     z_derivative_coefficients,
 )
-from fracext.quadrature import DecayHint, QuadratureError, integrate_halfline
+from fracext.quadrature import QuadratureError, integrate_halfline
 from fracext.specfun import FracOrder, cpow, gamma
 
 SQRT_PI = math.sqrt(math.pi)
@@ -255,10 +255,7 @@ def test_b_normalization_random_draws():
         z = rng.uniform(0.3, 2.0) * cmath.exp(1j * rng.uniform(-math.pi / 4 * 0.92,
                                                                math.pi / 4 * 0.92))
         k = _b(s, z)
-        r = integrate_halfline(k.fn(0),
-                               [DecayHint("essential-singularity-at-zero"),
-                                DecayHint("algebraic-at-infinity", power=1 + s)],
-                               tol=1e-11)
+        r = integrate_halfline(k.fn(0), None, ("algebraic", 1 + s), tol=1e-11)
         assert abs(r.value - 1.0) < 1e-9
 
 
@@ -403,6 +400,18 @@ def test_weyl_integral_of_h_converges_below_one_minus_sigma(s):
     ref = gamma(0.2) / (gamma(0.7) * gamma(0.3)) * s ** -0.2
     got = weyl_integral(Kernel("h", FracOrder(0.3)), 0.5, s)
     assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.5, 2.5])
+def test_weyl_integral_of_bounded_algebraic_function(beta):
+    # W^{-beta} (1+t)^-4 = Gamma(4-beta)/Gamma(4) (1+s)^{beta-4}: an
+    # integrand bounded at tau = 0 with an algebraic tail, which takes the
+    # log substitution (only a singular zero is graded)
+    phi = _HintedFn(lambda t: (1.0 + np.asarray(t)) ** -4, 0.0, ("algebraic", 4.0))
+    s = np.array([0.0, 0.5, 2.0, 10.0])
+    ref = gamma(4.0 - beta) / gamma(4.0) * (1.0 + s) ** (beta - 4.0)
+    got = weyl_integral(phi, beta, s)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
 
 
 def test_convolution_h_b_equals_B():

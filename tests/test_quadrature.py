@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fracext.quadrature import (
-    DecayHint,
     QuadratureError,
     integrate_halfline,
     integrate_interval,
@@ -12,7 +11,7 @@ from fracext.quadrature import (
     richardson_multi,
 )
 
-EXP_TAIL = DecayHint("exponential-at-infinity")
+EXP_TAIL = ("exponential", 1.0)
 
 
 def test_interval_linear():
@@ -38,14 +37,14 @@ def test_interval_complex_oscillation():
 
 
 def test_halfline_exponential():
-    r = integrate_halfline(lambda t: np.exp(-t), [EXP_TAIL])
+    r = integrate_halfline(lambda t: np.exp(-t), tail=EXP_TAIL)
     assert abs(r.value - 1.0) < 1e-9
 
 
 def test_halfline_gamma_half():
     r = integrate_halfline(
         lambda t: t ** -0.5 * np.exp(-t),
-        [DecayHint("algebraic-singularity-at-zero", exponent=-0.5), EXP_TAIL])
+        -0.5, EXP_TAIL)
     assert abs(r.value - math.sqrt(math.pi)) < 1e-9
 
 
@@ -53,19 +52,17 @@ def test_halfline_kernel_normalization():
     def b(t):
         return np.exp(-1.0 / (4.0 * t)) * t ** -1.5 / (2.0 * math.sqrt(math.pi))
 
-    r = integrate_halfline(b, [DecayHint("essential-singularity-at-zero"),
-                               DecayHint("algebraic-at-infinity", power=1.5)])
+    r = integrate_halfline(b, None, ("algebraic", 1.5))
     assert abs(r.value - 1.0) < 1e-9
 
 
 def test_halfline_linearity():
     f = lambda t: np.exp(-t)
     g = lambda t: t * np.exp(-2.0 * t)
-    hint = [EXP_TAIL]
     a, b = 2.3, -0.7
-    lhs = integrate_halfline(lambda t: a * f(t) + b * g(t), hint)
-    rhs_f = integrate_halfline(f, hint)
-    rhs_g = integrate_halfline(g, hint)
+    lhs = integrate_halfline(lambda t: a * f(t) + b * g(t), tail=EXP_TAIL)
+    rhs_f = integrate_halfline(f, tail=EXP_TAIL)
+    rhs_g = integrate_halfline(g, tail=EXP_TAIL)
     bound = rhs_f.error_estimate + rhs_g.error_estimate + lhs.error_estimate + 1e-12
     assert abs(lhs.value - (a * rhs_f.value + b * rhs_g.value)) < bound
 
@@ -75,19 +72,17 @@ def test_halfline_substitution_invariance():
     def f(t):
         return np.exp(-1.0 / (4.0 * t)) * t ** -1.3 * np.exp(-0.2 * t)
 
-    r1 = integrate_halfline(f, [DecayHint("essential-singularity-at-zero"), EXP_TAIL],
-                            tol=1e-11)
+    r1 = integrate_halfline(f, None, EXP_TAIL, tol=1e-11)
 
     def g(s):
         return f(1.0 / s) / s ** 2
 
-    r2 = integrate_halfline(g, [DecayHint("essential-singularity-at-zero"), EXP_TAIL],
-                            tol=1e-11)
+    r2 = integrate_halfline(g, None, EXP_TAIL, tol=1e-11)
     assert abs(r1.value - r2.value) / abs(r1.value) < 1e-9
 
 
 def test_halfline_zero_integrand():
-    r = integrate_halfline(lambda t: np.zeros_like(t), [EXP_TAIL])
+    r = integrate_halfline(lambda t: np.zeros_like(t), tail=EXP_TAIL)
     assert r.value == 0.0
     assert r.error_estimate == 0.0
 
@@ -107,16 +102,19 @@ def test_halfline_nan_detection():
         return np.where(t > 10.0, np.nan, np.exp(-t))
 
     with pytest.raises(QuadratureError):
-        integrate_halfline(f, [EXP_TAIL])
+        integrate_halfline(f, tail=EXP_TAIL)
 
 
-def test_decay_hint_validation():
+def test_halfline_decay_validation():
+    def f(t):
+        return np.exp(-t)
+
     with pytest.raises(ValueError):
-        DecayHint("algebraic-singularity-at-zero", exponent=-1.5)
+        integrate_halfline(f, zero=-1.5)
     with pytest.raises(ValueError):
-        DecayHint("algebraic-at-infinity", power=0.9)
+        integrate_halfline(f, tail=("algebraic", 0.9))
     with pytest.raises(ValueError):
-        DecayHint("no-such-kind")
+        integrate_halfline(f, tail=("no-such-kind", 1.0))
 
 
 def test_richardson_linear_exact():
@@ -179,23 +177,24 @@ def test_richardson_vector_values():
 
 @pytest.mark.parametrize("case", ["gamma_half", "kernel_b"])
 def test_halfline_routeless_kinds_change_nothing(case):
-    # only the algebraic kinds choose a route: adding or dropping the
-    # essential singularity at zero or the exponential tail leaves the
-    # value bitwise and the evaluation count unchanged
+    # only an algebraic zero and an algebraic tail choose a route: stating
+    # a flat (None) or bounded zero, or an exponential tail, instead of
+    # nothing leaves the value bitwise and the evaluation count unchanged
     if case == "gamma_half":
         def f(t):
             return t ** -0.5 * np.exp(-t)
 
-        algebraic = [DecayHint("algebraic-singularity-at-zero", exponent=-0.5)]
+        algebraic = {"zero": -0.5}
+        routeless = [{"tail": EXP_TAIL}]
     else:
         def f(t):
             return np.exp(-1.0 / (4.0 * t)) * t ** -1.5 / (2.0 * math.sqrt(math.pi))
 
-        algebraic = [DecayHint("algebraic-at-infinity", power=1.5)]
-    routeless = [DecayHint("essential-singularity-at-zero"), EXP_TAIL]
-    bare = integrate_halfline(f, algebraic, tol=1e-11)
-    for extra in ([routeless[0]], [routeless[1]], routeless):
-        r = integrate_halfline(f, extra + algebraic, tol=1e-11)
+        algebraic = {"tail": ("algebraic", 1.5)}
+        routeless = [{"zero": None}, {"zero": 0.0}]
+    bare = integrate_halfline(f, **algebraic, tol=1e-11)
+    for extra in routeless:
+        r = integrate_halfline(f, **extra, **algebraic, tol=1e-11)
         assert r.value == bare.value
         assert r.evaluations == bare.evaluations
         assert r.error_estimate == bare.error_estimate
@@ -264,11 +263,9 @@ def test_evaluations_count_every_sample(route, lanes):
     _, _, evals = _halfline(g, lanes, q, p, 1e-10)
     assert list(evals) == list(seen)
     if lanes == 1:
-        hints = [DecayHint("algebraic-singularity-at-zero", exponent=q)] if q else []
-        if p:
-            hints.append(DecayHint("algebraic-at-infinity", power=p))
+        tail = ("algebraic", p) if p else None
         g, seen = _counting(f, 1)
-        r = integrate_halfline(lambda t: g(t, np.zeros(t.shape, dtype=int)), hints, tol=1e-10)
+        r = integrate_halfline(lambda t: g(t, np.zeros(t.shape, dtype=int)), q, tail, tol=1e-10)
         assert r.evaluations == seen[0]
 
 
@@ -287,7 +284,7 @@ def test_walk_overshoot_is_dropped(bad):
             return np.where(t < 1e-16, np.nan, np.exp(-t))
         return np.exp(-t) / np.exp(np.where(t < 1e-17, 1e3, 0.0))  # overflows below t = 1e-17
 
-    r = integrate_halfline(f, [EXP_TAIL], tol=1e-10)
+    r = integrate_halfline(f, tail=EXP_TAIL, tol=1e-10)
     assert abs(r.value - 1.0) < 1e-9
     assert smallest[0] < (1e-16 if bad == "nan" else 1e-17)
 
