@@ -247,6 +247,7 @@ def _emit_table(rows, columns, out_path: str, fmt: str):
 def cmd_fracpow(cfg: ProblemConfig):
     A = build_operator(cfg)
     f = resolve_f(cfg, A.dimension)
+    fam = build_family(cfg, A)  # checked whichever methods run
     oracle = spectral_power_oracle(A, cfg.sigma, f).value
     scale = max(float(np.linalg.norm(oracle)), 1e-300)
     methods = []
@@ -254,7 +255,6 @@ def cmd_fracpow(cfg: ProblemConfig):
         methods.append(("balakrishnan",
                         balakrishnan_power(A, cfg.sigma, f, tol=1e-9).value))
     if cfg.method in ("integrated", "all"):
-        fam = build_family(cfg, A)
         methods.append((f"integrated(alpha={fam.alpha:g})",
                         integrated_power(fam, cfg.sigma, f, tol=1e-9).value))
     if not methods and cfg.method != "oracle":

@@ -8,6 +8,10 @@ t^alpha sum_n (a t)^n / Gamma(alpha+n+1) of the alpha-fold integral of
 e^{a s}, for all eigenvalues and times at once.  Without one (semigroup
 kinds only), T_m(t) f = t^m phi_m(tA) f is one augmented matrix
 exponential per time, and a fractional order integrates it once more.
+
+The dtype follows the data: at an integer order, real rates a at real
+finite times t give float64 factors, by the same formulas as complex ones;
+a fractional order, a complex a or t, and t = inf give complex128.
 """
 
 from __future__ import annotations
@@ -127,10 +131,12 @@ def _times_power(t, m: int, phi):
         out = tm * phi
         big = ~np.isfinite(tm) & (t.imag == 0.0)
         if big.any():
-            re, im, s = phi[big].real, phi[big].imag, t[big].real
-            for _ in range(m):
-                re, im = re * s, im * s
-            out.real[big], out.imag[big] = re, im
+            s = t[big].real
+            for part in (np.real, np.imag) if np.iscomplexobj(out) else (np.real,):
+                v = part(phi)[big]
+                for _ in range(m):
+                    v = v * s
+                part(out)[big] = v
     return out
 
 
@@ -149,11 +155,15 @@ def integrated_exponential(a, alpha: float, t):
     the limit where one exists, with Re a < 0: 0 for alpha < 1 and -1/a at
     alpha = 1; elsewhere t = inf raises ValueError.  a and t broadcast
     against each other, each entry taking its own regime; scalar arguments
-    give a complex.
+    give a Python scalar.  The result is float64 at an integer order when a
+    and t are both real and t is finite, and complex128 otherwise.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    a, t = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(t, dtype=complex))
+    a, t = np.asarray(a), np.asarray(t)
+    real = alpha == int(alpha) and np.isrealobj(a) and np.isrealobj(t) and np.isfinite(t).all()
+    dtype = float if real else complex
+    a, t = np.broadcast_arrays(np.asarray(a, dtype=dtype), np.asarray(t, dtype=dtype))
     if np.isinf(t).any():
         limit = (t.real == np.inf) & (t.imag == 0.0) & (a.real < 0.0) & (alpha <= 1.0)
         if not (limit | np.isfinite(t)).all():
@@ -165,7 +175,7 @@ def integrated_exponential(a, alpha: float, t):
         return complex(out) if out.ndim == 0 else out
     x = a * t
     if alpha == 0.0:
-        return complex(np.exp(x)) if x.ndim == 0 else np.exp(x)
+        return np.exp(x).item() if x.ndim == 0 else np.exp(x)
     ax = np.abs(x)
     if alpha == int(alpha):
         m = int(alpha)

@@ -25,7 +25,7 @@ from .families import (OperatorFamily, ceil_order_family, family_parts, heat_sem
                        spectral_eigendata, spectral_error)
 from .kernels import Kernel, _HintedFn, _KernelExpr, _weyl_kernel_fn
 from .operators import DefectiveOperatorError, LinearOperator, apply, resolvent_solve
-from .quadrature import _graded, _halfline, _route, _unary, integrate_halfline
+from .quadrature import _graded, _halfline, _route, integrate_halfline
 from .specfun import FracOrder, cpow, gamma
 
 __all__ = [
@@ -87,11 +87,14 @@ def spectral_integral(weights, family: OperatorFamily, f, tol: float,
     ray t = e^{i theta} s of _rays; so every lane but an undamped zero mode
     takes the log substitution, and an algebraic weight refuses a mode
     that decays on no ray of its sector.  A lane is a (weight, ray, rates)
-    triple with its own panels and stopping target.  Lanes that agree in
-    their route (q, p), which quadrature._route takes from the weight's decay, in
-    their count of rates and in whether a lane on the same eigenvalues
-    turns share one lane-batched quadrature.  A family on the matrix route
-    (a generator without an eigenbasis) makes one real-axis lane per weight.
+    triple with its own panels and stopping target; it is real when its
+    ray is unturned and its rates are real, and then samples its factor in
+    float64 at real t (the weight keeps its own dtype).  Lanes that agree
+    in their route (q, p), which quadrature._route takes from the weight's
+    decay, in their count of rates, in whether a lane on the same
+    eigenvalues turns and in being real share one lane-batched quadrature.
+    A family on the matrix route (a generator without an eigenbasis) makes
+    one real-axis lane per weight.
     """
     count, alpha = len(weights), family.alpha
     names = names or [f"of weight {k}" for k in range(count)]
@@ -107,7 +110,8 @@ def spectral_integral(weights, family: OperatorFamily, f, tol: float,
         q, p = _route(w_zero, w_tail, alpha)
         damped = w_tail[0] == "exponential"
         if not spectral:
-            groups.setdefault((q, p, tuple(range(f.size))), []).append([k, 0.0, 1.0, None])
+            groups.setdefault((q, p, tuple(range(f.size)), False), []).append(
+                [k, 0.0, 1.0, None])
             continue
         for amp, rate in family_parts(family.kind, eigs):
             theta = _rays(w.sector(), rate)
@@ -124,16 +128,17 @@ def spectral_integral(weights, family: OperatorFamily, f, tol: float,
                     lanes[key][2] += amp
                 else:
                     lanes[key] = [k, th, amp, rate[ids]]
-                    groups.setdefault((q, p if st else None, tuple(ids)),
+                    real = th == 0.0 and not rate[ids].imag.any()
+                    groups.setdefault((q, p if st else None, tuple(ids), real),
                                       []).append(lanes[key])
     batches = {}  # groups of equal width share one quadrature if they rotate alike
-    for (q, p, ids), group in groups.items():
-        key = (q, p, len(ids), any(lane[1] for lane in group))
+    for (q, p, ids, real), group in groups.items():
+        key = (q, p, len(ids), any(lane[1] for lane in group), real)
         batches.setdefault(key, []).extend((ids, lane) for lane in group)
-    for (q, p, _, rotating), batch in batches.items():
+    for (q, p, _, rotating, real), batch in batches.items():
         owner, thetas, _, rates = zip(*(lane[:4] for _, lane in batch))
         rots = np.exp(1j * np.array(thetas))
-        rates = np.array(rates) if spectral else None
+        rates = (np.array(rates).real if real else np.array(rates)) if spectral else None
 
         def integrand(s, lane):
             t = rots[lane] * s if rotating else s
@@ -157,7 +162,7 @@ def spectral_integral(weights, family: OperatorFamily, f, tol: float,
             lane += [vk, ek]
     vals = np.zeros((count, eigs.size if spectral else f.size), dtype=complex)
     err = np.zeros(count)
-    for (_, _, ids), group in groups.items():  # sums in the order of the groups
+    for (_, _, ids, _), group in groups.items():  # sums in the order of the groups
         for k, _, amp, _, vk, ek in group:
             vals[k, list(ids)] += amp * vk
             err[k] += abs(amp) * ek
@@ -196,6 +201,11 @@ def cero_residual(phi, family: OperatorFamily, f, phi_zero=None,
     return float(np.linalg.norm(lhs - rhs) / scale)
 
 
+def _real_if_real(x):
+    """x (a number or an array) as float64 when it has no imaginary part."""
+    return x if np.any(np.imag(x)) else x.real
+
+
 def balakrishnan_power(A: LinearOperator, sigma, f, tol: float = 1e-11) -> FractionalPowerResult:
     """(-A)^sigma f = (sin(pi sigma)/pi) int_0^inf lam^{sigma-1} (lam-A)^{-1} (-A f) dlam.
 
@@ -203,8 +213,9 @@ def balakrishnan_power(A: LinearOperator, sigma, f, tol: float = 1e-11) -> Fract
     lam^{sigma-1} / lam^{sigma-2} regimes) and run through the exponential
     substitution.  A diagonalizable A integrates the scalar factors
     (-a)/(lam - a) of all eigenvalues as one vector and assembles once (the
-    error estimate with it), so a zero mode contributes exactly 0; a
-    defective A solves the resolvent at every node.
+    error estimate with it), so a zero mode contributes exactly 0; with a
+    real sigma and a real spectrum that vector is float64.  A defective A
+    solves the resolvent at every node.
     """
     s = complex(sigma)
     if not (0.0 < s.real < 1.0):
@@ -212,14 +223,15 @@ def balakrishnan_power(A: LinearOperator, sigma, f, tol: float = 1e-11) -> Fract
     f = np.asarray(f, dtype=complex).reshape(-1)
     scale = max(A.norm(), 1e-12)
     try:
-        eigs = spectral_eigendata(A)[0]
+        eigs = _real_if_real(spectral_eigendata(A)[0])
     except DefectiveOperatorError:
         eigs = None
         mAf = -apply(A, f)
+    power = _real_if_real(s) - 1.0
 
     def integrand(u):
         lam = scale * np.atleast_1d(u).astype(float)
-        w = (np.exp((s - 1.0) * np.log(lam)) * scale)[:, None]
+        w = (np.exp(power * np.log(lam)) * scale)[:, None]
         if eigs is None:
             return w * resolvent_solve(A, lam, mAf)
         return w * (-eigs / (lam[:, None] - eigs))
@@ -239,16 +251,20 @@ def integrated_power(family: OperatorFamily, sigma, f,
     factor * int_0^inf (T_alpha(t) f - t^alpha f / Gamma(alpha+1)) t^{-sigma-alpha-1} dt
     with factor = Gamma(sigma+alpha+1) / (Gamma(-sigma) Gamma(1+sigma)).
 
-    Below t = 1 the integrand is evaluated in the cancellation-free form
-    T_{alpha+1}(t) A f t^{-sigma-alpha-1}.
+    The value does not depend on alpha, so it runs at n = ceil(alpha) of
+    the same generator.  Below t = 1 the integrand is evaluated in the
+    cancellation-free form T_{n+1}(t) A f t^{-sigma-n-1}; a spectral family
+    integrates it per eigenvalue a as a E_{n+1}(a, t) t^{-sigma-n-1}, in
+    float64 for real sigma and spectrum, and assembles once with the tail.
     """
     s = complex(sigma)
     if not (0.0 < s.real < 1.0):
         raise ValueError("integrated_power needs 0 < Re sigma < 1")
     f = np.asarray(f, dtype=complex).reshape(-1)
-    alpha = family.alpha
     if family.is_cosine:
         raise ValueError("integrated_power is a semigroup-side formula")
+    family = ceil_order_family(family)
+    alpha = family.alpha
     A = family.generator
     Af = apply(A, f)
     T_next = integrate_family(family, alpha + 1.0)
@@ -260,20 +276,25 @@ def integrated_power(family: OperatorFamily, sigma, f,
     if probe[0] > 100.0 * (probe[1] + 1e-300) + 1e6 * np.linalg.norm(Af):
         raise ValueError("slow t->0 decay detected; f is outside the domain scaling")
 
-    def small(t):
-        t = np.atleast_1d(t)
-        return T_next.evaluate(t, Af) * (t ** (-s - alpha - 1.0))[:, None]
-
-    v_small, e_small, _ = _graded(_unary(small), 1, 1.0, -s.real, tol)
-    # past t = 1, T_alpha(t) f t^{-sigma-alpha-1}; the subtracted
-    # t^alpha f / Gamma(alpha+1) term integrates to f / (sigma Gamma(alpha+1))
-    weight = _HintedFn(lambda tau: (1.0 + tau) ** (-s - alpha - 1.0), 0.0,
+    power = -_real_if_real(s) - alpha - 1.0
+    if family.has_scalar:  # T_{n+1}(t) A f in eigencoordinates, assembled once
+        eigs = _real_if_real(spectral_eigendata(A)[0])
+        v, e, _ = _graded(lambda t, lane: eigs * integrated_exponential(
+            eigs, alpha + 1.0, t[:, None]) * (t ** power)[:, None], 1, 1.0, -s.real, tol)
+        v_small, e_small = spectral_apply(A, f, v[0]), spectral_error(A, f, e[0])
+    else:
+        v, e, _ = _graded(lambda t, lane: T_next.evaluate(t, Af) * (t ** power)[:, None],
+                          1, 1.0, -s.real, tol)
+        v_small, e_small = v[0], e[0]
+    # past t = 1, T_n(t) f t^{-sigma-n-1}; the subtracted t^n f / Gamma(n+1)
+    # term integrates to f / (sigma Gamma(n+1))
+    weight = _HintedFn(lambda tau: (1.0 + tau) ** power, 0.0,
                        ("algebraic", 1.0 + s.real + alpha), (-math.pi, math.pi))
     tail, err = spectral_integral([weight], family, f, tol, shift=1.0)
     tail_vec = tail[0] - f / (s * gamma(alpha + 1.0))
-    value = factor * (v_small[0] + tail_vec)
+    value = factor * (v_small + tail_vec)
     return FractionalPowerResult(value=value, method="integrated_formula",
-                                 error_estimate=abs(factor) * (e_small[0] + err[0]))
+                                 error_estimate=abs(factor) * (e_small + err[0]))
 
 
 def shifted_negative_power(A: LinearOperator, eps: float, sigma, f,

@@ -178,9 +178,11 @@ def spectral_decompose(op: LinearOperator) -> SpectralDecomposition:
 
 def _checked_decomposition(op, eig, basis, inv) -> SpectralDecomposition:
     """Check V diag(eig) V^{-1} against the matrix of op and cache it on op
-    (op.norm() keeps the 2-norm the check computes)."""
-    m = op.matrix()
-    recon = np.einsum("ij,jk->ik", basis * eig, inv)
+    (op.norm() keeps the 2-norm the check computes).  When all four are
+    real, the reconstruction and its residual are formed in float64."""
+    parts = (op.matrix(), eig, basis, inv)
+    m, e, v, w = parts if any(np.imag(x).any() for x in parts) else (x.real for x in parts)
+    recon = np.einsum("ij,jk->ik", v * e, w)
     scale = max(op.norm(), 1e-300)
     if float(np.linalg.norm(recon - m, 2)) > 1e-10 * scale:
         raise DefectiveOperatorError("reconstruction residual above 1e-10 * ||A||")

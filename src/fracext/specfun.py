@@ -226,15 +226,16 @@ def _upper_asymptotic_scaled(a: complex, x, tol: float):
 
 def _by_regime(regimes, *arrays):
     """Evaluate each (mask, fn) on its lanes: fn gets the masked entries of
-    every (equally shaped) array.  0-d input gives a complex."""
+    every (equally shaped) array.  The result has the arrays' result type;
+    0-d input gives a Python scalar of it."""
     shape = arrays[0].shape
     flat = [v.reshape(-1) for v in arrays]
-    out = np.zeros(flat[0].shape, dtype=complex)
+    out = np.zeros(flat[0].shape, dtype=np.result_type(*flat))
     for mask, fn in regimes:
         mask = mask.reshape(-1)
         if mask.any():
             out[mask] = fn(*(v[mask] for v in flat))
-    return complex(out[0]) if len(shape) == 0 else out.reshape(shape)
+    return out[0].item() if len(shape) == 0 else out.reshape(shape)
 
 
 def _scaled_upper_u(a: complex, x, tol: float = 1e-15, maxiter: int = 10000):

@@ -323,6 +323,7 @@ _BAD_FIELDS = [
     ("fracpow", {"family": {"kind": "semigroup", "alpha": 1.5}}, [], "family.alpha"),
     ("fracpow", {"family": {"kind": "cosine", "alpha": 0.0}}, [], "family.kind"),
     ("extend", {"family": {"kind": "integrated_cosine", "alpha": 1.0}}, [], "family.kind"),
+    ("fracpow", {"method": "balakrishnan", "family": {"kind": "cosine"}}, [], "family.kind"),
 ]
 
 

@@ -146,6 +146,28 @@ def test_integrated_exponential_huge_t_integer_order(m, a, t):
             assert abs(part - float(exact)) <= 1e-12 * abs(float(exact))
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_integrated_exponential_real_inputs_give_float64(m):
+    # real a and t at an integer order: float64 by the same formulas as the
+    # complex call, in the Taylor regime (|a t| <= 1), the expm1 one, and
+    # past t = 1e150, where t^m overflows
+    for a, t in ((np.array([-0.3, 0.9, -2.0, 1.5, -40.0, -1e3]),
+                  np.array([0.5, 1.0, 1.0, 2.0, 3.0, 0.7])),
+                 (np.array([-1.0, -2.5, -1.0, -2.5]), np.array([1e160, 1e160, 1e300, 1e300]))):
+        got = integrated_exponential(a, float(m), t)
+        ref = integrated_exponential(a + 0j, float(m), t)
+        assert got.dtype == np.float64 and ref.dtype == np.complex128
+        big = np.isinf(ref.real)  # t^m phi_m overflows at m = 3
+        assert np.all(got[big] == ref.real[big])
+        gap = np.abs(got[~big] - ref[~big]).max(initial=0.0)
+        assert gap <= 1e-15 * np.abs(ref[~big]).max(initial=0.0)
+        assert isinstance(integrated_exponential(a[0], float(m), t[0]), float)
+    # fractional order, complex input and t = inf stay complex128
+    assert isinstance(integrated_exponential(-1.0, 1.5, 2.0), complex)
+    assert integrated_exponential(-1.0, float(m), np.array([2.0 + 0j])).dtype == np.complex128
+    assert integrated_exponential(-1.0, min(m, 1), np.array([2.0, np.inf])).dtype == np.complex128
+
+
 @pytest.mark.parametrize("a", [-2.0, -1e-3, -1e6, -1.0 + 3.0j, -0.5 - 40.0j])
 def test_integrated_exponential_order_one_limit_at_infinity(a):
     # int_0^t e^{a s} ds = expm1(a t)/a tends to -1/a for Re a < 0; mpmath

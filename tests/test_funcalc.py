@@ -15,6 +15,7 @@ from fracext.funcalc import (
     spectral_integral,
     spectral_power_oracle,
 )
+from fracext.extension import solve_semigroup_form
 from fracext.kernels import Kernel, SectorPoint, _Expr, _HintedFn, _weyl_kernel_fn
 from fracext.operators import LinearOperator, apply, spectral_decompose
 from fracext.specfun import FracOrder
@@ -142,6 +143,48 @@ def test_integrated_power_jordan_block():
     err = np.max(np.abs(r.value - (f - 0.4 * np.array([0.5, 0.0]))))
     assert err <= 1e-10
     assert err <= r.error_estimate
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_integrated_power_jordan_block_runs_at_integer_order(alpha, monkeypatch):
+    # the formula's value does not depend on alpha, so a fractional order
+    # runs at ceil(alpha): the matrix route never integrates T_alpha itself
+    import fracext.families as families
+
+    orders, matrix_family = [], families._matrix_family
+
+    def counted(A, beta, t, f):
+        orders.append(beta)
+        assert beta == int(beta), f"matrix route at the fractional order {beta}"
+        return matrix_family(A, beta, t, f)
+
+    monkeypatch.setattr(families, "_matrix_family", counted)
+    A, f = LinearOperator("dense", JORDAN), np.array([1.0, 0.5])
+    r = integrated_power(integrate_family(heat_semigroup(A), alpha), 0.4, f, tol=1e-9)
+    err = np.max(np.abs(r.value - (f - 0.4 * np.array([0.5, 0.0]))))
+    assert orders and all(b == int(b) for b in orders)
+    assert err <= 1e-10
+    assert err <= r.error_estimate
+
+
+@pytest.mark.parametrize("case", ["real z", "sector edge", "i xi^3"])
+def test_spectral_factor_dtype_follows_the_data(case, laplacian8, imag_multiplier, monkeypatch):
+    # a real spectrum on the unturned ray samples the family factor in
+    # float64; a turned ray or an imaginary spectrum samples it in complex128
+    import fracext.funcalc as funcalc
+
+    dtypes, factor = set(), funcalc.integrated_exponential
+
+    def recorded(a, alpha, t):
+        dtypes.update((np.asarray(a).dtype, np.asarray(t).dtype))
+        return factor(a, alpha, t)
+
+    monkeypatch.setattr(funcalc, "integrated_exponential", recorded)
+    A = imag_multiplier if case == "i xi^3" else laplacian8
+    z = 0.6 * cmath.exp(0.25j * math.pi) if case == "sector edge" else 0.6
+    f = np.linspace(1.0, -0.5, A.dimension)
+    solve_semigroup_form(integrate_family(heat_semigroup(A), 1.0), 0.4, z, f)
+    assert dtypes == {np.dtype(float) if case == "real z" else np.dtype(complex)}
 
 
 def test_integrated_power_alpha15_laplacian(laplacian3, f3):
