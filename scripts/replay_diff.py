@@ -3,7 +3,9 @@ requests whose exit code or stdout bytes differ.
 
 The requests are those of the three workloads of `bench/workloads.py`, as
 `generate(name, seed, SECONDS)` draws them for each seed in a run of the
-benchmark's standard length (the module is imported, never changed).  For
+benchmark's standard length (the module is imported, never changed), and
+`fracext verify --suite all --seed s` for each seed s, the only runs that
+reach cosine zero modes, dense non-normal matrices and Jordan blocks.  For
 each tree one child process, with that tree on PYTHONPATH, sends them all
 through `fracext.cli.main` in-process, one after the other as the
 benchmark worker does, and records each exit code with a hash of its
@@ -45,6 +47,15 @@ def _child(seeds, out: str) -> None:
 
     import fracext.cli as cli
 
+    def run(argv):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except Exception:  # an escaped exception exits 1 on a console
+                code = 1
+        return [code, hashlib.sha256(stdout.getvalue().encode()).hexdigest()]
+
     records = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
@@ -53,15 +64,11 @@ def _child(seeds, out: str) -> None:
                 for i, req in enumerate(workloads.generate(name, seed, SECONDS)["requests"]):
                     with open(path, "w") as fh:
                         json.dump(req["config"], fh)
-                    stdout = io.StringIO()
-                    with contextlib.redirect_stdout(stdout), \
-                            contextlib.redirect_stderr(io.StringIO()):
-                        try:
-                            code = cli.main([req["command"], "--config", path])
-                        except Exception:  # an escaped exception exits 1 on a console
-                            code = 1
-                    digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
-                    records.append([name, seed, i, req["cls"], code, digest])
+                    records.append([name, seed, i, req["cls"]]
+                                   + run([req["command"], "--config", path]))
+    for seed in seeds:
+        records.append(["verify", seed, 0, "verify --suite all"]
+                       + run(["verify", "--suite", "all", "--seed", str(seed)]))
     with open(out, "w") as fh:
         json.dump(records, fh)
 

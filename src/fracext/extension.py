@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import OperatorFamily, spectral_apply, spectral_eigendata
+from .families import OperatorFamily, spectral_apply
 from .funcalc import balakrishnan_power, pi_rows
 from .kernels import Kernel, SectorPoint, _KernelExpr, z_derivative_fn
-from .operators import MAX_DIMENSION, LinearOperator, apply
+from .operators import MAX_DIMENSION, LinearOperator, apply, spectral_decompose
 from .quadrature import richardson_multi
 from .specfun import FracOrder, cexpm1, constants_for, cpow
 
@@ -107,7 +107,7 @@ def _semigroup_pi(make, family: OperatorFamily, f, z, tol: float):
     zs = _points(z)
     if not family.has_scalar and np.any(np.abs(np.angle(zs)) >= math.pi / 4.0 - 1e-12):
         raise ValueError("families without an eigenbasis support only the open sector")
-    kernels = [make(SectorPoint(w, math.pi / 4.0, closed=True)) for w in zs]
+    kernels = [make(SectorPoint(w, closed=True)) for w in zs]
     names = [f"at z = {complex(w)!r}" for w in zs for _ in kernels[0]]
     value, err = pi_rows([k for ks in kernels for k in ks], family, f, tol, names=names)
     return value.reshape(zs.size, len(kernels[0]), -1), err.reshape(zs.size, -1)
@@ -159,7 +159,7 @@ def solve_regularized(family: OperatorFamily, sigma, z, f, eps_sequence=(1e-2, 1
                                                        range(1, len(eps_sequence)))
                                       for v in values]))
     if family.has_scalar:
-        eigs = spectral_eigendata(family.generator)[0]
+        eigs = spectral_decompose(family.generator).eigenvalues
         value = value + spectral_apply(family.generator, f, (eigs == 0).astype(float))
     return _evaluation(z, value, diag + quad_err.max(axis=1), "regularized")
 

@@ -1,13 +1,15 @@
 """Semigroup and cosine-family engines with their defining-identity verifiers.
 
 A family T_alpha(t) of temperedness order alpha evaluates t -> T_alpha(t) f.
-A family is (kind, alpha, generator), on a route fixed when it is built.
-A generator with an eigenbasis makes a spectral family: T_alpha(t) scales
-each eigenvector by family_factor(kind, alpha, a, t), the closed form
-t^alpha sum_n (a t)^n / Gamma(alpha+n+1) of the alpha-fold integral of
-e^{a s}, for all eigenvalues and times at once.  Without one (semigroup
-kinds only), T_m(t) f = t^m phi_m(tA) f is one augmented matrix
-exponential per time, and a fractional order integrates it once more.
+A family (kind, alpha, generator) is a "semigroup" or a "cosine" integrated
+alpha times, on a route fixed when it is built.  A generator with an
+eigenbasis makes a spectral family: T_alpha(t) scales each eigenvector by
+family_factor(kind, alpha, a, t) at its eigenvalue a, as snapped by
+operators.spectral_decompose, from the closed form t^alpha sum_n (a t)^n /
+Gamma(alpha+n+1) of the alpha-fold integral of e^{a s}, for all eigenvalues
+and times at once.  Without one (semigroups only), T_m(t) f = t^m phi_m(tA) f
+is one augmented matrix exponential per time, and a fractional order
+integrates it once more.
 
 The dtype follows the data: at an integer order, real rates a at real
 finite times t give float64 factors, by the same formulas as complex ones;
@@ -44,22 +46,7 @@ __all__ = [
     "temperedness_profile",
 ]
 
-_COSINE_KINDS = ("cosine", "integrated_cosine")
 _MATRIX_TOL = 1e-12  # of the matrix route's one graded integral at fractional order
-
-
-def spectral_eigendata(op):
-    """(eigenvalues, basis, inverse basis) with numerically-zero eigenvalue
-    parts snapped to exact zero.
-
-    Eigensolver noise of order 1e-16 on a zero mode would otherwise turn
-    into e^{at} overflow on the huge-t probes of the half-line quadrature.
-    """
-    dec = spectral_decompose(op)
-    scale = max(float(np.max(np.abs(dec.eigenvalues))), 1.0)
-    re, im = (np.where(np.abs(x) <= 1e-12 * scale, 0.0, x)
-              for x in (dec.eigenvalues.real, dec.eigenvalues.imag))
-    return re + 1j * im, dec.basis, dec.inverse_basis
 
 
 def _coords(inv, f):
@@ -70,15 +57,16 @@ def _coords(inv, f):
 def spectral_apply(op, f, vals):
     """V diag(vals) V^{-1} f for the eigenbasis V of op.  The eigenvalue axis
     of vals comes last; leading axes give leading axes of the result."""
-    _, basis, inv = spectral_eigendata(op)
-    return np.einsum("...j,ij->...i", vals * _coords(inv, f), basis)
+    dec = spectral_decompose(op)
+    return np.einsum("...j,ij->...i", vals * _coords(dec.inverse_basis, f), dec.basis)
 
 
 def spectral_error(op, f, err: float) -> float:
     """Max-norm error bound of spectral_apply(op, f, vals) when no entry of
     vals is off by more than err: err ||V||_inf ||V^{-1} f||_inf."""
-    _, basis, inv = spectral_eigendata(op)
-    return err * float(np.abs(basis).sum(axis=1).max() * np.abs(_coords(inv, f)).max())
+    dec = spectral_decompose(op)
+    return err * float(np.abs(dec.basis).sum(axis=1).max()
+                       * np.abs(_coords(dec.inverse_basis, f)).max())
 
 
 def _series_sum(alpha: float, x):
@@ -202,10 +190,10 @@ def integrated_exponential(a, alpha: float, t):
 
 def family_parts(kind: str, a):
     """[(amp, rate)] with s_a(t) = sum amp * integrated_exponential(rate,
-    alpha, t): the eigenvalue itself for the semigroup kinds, and the
-    halves e^{+-i sqrt(-a) t} of a cosine."""
+    alpha, t): the eigenvalue itself for a semigroup, and the halves
+    e^{+-i sqrt(-a) t} of a cosine."""
     a = np.asarray(a, dtype=complex)
-    if kind in _COSINE_KINDS:
+    if kind == "cosine":
         w = 1j * np.sqrt(-a)
         return [(0.5, w), (0.5, -w)]
     return [(1.0, a)]
@@ -220,9 +208,11 @@ def family_factor(kind: str, alpha: float, a, t):
 
 @dataclass
 class OperatorFamily:
-    """An evaluator t -> T_alpha(t) f (or C_alpha(t) f) with its generator.
-    has_scalar records, when it is built, whether the generator has an
-    eigenbasis: the spectral route, else _matrix_family (not for cosines)."""
+    """An evaluator t -> T_alpha(t) f (or C_alpha(t) f) with its generator,
+    of kind "semigroup" or "cosine", integrated alpha times (alpha = 0 is
+    the family itself).  has_scalar records, when it is built, whether the
+    generator has an eigenbasis: the spectral route, else _matrix_family
+    (not for cosines)."""
 
     kind: str
     alpha: float
@@ -230,7 +220,7 @@ class OperatorFamily:
     has_scalar: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("semigroup", "integrated_semigroup") + _COSINE_KINDS:
+        if self.kind not in ("semigroup", "cosine"):
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
@@ -244,7 +234,7 @@ class OperatorFamily:
 
     @property
     def is_cosine(self) -> bool:
-        return self.kind in _COSINE_KINDS
+        return self.kind == "cosine"
 
     def evaluate(self, t, f) -> np.ndarray:
         """T_alpha(t) f; an array of t gives one row per entry."""
@@ -253,7 +243,7 @@ class OperatorFamily:
         if self.is_cosine and np.isrealobj(t):
             t = np.abs(t)  # cosine families are even in t
         if self.has_scalar:
-            eigs, _, _ = spectral_eigendata(self.generator)
+            eigs = spectral_decompose(self.generator).eigenvalues
             vals = family_factor(self.kind, self.alpha, eigs, t[..., None])
             return spectral_apply(self.generator, f, vals)
         rows = _matrix_family(self.generator.matrix(), self.alpha, t.reshape(-1) + 0j, f)
@@ -318,8 +308,7 @@ def integrate_family(base: OperatorFamily, beta: float) -> OperatorFamily:
     the same generator (either route evaluates T_beta itself)."""
     if beta <= base.alpha:
         raise ValueError("beta must exceed the base order")
-    kind = "integrated_cosine" if base.is_cosine else "integrated_semigroup"
-    return OperatorFamily(kind, beta, base.generator)
+    return OperatorFamily(base.kind, beta, base.generator)
 
 
 def ceil_order_family(family: OperatorFamily) -> OperatorFamily:
@@ -393,8 +382,8 @@ def cosine_to_semigroup(C_alpha: OperatorFamily, z: complex, f,
 def verify_resolvent(family: OperatorFamily, lam: complex, f,
                      tol: float = 1e-11) -> float:
     """Relative residual of the Laplace-transform characterization:
-    semigroup kinds   (lam - A)^{-1} f = lam^alpha int e^{-lam t} T_alpha(t) f dt,
-    cosine kinds    (lam^2 - A)^{-1} f = lam^{alpha-1} int e^{-lam t} C_alpha(t) f dt.
+    semigroup   (lam - A)^{-1} f = lam^alpha int e^{-lam t} T_alpha(t) f dt,
+    cosine    (lam^2 - A)^{-1} f = lam^{alpha-1} int e^{-lam t} C_alpha(t) f dt.
     """
     lam = complex(lam)
     if lam.real <= 0:

@@ -61,22 +61,18 @@ MAX_DERIVATIVE_ORDER = 12
 
 @dataclass(frozen=True)
 class SectorPoint:
-    """A point of the sector S_theta = {|arg z| < theta}.
+    """A point of the sector S = {|arg z| < pi/4}, where Re(z^2) > 0.
 
-    closed=True admits the boundary rays |arg z| = theta (used by the
-    closed-sector extension formula); the open sector additionally
-    guarantees Re(z^2) > 0 whenever theta <= pi/4.
+    closed=True admits the boundary rays |arg z| = pi/4 (used by the
+    closed-sector extension formula).
     """
 
     z: complex
-    sector_half_angle: float = math.pi / 4.0
     closed: bool = False
 
     def __post_init__(self):
         z = complex(self.z)
-        theta = float(self.sector_half_angle)
-        if not (0.0 < theta <= math.pi / 2.0):
-            raise ValueError("sector_half_angle must lie in (0, pi/2]")
+        theta = math.pi / 4.0
         if z == 0:
             raise ValueError("z = 0 is not a sector point")
         ang = abs(cmath.phase(z))
@@ -87,7 +83,6 @@ class SectorPoint:
             if ang >= theta - 1e-15:
                 raise ValueError(f"|arg z| = {ang:.6f} not inside open sector {theta:.6f}")
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "sector_half_angle", theta)
 
 
 @dataclass(frozen=True)

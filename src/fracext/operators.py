@@ -6,6 +6,11 @@ Laplacians.  Products with a dense matrix go through np.einsum, which
 never calls BLAS: at this size threaded BLAS saves nothing, and a complex
 gemv/gemm at n = 64 (or an eigh at n >= 32) leaves OpenBLAS workers
 spinning on idle cores for ~0.1 s after it returns.
+
+spectral_decompose caches the decomposition on the operator, its
+eigenvalues snapped once: eigensolver noise of order 1e-16 on a zero mode
+would otherwise become e^{a t} overflow at the huge t of half-line
+quadrature.  The reconstruction check reads the eigensolver's own output.
 """
 
 from __future__ import annotations
@@ -35,6 +40,9 @@ class DefectiveOperatorError(RuntimeError):
 
 @dataclass
 class SpectralDecomposition:
+    """A = basis diag(eigenvalues) inverse_basis, each real or imaginary part
+    of an eigenvalue within 1e-12 max(max |lambda|, 1) of zero snapped to 0."""
+
     eigenvalues: np.ndarray
     basis: np.ndarray
     inverse_basis: np.ndarray
@@ -156,11 +164,9 @@ def spectral_decompose(op: LinearOperator) -> SpectralDecomposition:
     if op._decomposition is not None:
         return op._decomposition
     if op.kind == "diagonal":
-        n = op.dimension
-        dec = SpectralDecomposition(op.data.copy(), np.eye(n, dtype=complex),
-                                    np.eye(n, dtype=complex))
-        op._decomposition = dec
-        return dec
+        eye = np.eye(op.dimension, dtype=complex)
+        op._decomposition = SpectralDecomposition(_snapped(op.data), eye, eye)
+        return op._decomposition
     m = op.matrix()
     if op.is_hermitian:
         w, v = np.linalg.eigh(m)
@@ -176,17 +182,23 @@ def spectral_decompose(op: LinearOperator) -> SpectralDecomposition:
     return _checked_decomposition(op, eig, basis, inv)
 
 
+def _snapped(eig) -> np.ndarray:
+    scale = max(float(np.max(np.abs(eig), initial=0.0)), 1.0)
+    re, im = (np.where(np.abs(x) <= 1e-12 * scale, 0.0, x) for x in (eig.real, eig.imag))
+    return re + 1j * im
+
+
 def _checked_decomposition(op, eig, basis, inv) -> SpectralDecomposition:
-    """Check V diag(eig) V^{-1} against the matrix of op and cache it on op
-    (op.norm() keeps the 2-norm the check computes).  When all four are
-    real, the reconstruction and its residual are formed in float64."""
+    """Check V diag(eig) V^{-1} against the matrix of op and cache it on op,
+    eig snapped (op.norm() keeps the 2-norm the check computes).  When all
+    four are real, the reconstruction and its residual are formed in float64."""
     parts = (op.matrix(), eig, basis, inv)
     m, e, v, w = parts if any(np.imag(x).any() for x in parts) else (x.real for x in parts)
     recon = np.einsum("ij,jk->ik", v * e, w)
     scale = max(op.norm(), 1e-300)
     if float(np.linalg.norm(recon - m, 2)) > 1e-10 * scale:
         raise DefectiveOperatorError("reconstruction residual above 1e-10 * ||A||")
-    op._decomposition = SpectralDecomposition(eig, basis, inv)
+    op._decomposition = SpectralDecomposition(_snapped(eig), basis, inv)
     return op._decomposition
 
 

@@ -787,13 +787,21 @@ def _lane_case(case):
     if case == "periodic":
         return (heat_semigroup(build_laplacian_1d(8, 1.0, "periodic")), 0.5, f,
                 [0.2, 0.7, 0.5 * cmath.exp(1j * math.pi / 6)])
+    if case == "complex_spectrum":
+        A = LinearOperator("diagonal", [-1.0 + 0.5j, -3.0 - 2.0j, -1.0, -0.2 + 5.0j])
+        return (integrate_family(heat_semigroup(A), 1.0), 0.4, f[:4],
+                [0.5, 0.8 * cmath.exp(1j * math.pi / 8), 0.6 * edge, 0.9 / edge])
+    if case == "cosine_periodic":  # the zero mode's two half-lanes
+        return (cosine_family(build_laplacian_1d(8, 1.0, "periodic")), 0.4, f,
+                [0.3, 0.7 * cmath.exp(1j * math.pi / 8), 1.1 * cmath.exp(-1j * math.pi / 3)])
     # fractional alpha: every lane carries its own derivative weight (real z only)
     A = LinearOperator("diagonal", [-1.0, -2.5])
     return integrate_family(heat_semigroup(A), 0.5), 0.35, np.array([1.0, -0.6]), [0.4, 1.3]
 
 
 @pytest.mark.parametrize("case", ["trace_grid", "sector_edge", "complex_sigma", "periodic",
-                                  "alpha_half", "regularized"])
+                                  "alpha_half", "regularized", "complex_spectrum",
+                                  "cosine_periodic"])
 def test_spectral_lanes_match_per_z(case):
     # an array of z runs every point as lanes of one spectral integral; each
     # lane keeps its own panels, stopping target and ray, so every row and
@@ -803,9 +811,12 @@ def test_spectral_lanes_match_per_z(case):
         power = spectral_power_oracle(fam.generator, sigma, f).value
         solvers = [lambda z: solve_regularized(fam, sigma, z, f, (1e-2, 1e-3, 1e-4, 1e-5),
                                                power_input=power, tol=1e-10)]
+    elif fam.is_cosine:
+        solvers = [lambda z: solve_cosine_form(fam, sigma, z, f),
+                   lambda z: solve_cosine_fractional(fam, sigma, z, f)]
     else:
         solvers = [lambda z: solve_semigroup_form(fam, sigma, z, f)]
-    if case not in ("regularized", "alpha_half"):
+    if case not in ("regularized", "alpha_half", "cosine_periodic"):
         solvers.append(lambda z: solve_fractional_data(fam, sigma, z, f))
     for solve in solvers:
         whole = solve(np.array(zs))
@@ -816,6 +827,8 @@ def test_spectral_lanes_match_per_z(case):
                 np.abs(alone.value))
             assert abs(whole.error_estimate[k] - alone.error_estimate) <= (
                 1e-15 * alone.error_estimate)
+    if fam.is_cosine:
+        return  # ExtensionSolver is heat-side
     sol = ExtensionSolver(fam, sigma, f)
     rows = sol.derivative(np.array(zs))
     for k, z in enumerate(zs):

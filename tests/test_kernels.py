@@ -45,7 +45,8 @@ def test_sector_point_validation():
     with pytest.raises(ValueError):
         SectorPoint(zb)
     SectorPoint(zb, closed=True)
-    SectorPoint(1j, math.pi / 2, closed=True)
+    with pytest.raises(ValueError):
+        SectorPoint(1j, closed=True)  # outside the closed sector
 
 
 def test_eval_b_frozen_value():

@@ -77,6 +77,17 @@ def test_spectral_decompose_hermitian_residual(rng):
     assert np.linalg.norm(dec.basis @ dec.basis.conj().T - np.eye(8), 2) < 1e-12
 
 
+def test_spectral_decompose_snaps_a_dense_zero_mode():
+    # the periodic second difference through the dense eigensolver: eigh
+    # leaves ~1e-16 on the zero mode, cached as an exact zero
+    n = 16
+    m = -2.0 * np.eye(n) + np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1)
+    A = LinearOperator("dense", m)
+    lam = spectral_decompose(A).eigenvalues
+    assert np.count_nonzero(lam == 0.0) == 1
+    assert np.max(np.abs(np.sort(lam.real) - np.linalg.eigvalsh(m))) <= 1e-12 * 4.0
+
+
 def test_spectral_decompose_defective():
     jordan = LinearOperator("dense", np.array([[-1.0, 1.0], [0.0, -1.0]]))
     with pytest.raises(DefectiveOperatorError):
