@@ -1,5 +1,5 @@
 """Replay every benchmark request through two source trees and report the
-requests whose exit code or stdout bytes differ.
+requests whose exit code or stdout bytes differ, in either table format.
 
 The requests are those of the three workloads of `bench/workloads.py`, as
 `generate(name, seed, SECONDS)` draws them for each seed in a run of the
@@ -9,7 +9,9 @@ reach cosine zero modes, dense non-normal matrices and Jordan blocks.  For
 each tree one child process, with that tree on PYTHONPATH, sends them all
 through `fracext.cli.main` in-process, one after the other as the
 benchmark worker does, and records each exit code with a hash of its
-stdout.
+stdout.  Each request runs twice: as configured (the benchmark's JSON
+tables) and with `--format csv`; each `verify` run as well with
+`--format json`.
 
     python scripts/replay_diff.py --before PARENT/src [--after src] [--seeds 11-20]
 
@@ -64,11 +66,13 @@ def _child(seeds, out: str) -> None:
                 for i, req in enumerate(workloads.generate(name, seed, SECONDS)["requests"]):
                     with open(path, "w") as fh:
                         json.dump(req["config"], fh)
+                    argv = [req["command"], "--config", path]
                     records.append([name, seed, i, req["cls"]]
-                                   + run([req["command"], "--config", path]))
+                                   + run(argv) + run(argv + ["--format", "csv"]))
     for seed in seeds:
+        argv = ["verify", "--suite", "all", "--seed", str(seed)]
         records.append(["verify", seed, 0, "verify --suite all"]
-                       + run(["verify", "--suite", "all", "--seed", str(seed)]))
+                       + run(argv) + run(argv + ["--format", "json"]))
     with open(out, "w") as fh:
         json.dump(records, fh)
 
@@ -104,7 +108,9 @@ def main(argv=None) -> int:
         differ += len(bad)
         print(f"{name}: {len(bad)} of {len(rows)} requests differ")
         for b, a in bad:
-            what = "exit code" if b[4] != a[4] else "stdout"
+            what = ", ".join(w for w, k in (("exit code", 4), ("stdout", 5),
+                                            ("exit code (other format)", 6),
+                                            ("stdout (other format)", 7)) if b[k] != a[k])
             print(f"  seed {b[1]} request {b[2]} ({b[3]}): {what} "
                   f"(exit {b[4]} -> {a[4]})")
     return 1 if differ else 0

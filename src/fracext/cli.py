@@ -1,15 +1,17 @@
 """Command-line surface: configure an operator, run computations, emit tables.
 
 Config files are JSON with a schema-versioned header key; output tables
-are CSV (RFC 4180) or JSON arrays of row objects.  Complex numbers are
-serialized as {"re": x, "im": y} in JSON and "re;im" cells in CSV.
+are CSV (RFC 4180) or JSON arrays of row objects.  Each command returns
+its table as {column: 1-d array or list}, encoded once per column (_cells).
 
-Exit codes: 0 ok, 2 usage/config error, 3 numerical failure.
+Exit codes: 0 ok, 2 usage/config error, 3 numerical failure (a non-finite
+result included).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import io
@@ -18,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +39,8 @@ from .extension import (
 from .families import cosine_family, heat_semigroup, integrate_family
 from .funcalc import balakrishnan_power, integrated_power, spectral_power_oracle
 from .kernels import SectorPoint
-from .operators import MAX_DIMENSION, LinearOperator, build_fourier_multiplier, build_laplacian_1d
+from .operators import (MAX_DIMENSION, SPACING_RANGE, LinearOperator, build_fourier_multiplier,
+                        build_laplacian_1d)
 from .quadrature import QuadratureError
 from .specfun import ConvergenceError
 
@@ -67,30 +70,23 @@ def _decode_complex(v, name: str = "value") -> complex:
         if isinstance(v, str) and ";" in v:
             re_s, im_s = v.split(";", 1)
             return complex(float(re_s), float(im_s))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"{name}: cannot parse complex value {v!r}")
-
-
-def _encode_complex(z: complex):
-    z = complex(z)
-    if z.imag == 0.0:
-        return z.real
-    return {"re": z.real, "im": z.imag}
 
 
 @dataclass
 class ProblemConfig:
     operator: dict
     sigma: complex
-    family: dict = field(default_factory=lambda: {"kind": "semigroup", "alpha": 0.0})
-    method: str = "all"
-    z_grid: list = field(default_factory=list)
-    trace_grid: dict = field(default_factory=dict)
-    f: object = None
-    tol: float = 1e-6
-    seed: int = 0
-    output: dict = field(default_factory=lambda: {"path": "-", "format": "csv"})
+    family: dict
+    method: str
+    z_grid: list
+    trace_grid: dict
+    f: object
+    tol: float
+    seed: int
+    output: dict
 
 
 def _finite(values, name: str):
@@ -101,8 +97,8 @@ def _finite(values, name: str):
 
 def _number(v, name: str, ok=lambda x: True, need: str = "", integer: bool = False):
     """v as a finite float (an int if integer) for which ok holds; anything
-    else is a ConfigError naming the field."""
-    if (isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
+    else, an int too large for a float included, is a ConfigError naming the field."""
+    if (isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max
             or (integer and v != int(v)) or not ok(v)):
         raise ConfigError(f"{name} must be {'an integer' if integer else 'a finite number'}"
                           f"{need}, got {v!r}")
@@ -163,7 +159,9 @@ def build_operator(cfg: ProblemConfig) -> LinearOperator:
     if kind == "laplacian":
         size = _number(spec.get("size", 8), "operator.size", lambda n: 2 <= n <= MAX_DIMENSION,
                        f" in [2, {MAX_DIMENSION}]", integer=True)
-        spacing = _number(spec.get("spacing", 1.0), "operator.spacing", lambda h: h > 0, " > 0")
+        spacing = _number(spec.get("spacing", 1.0), "operator.spacing",
+                          lambda h: SPACING_RANGE[0] <= h <= SPACING_RANGE[1],
+                          f" in {list(SPACING_RANGE)} (4/h^2 a finite normal float)")
         boundary = spec.get("boundary", "dirichlet")
         if boundary not in ("dirichlet", "periodic"):
             raise ConfigError(f"unknown operator.boundary {boundary!r}")
@@ -179,9 +177,18 @@ def build_operator(cfg: ProblemConfig) -> LinearOperator:
         name = spec.get("symbol")
         if name not in _SYMBOLS:
             raise ConfigError(f"unknown symbol {name!r}; choose from {sorted(_SYMBOLS)}")
-        modes = [_number(m, "operator.modes") for m in _dimension_list(spec, "modes")]
-        return build_fourier_multiplier(_SYMBOLS[name], modes)
+        symbol = _SYMBOLS[name]
+        modes = [_number(m, "operator.modes", lambda xi: _finite_symbol(symbol, float(xi)),
+                         f" with a finite {name}") for m in _dimension_list(spec, "modes")]
+        return build_fourier_multiplier(symbol, modes)
     raise ConfigError(f"unknown operator kind {kind!r}")
+
+
+def _finite_symbol(symbol, xi: float) -> bool:
+    try:
+        return cmath.isfinite(symbol(xi))
+    except OverflowError:  # a float power raises where it would overflow
+        return False
 
 
 def build_family(cfg: ProblemConfig, A: LinearOperator):
@@ -214,29 +221,56 @@ def resolve_f(cfg: ProblemConfig, n: int) -> np.ndarray:
     raise ConfigError(f"cannot parse data vector spec {spec!r}")
 
 
-def _cell(v, fmt: str):
-    """A table cell: CSV text, or a JSON value."""
-    if isinstance(v, (complex, np.complexfloating)) and not isinstance(v, float):
-        v = complex(v)
-        return f"{v.real!r};{v.imag!r}" if fmt == "csv" else _encode_complex(v)
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v)) if fmt == "csv" else float(v)
-    v = int(v) if isinstance(v, np.integer) else v
-    return str(v) if fmt == "csv" else v
+def _problem(cfg: ProblemConfig):
+    """(A, f, family) of a solve command, the family checked whichever methods run."""
+    A = build_operator(cfg)
+    return A, resolve_f(cfg, A.dimension), build_family(cfg, A)
 
 
-def _emit_table(rows, columns, out_path: str, fmt: str):
+def _oracle(A: LinearOperator, cfg: ProblemConfig, f):
+    """(-A)^sigma f by the spectral oracle, and its norm (>= 1e-300), the rel_error scale."""
+    oracle = spectral_power_oracle(A, cfg.sigma, f).value
+    return oracle, max(float(np.linalg.norm(oracle)), 1e-300)
+
+
+def _code(ok, *reported) -> int:
+    """EXIT_OK when ok holds and every reported array is finite."""
+    finite = all(np.isfinite(x).all() for x in reported)
+    return EXIT_OK if ok and finite else EXIT_NUMERICAL
+
+
+def _flat(vectors) -> np.ndarray:
+    """The vectors end to end, as one complex column."""
+    return np.concatenate([np.reshape(v, -1) for v in vectors]).astype(complex)
+
+
+def _cells(column, fmt: str) -> list:
+    """A column's cells: complex as "re;im" in CSV, and in JSON as a number
+    when the imaginary part is 0, else {"re", "im"}; anything else as it is
+    (csv writes a float by repr, as json does)."""
+    if isinstance(column, list):
+        return column
+    if column.dtype.kind != "c":
+        return column.tolist()
+    pairs = zip(column.real.tolist(), column.imag.tolist())
+    if fmt == "csv":
+        return [f"{re!r};{im!r}" for re, im in pairs]
+    return [re if im == 0.0 else {"re": re, "im": im} for re, im in pairs]
+
+
+def _emit_table(table: dict, out_path: str, fmt: str):
+    """Write {column: 1-d array or list} as CSV in column order, or as a JSON
+    array of row objects with sorted keys."""
+    rows = zip(*(_cells(column, fmt) for column in table.values()))
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(v, fmt) for v in row])
+        writer.writerow(table)
+        writer.writerows(rows)
         text = buf.getvalue()
     else:  # json: the config and the argument parser admit no other format
-        payload = [{key: _cell(v, fmt) for key, v in zip(columns, row)} for row in rows]
         # compact: any indent forces json's pure-Python encoder
-        text = json.dumps(payload, sort_keys=True) + "\n"
+        text = json.dumps([dict(zip(table, row)) for row in rows], sort_keys=True) + "\n"
     if out_path == "-":
         sys.stdout.write(text)
     else:
@@ -245,57 +279,38 @@ def _emit_table(rows, columns, out_path: str, fmt: str):
 
 
 def cmd_fracpow(cfg: ProblemConfig):
-    A = build_operator(cfg)
-    f = resolve_f(cfg, A.dimension)
-    fam = build_family(cfg, A)  # checked whichever methods run
-    oracle = spectral_power_oracle(A, cfg.sigma, f).value
-    scale = max(float(np.linalg.norm(oracle)), 1e-300)
-    methods = []
+    A, f, fam = _problem(cfg)
+    oracle, scale = _oracle(A, cfg, f)
+    methods = {}
     if cfg.method in ("balakrishnan", "all"):
-        methods.append(("balakrishnan",
-                        balakrishnan_power(A, cfg.sigma, f, tol=1e-9).value))
+        methods["balakrishnan"] = balakrishnan_power(A, cfg.sigma, f, tol=1e-9).value
     if cfg.method in ("integrated", "all"):
-        methods.append((f"integrated(alpha={fam.alpha:g})",
-                        integrated_power(fam, cfg.sigma, f, tol=1e-9).value))
+        methods[f"integrated(alpha={fam.alpha:g})"] = integrated_power(
+            fam, cfg.sigma, f, tol=1e-9).value
     if not methods and cfg.method != "oracle":
         raise ConfigError(f"unknown fracpow method {cfg.method!r}")
-    methods.append(("spectral_oracle", oracle))
-    rows = []
-    worst = 0.0
-    for name, val in methods:
-        for k in range(A.dimension):
-            err = abs(val[k] - oracle[k]) / scale
-            worst = max(worst, err)
-            rows.append([name, cfg.sigma, k, complex(val[k]), complex(oracle[k]), err])
-    columns = ["method", "sigma", "component", "value", "oracle", "rel_error"]
-    code = EXIT_OK if worst <= cfg.tol else EXIT_NUMERICAL
-    return rows, columns, code
+    methods["spectral_oracle"] = oracle
+    n, copies = A.dimension, len(methods)
+    value, oracles = _flat(methods.values()), _flat([oracle] * copies)
+    d = value - oracles
+    rel = np.hypot(d.real, d.imag) / scale  # np.abs on complex128 can differ in the last bit
+    table = {"method": np.repeat(list(methods), n), "sigma": np.full(n * copies, cfg.sigma),
+             "component": np.tile(np.arange(n), copies), "value": value, "oracle": oracles,
+             "rel_error": rel}
+    return table, _code(rel.max() <= cfg.tol, value, oracles, rel)
 
 
-_EXTEND_METHODS = ("semigroup", "regularized", "fractional_data",
-                   "cosine", "cosine_fractional")
-
-
-def _extend_at(cfg, A, fam, f, zs, power, wanted):
-    """{method: ExtensionEvaluation} at every point of zs, one solver call
-    per method; power is (-A)^sigma f or None."""
-    evals = {}
-    for m in wanted:
-        if m == "semigroup":
-            evals[m] = solve_semigroup_form(fam, cfg.sigma, zs, f, tol=1e-10)
-        elif m == "regularized":
-            evals[m] = solve_regularized(fam, cfg.sigma, zs, f, power_input=power, tol=1e-10)
-        elif m == "fractional_data":
-            evals[m] = solve_fractional_data(fam, cfg.sigma, zs, f,
-                                             power_input=power, tol=1e-10)
-        elif m == "cosine":
-            evals[m] = solve_cosine_form(cosine_family(A), cfg.sigma, zs, f, tol=1e-9)
-        elif m == "cosine_fractional":
-            evals[m] = solve_cosine_fractional(cosine_family(A), cfg.sigma, zs, f,
-                                               power_input=power, tol=1e-9)
-        else:
-            raise ConfigError(f"unknown extend method {m!r}")
-    return evals
+_EXTEND = {  # route -> its solver at the points zs; power() is (-A)^sigma f
+    "semigroup": lambda fam, s, zs, f, power: solve_semigroup_form(fam, s, zs, f, tol=1e-10),
+    "regularized": lambda fam, s, zs, f, power: solve_regularized(
+        fam, s, zs, f, power_input=power(), tol=1e-10),
+    "fractional_data": lambda fam, s, zs, f, power: solve_fractional_data(
+        fam, s, zs, f, power_input=power(), tol=1e-10),
+    "cosine": lambda fam, s, zs, f, power: solve_cosine_form(
+        cosine_family(fam.generator), s, zs, f, tol=1e-9),
+    "cosine_fractional": lambda fam, s, zs, f, power: solve_cosine_fractional(
+        cosine_family(fam.generator), s, zs, f, power_input=power(), tol=1e-9),
+}
 
 
 def cmd_extend(cfg: ProblemConfig):
@@ -306,35 +321,28 @@ def cmd_extend(cfg: ProblemConfig):
             SectorPoint(z, closed=True)
         except ValueError as exc:
             raise ConfigError(f"z_grid entry {z!r}: {exc}")
-    A = build_operator(cfg)
-    f = resolve_f(cfg, A.dimension)
-    fam = build_family(cfg, A)
-    wanted = _EXTEND_METHODS if cfg.method == "all" else (cfg.method,)
-    columns = (["z", "component"] + [f"u_{m}" for m in wanted]
-               + ["error_estimate", "max_pairwise_delta"])
-    power = None
-    if any(m in ("regularized", "fractional_data", "cosine_fractional") for m in wanted):
-        power = balakrishnan_power(A, cfg.sigma, f, tol=1e-10).value
-    evals = _extend_at(cfg, A, fam, f, np.array(cfg.z_grid, dtype=complex), power, wanted)
-    rows = []
-    worst = 0.0
-    for i, z in enumerate(cfg.z_grid):
-        arr = [evals[m].value[i] for m in wanted]
-        estimate = max(float(evals[m].error_estimate[i]) for m in wanted)
-        delta = max((float(np.max(np.abs(u - v))) for u, v in itertools.combinations(arr, 2)),
-                    default=0.0)
-        worst = max(worst, delta)
-        for k in range(A.dimension):
-            rows.append([complex(z), k] + [complex(v[k]) for v in arr]
-                        + [estimate, delta])
-    code = EXIT_OK if (len(wanted) < 2 or worst <= cfg.tol) else EXIT_NUMERICAL
-    return rows, columns, code
+    A, f, fam = _problem(cfg)
+    if cfg.method != "all" and cfg.method not in _EXTEND:
+        raise ConfigError(f"unknown extend method {cfg.method!r}")
+    wanted = tuple(_EXTEND) if cfg.method == "all" else (cfg.method,)
+    n, zs = A.dimension, np.array(cfg.z_grid, dtype=complex)
+    power = functools.cache(lambda: balakrishnan_power(A, cfg.sigma, f, tol=1e-10).value)
+    evals = [_EXTEND[m](fam, cfg.sigma, zs, f, power) for m in wanted]
+    values = [np.reshape(e.value, (len(zs), n)) for e in evals]
+    delta = np.zeros(len(zs))
+    for u, v in itertools.combinations(values, 2):
+        delta = np.maximum(delta, np.abs(u - v).max(axis=1))
+    table = {"z": np.repeat(zs, n), "component": np.tile(np.arange(n), len(zs))}
+    for m, u in zip(wanted, values):
+        table[f"u_{m}"] = _flat([u])
+    estimate = np.array([e.error_estimate for e in evals], dtype=float).max(axis=0)
+    table["error_estimate"] = np.repeat(estimate, n)
+    table["max_pairwise_delta"] = np.repeat(delta, n)
+    return table, _code(len(wanted) < 2 or delta.max() <= cfg.tol, delta, *values)
 
 
 def cmd_trace(cfg: ProblemConfig):
-    A = build_operator(cfg)
-    f = resolve_f(cfg, A.dimension)
-    fam = build_family(cfg, A)
+    A, f, fam = _problem(cfg)
     gspec = cfg.trace_grid
     theta = _number(gspec.get("theta", 0.0), "trace_grid.theta",
                     lambda x: abs(x) < math.pi / 4.0, " with |theta| < pi/4")
@@ -345,47 +353,39 @@ def cmd_trace(cfg: ProblemConfig):
     except ValueError as exc:
         raise ConfigError(f"bad trace_grid {gspec!r}: {exc}")
     sol = ExtensionSolver(fam, cfg.sigma, f, tol=1e-11)
-    oracle = spectral_power_oracle(A, cfg.sigma, f).value
-    scale = max(float(np.linalg.norm(oracle)), 1e-300)
+    oracle, scale = _oracle(A, cfg, f)
     which = "both" if cfg.method == "all" else cfg.method
     if which not in ("neumann", "quotient", "both"):
         raise ConfigError(f"unknown trace method {cfg.method!r}")
     kinds = ("neumann", "quotient") if which == "both" else (which,)
     estimates = boundary_traces(sol, theta=theta, grid=grid, kinds=kinds)
-    consistency = math.nan
-    if len(estimates) == 2:
-        consistency = float(np.linalg.norm(
-            estimates["quotient"].fractional_power
-            - estimates["neumann"].fractional_power) / scale)
-    rows = []
-    worst = 0.0
-    for kind, est in sorted(estimates.items()):
-        rel = float(np.linalg.norm(est.fractional_power - oracle) / scale)
-        worst = max(worst, rel)
-        for (y, raw), running in zip(est.samples, est.extrapolants):
-            raw = np.asarray(raw).reshape(-1)
-            for k in range(A.dimension):
-                rows.append([kind, float(y), k, complex(raw[k]),
-                             complex(running[k]), complex(est.limit[k]),
-                             complex(oracle[k]), rel, est.diagnostic, consistency])
-    columns = ["kind", "y", "component", "raw_sample", "extrapolant",
-               "final_limit", "oracle", "rel_error", "diagnostic", "consistency"]
-    code = EXIT_OK if worst <= cfg.tol else EXIT_NUMERICAL
-    return rows, columns, code
+    ests = [estimates[kind] for kind in sorted(estimates)]  # neumann before quotient
+    consistency = (np.linalg.norm(ests[1].fractional_power - ests[0].fractional_power) / scale
+                   if len(ests) == 2 else math.nan)
+    ys = [float(y) for y, _ in ests[0].samples]  # one grid for every kind
+    n, rows, blocks = A.dimension, A.dimension * len(ys), len(ys) * len(ests)
+    rel = np.array([np.linalg.norm(e.fractional_power - oracle) / scale for e in ests])
+    table = {"kind": np.repeat(sorted(estimates), rows), "y": np.tile(np.repeat(ys, n), len(ests)),
+             "component": np.tile(np.arange(n), blocks),
+             "raw_sample": _flat(raw for e in ests for _, raw in e.samples),
+             "extrapolant": _flat(v for e in ests for v in e.extrapolants),
+             "final_limit": _flat(e.limit for e in ests for _ in ys),
+             "oracle": _flat([oracle] * blocks), "rel_error": np.repeat(rel, rows),
+             "diagnostic": np.repeat([e.diagnostic for e in ests], rows),
+             "consistency": np.full(rows * len(ests), consistency)}
+    reported = (table[c] for c in ("raw_sample", "extrapolant", "final_limit", "oracle"))
+    return table, _code(rel.max() <= cfg.tol, rel, *reported)
 
 
 def cmd_verify(suite: str, seed: int):
     try:
         results = verify_mod.run_suite(suite, seed)
     except KeyError:
-        raise ConfigError(
-            f"unknown suite {suite!r}; choose from {('all',) + verify_mod.SUITES}"
-        )
-    rows = [[name, check, "pass" if passed else "FAIL", detail]
-            for name, check, passed, detail in results]
-    ok = all(passed for _, _, passed, _ in results)
-    columns = ["suite", "check", "status", "detail"]
-    return rows, columns, EXIT_OK if ok else EXIT_NUMERICAL
+        raise ConfigError(f"unknown suite {suite!r}; choose from {('all',) + verify_mod.SUITES}")
+    suites, checks, passed, details = (list(c) for c in zip(*results))
+    table = {"suite": suites, "check": checks,
+             "status": ["pass" if p else "FAIL" for p in passed], "detail": details}
+    return table, EXIT_OK if all(passed) else EXIT_NUMERICAL
 
 
 @functools.cache  # one parser per process; parse_args leaves it unchanged
@@ -438,7 +438,14 @@ def _load_config(args) -> ProblemConfig:
     _writable(cfg.output["path"], "output.path" if args.out is None else "--out")
     if args.format is not None:
         cfg.output["format"] = args.format
+    elif os.path.splitext(cfg.output["path"])[1].lower() in (".json", ".csv"):
+        cfg.output["format"] = os.path.splitext(cfg.output["path"])[1][1:].lower()
     return cfg
+
+
+# each cmd_* is looked up when it runs, so a wrapper rebound over it (a profiler's) is called
+_COMMANDS = {"fracpow": lambda cfg: cmd_fracpow(cfg), "extend": lambda cfg: cmd_extend(cfg),
+             "trace": lambda cfg: cmd_trace(cfg)}
 
 
 def main(argv=None) -> int:
@@ -451,26 +458,18 @@ def main(argv=None) -> int:
         if args.command == "verify":
             seed = _number(args.seed, "--seed", lambda x: x >= 0, " >= 0", integer=True)
             _writable(args.out, "--out")
-            rows, columns, code = cmd_verify(args.suite, seed)
-            _emit_table(rows, columns, args.out, args.format)
+            table, code = cmd_verify(args.suite, seed)
+            _emit_table(table, args.out, args.format)
             return code
         cfg = _load_config(args)
-        if args.command == "fracpow":
-            rows, columns, code = cmd_fracpow(cfg)
-        elif args.command == "extend":
-            rows, columns, code = cmd_extend(cfg)
-        else:
-            rows, columns, code = cmd_trace(cfg)
-        fmt = cfg.output["format"]
-        ext = os.path.splitext(cfg.output["path"])[1].lower()
-        if ext in (".json", ".csv") and args.format is None:
-            fmt = ext[1:]
-        _emit_table(rows, columns, cfg.output["path"], fmt)
+        table, code = _COMMANDS[args.command](cfg)
+        _emit_table(table, cfg.output["path"], cfg.output["format"])
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadratureError, ConvergenceError, np.linalg.LinAlgError, ValueError) as exc:
+    except (QuadratureError, ConvergenceError, np.linalg.LinAlgError, ValueError,
+            ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

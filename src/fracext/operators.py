@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 MAX_DIMENSION = 64
+# the spacings h of a 1d Laplacian whose 4/h^2 is a finite, normal float
+SPACING_RANGE = (1.4916681462400417e-154, 1.3407807929942596e+154)
 
 
 class DefectiveOperatorError(RuntimeError):
@@ -41,7 +43,7 @@ class DefectiveOperatorError(RuntimeError):
 @dataclass
 class SpectralDecomposition:
     """A = basis diag(eigenvalues) inverse_basis, each real or imaginary part
-    of an eigenvalue within 1e-12 max(max |lambda|, 1) of zero snapped to 0."""
+    of an eigenvalue within 1e-12 max |lambda| of zero snapped to 0."""
 
     eigenvalues: np.ndarray
     basis: np.ndarray
@@ -80,7 +82,7 @@ class LinearOperator:
         return np.diag(self.data)
 
     def norm(self) -> float:
-        """The 2-norm, computed once (by the decomposition check if that ran first)."""
+        """The 2-norm, computed once."""
         if self._norm is None:
             self._norm = float(np.linalg.norm(self.matrix(), 2))
         return self._norm
@@ -92,18 +94,15 @@ class LinearOperator:
 
 
 def build_laplacian_1d(n: int, h: float, boundary: str = "dirichlet") -> LinearOperator:
-    """Second-difference matrix on n interior points with spacing h."""
+    """Second-difference matrix on n interior points with spacing h, its
+    closed-form eigendecomposition attached as built (the tests pin it to the
+    matrix and to a dense eigensolver for every n, both boundaries and both
+    ends of SPACING_RANGE) and its 2-norm computed once."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if h <= 0:
-        raise ValueError("need h > 0")
-    m = np.zeros((n, n))
-    for i in range(n):
-        m[i, i] = -2.0
-        if i > 0:
-            m[i, i - 1] = 1.0
-        if i < n - 1:
-            m[i, i + 1] = 1.0
+    if not SPACING_RANGE[0] <= h <= SPACING_RANGE[1]:
+        raise ValueError(f"need h in {list(SPACING_RANGE)}")
+    m = np.eye(n, k=1) + np.eye(n, k=-1) - 2.0 * np.eye(n)
     if boundary == "periodic":
         m[0, n - 1] += 1.0
         m[n - 1, 0] += 1.0
@@ -111,7 +110,8 @@ def build_laplacian_1d(n: int, h: float, boundary: str = "dirichlet") -> LinearO
         raise ValueError(f"unknown boundary {boundary!r}")
     op = LinearOperator("dense", m / h ** 2)
     eig, basis = _laplacian_spectrum(n, h, boundary)
-    _checked_decomposition(op, eig, basis, basis.conj().T)
+    op._decomposition = SpectralDecomposition(_snapped(eig), basis, basis.T)
+    op.norm()
     return op
 
 
@@ -123,8 +123,8 @@ def _laplacian_spectrum(n: int, h: float, boundary: str):
     k = 1..n.  Periodic: -(4/h^2) sin^2(pi k / n) with the real Fourier basis
     (cos(2 pi j k/n) for k <= n/2, and sin for the partner n - k of each
     0 < k < n/2), so real data stays real as with a real eigensolver; the
-    zero mode is exactly 0.  Phases j k are reduced modulo the period in
-    integers before scaling.
+    zero mode comes out as -0.0, which _snapped makes 0.  Phases j k are
+    reduced modulo the period in integers before scaling.
     """
     j = np.arange(n)
     if boundary == "dirichlet":
@@ -183,15 +183,15 @@ def spectral_decompose(op: LinearOperator) -> SpectralDecomposition:
 
 
 def _snapped(eig) -> np.ndarray:
-    scale = max(float(np.max(np.abs(eig), initial=0.0)), 1.0)
+    scale = float(np.max(np.abs(eig), initial=0.0))
     re, im = (np.where(np.abs(x) <= 1e-12 * scale, 0.0, x) for x in (eig.real, eig.imag))
     return re + 1j * im
 
 
 def _checked_decomposition(op, eig, basis, inv) -> SpectralDecomposition:
     """Check V diag(eig) V^{-1} against the matrix of op and cache it on op,
-    eig snapped (op.norm() keeps the 2-norm the check computes).  When all
-    four are real, the reconstruction and its residual are formed in float64."""
+    eig snapped.  When all four are real, the reconstruction and its residual
+    are formed in float64."""
     parts = (op.matrix(), eig, basis, inv)
     m, e, v, w = parts if any(np.imag(x).any() for x in parts) else (x.real for x in parts)
     recon = np.einsum("ij,jk->ik", v * e, w)

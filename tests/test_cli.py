@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -15,8 +17,8 @@ from fracext.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     ConfigError,
+    _cells,
     _decode_complex,
-    _encode_complex,
     main,
     parse_config,
 )
@@ -49,8 +51,9 @@ def write_config(tmp_path, cfg, name="cfg.json"):
 
 def test_complex_codec_round_trip():
     for z in (1.5, complex(0.25, -1.75)):
-        enc = _encode_complex(z)
-        assert _decode_complex(enc) == complex(z)
+        for fmt in ("csv", "json"):
+            enc = _cells(np.array([z], dtype=complex), fmt)[0]
+            assert _decode_complex(enc) == complex(z)
     assert _decode_complex("1.5;-0.25") == complex(1.5, -0.25)
 
 
@@ -324,6 +327,17 @@ _BAD_FIELDS = [
     ("fracpow", {"family": {"kind": "cosine", "alpha": 0.0}}, [], "family.kind"),
     ("extend", {"family": {"kind": "integrated_cosine", "alpha": 1.0}}, [], "family.kind"),
     ("fracpow", {"method": "balakrishnan", "family": {"kind": "cosine"}}, [], "family.kind"),
+    # 4/h^2 is 0 in floats, or overflows
+    ("fracpow", {"operator": dict(_LAP, spacing=1e-200)}, [], "operator.spacing"),
+    ("fracpow", {"operator": dict(_LAP, spacing=1e160)}, [], "operator.spacing"),
+    # the symbol overflows
+    ("fracpow", {"operator": {"kind": "fourier", "symbol": "i_xi3", "modes": [1.0, 1e120]}}, [],
+     "operator.modes"),
+    ("fracpow", {"operator": {"kind": "fourier", "symbol": "minus_xi2", "modes": [1e200]}}, [],
+     "operator.modes"),
+    # JSON integers too large for a float
+    ("fracpow", {"operator": dict(_LAP, spacing=10 ** 400)}, [], "operator.spacing"),
+    ("fracpow", {"f": [10 ** 400, 1, 2, 3]}, [], "f:"),
 ]
 
 
@@ -335,6 +349,56 @@ def test_bad_config_field_exits_2_naming_it(tmp_path, capsys, command, overrides
     captured = capsys.readouterr()
     assert code == EXIT_CONFIG
     assert name in captured.err
+
+
+def test_non_finite_results_exit_3(tmp_path, capsys):
+    # f = 1e308 overflows every route into a table of nan: a numerical
+    # failure whatever the number of methods, extend's single one included
+    cfg = base_config(f=[1e308] * 4, z_grid=[0.5])
+    for command, method in (("fracpow", "all"), ("extend", "semigroup"), ("trace", "all")):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([command, "--config", write_config(tmp_path, dict(cfg, method=method))])
+        assert code == EXIT_NUMERICAL, command
+        assert "nan" in capsys.readouterr().out
+
+
+def test_arithmetic_error_exits_3(tmp_path, capsys):
+    # Gamma(1e6 + 1) overflows: a numerical failure, not a traceback
+    cfg = base_config(family={"kind": "integrated_semigroup", "alpha": 1e6})
+    code = main(["fracpow", "--config", write_config(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERICAL
+    assert err.startswith("numerical failure") and "Traceback" not in err
+
+
+def test_csv_and_json_tables_hold_the_same_cells(tmp_path, capsys):
+    # complex cells are "re;im" in CSV and a number or {"re", "im"} in JSON;
+    # every other cell is the same text in both
+    cfg = base_config(sigma={"re": 0.4, "im": 0.2}, tol=1.0, z_grid=[0.5])
+    for command in ("fracpow", "extend", "trace"):
+        path = write_config(tmp_path, cfg)
+        tables = []
+        for fmt in ("csv", "json"):
+            main([command, "--config", path, "--format", fmt])
+            tables.append(capsys.readouterr().out)
+        csv_rows = list(csv.DictReader(io.StringIO(tables[0])))
+        json_rows = json.loads(tables[1])
+        assert len(csv_rows) == len(json_rows) > 0
+        for text_row, json_row in zip(csv_rows, json_rows):
+            assert set(text_row) == set(json_row)
+            for key, cell in text_row.items():
+                if ";" in cell:
+                    assert _decode_complex(cell) == _decode_complex(json_row[key]), key
+                else:
+                    assert cell == str(json_row[key]), key
+        assert any(isinstance(v, dict) for v in json_rows[0].values())
+        if command == "fracpow":  # rel_error is the per-cell Python abs, bit for bit
+            oracle = [_decode_complex(r["oracle"]) for r in json_rows
+                      if r["method"] == "spectral_oracle"]
+            scale = max(float(np.linalg.norm(oracle)), 1e-300)
+            for r in json_rows:
+                d = _decode_complex(r["value"]) - _decode_complex(r["oracle"])
+                assert r["rel_error"] == abs(d) / scale
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0])

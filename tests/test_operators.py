@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracext.operators import (
+    SPACING_RANGE,
     DefectiveOperatorError,
     LinearOperator,
     apply,
@@ -152,11 +153,13 @@ def test_dimension_cap():
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
-@pytest.mark.parametrize("h", [1.0, 0.01])
-@pytest.mark.parametrize("n", [2, 3, 8, 33, 64])
+@pytest.mark.parametrize("h", [1.0, 0.01, *SPACING_RANGE])
+@pytest.mark.parametrize("n", range(2, 65))
 def test_laplacian_closed_form_spectrum(n, h, boundary):
     # the decomposition attached at build time, checked against the matrix
-    # and against a dense eigensolver
+    # and against a dense eigensolver; build_laplacian_1d does not check it,
+    # and the basis does not depend on h, so every n, both boundaries and
+    # both ends of the spacing range cover its whole domain
     A = build_laplacian_1d(n, h, boundary)
     dec = spectral_decompose(A)
     V, lam = dec.basis, dec.eigenvalues
@@ -165,17 +168,28 @@ def test_laplacian_closed_form_spectrum(n, h, boundary):
     assert np.array_equal(dec.inverse_basis, V.conj().T)
     recon = (V * lam) @ dec.inverse_basis
     assert np.linalg.norm(recon - A.matrix(), 2) <= 1e-12 * scale
-    ref = np.linalg.eigvalsh(A.matrix())
-    assert np.max(np.abs(np.sort(lam.real) - ref)) <= 1e-13 * scale
+    # in units of ||A||: at the smallest h the eigensolver's own rescaling
+    # overflows on the eigenvalue -4/h^2, the largest finite float
+    ref = np.linalg.eigvalsh(A.matrix() / scale)
+    assert np.max(np.abs(np.sort(lam.real) / scale - ref)) <= 1e-13
     assert not lam.imag.any() and not V.imag.any()
     if boundary == "periodic":
         assert np.count_nonzero(lam == 0.0) == 1
 
 
+def test_small_spectra_are_not_snapped_to_zero():
+    # the snap to zero is relative to max |lambda|: a spectrum of size 1e-13
+    # (small diagonal entries, or a Laplacian with h = 1e7) keeps its values
+    for A in (LinearOperator("diagonal", [-1e-13, -2e-13]), build_laplacian_1d(4, 1e7)):
+        lam = spectral_decompose(A).eigenvalues
+        assert np.all(lam.real < 0) and not lam.imag.any()
+        assert np.max(np.abs(np.sort(lam.real) - np.linalg.eigvalsh(A.matrix()))) <= 1e-26
+
+
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
 def test_laplacian_norm_is_the_decomposition_checks(boundary, monkeypatch):
-    # norm() returns the 2-norm the decomposition check computed at build
-    # time, bitwise, without a second SVD
+    # norm() returns the 2-norm computed once at build time, bitwise,
+    # without a second SVD
     A = build_laplacian_1d(64, 0.05, boundary)
     expected = np.linalg.norm(A.matrix(), 2)
     calls = []
