@@ -11,7 +11,11 @@ through `fracext.cli.main` in-process, one after the other as the
 benchmark worker does, and records each exit code with a hash of its
 stdout.  Each request runs twice: as configured (the benchmark's JSON
 tables) and with `--format csv`; each `verify` run as well with
-`--format json`.
+`--format json`.  For each request whose JSON table differs, the oracle
+error of both tables is computed as the benchmark checks it
+(`bench/run.py`'s `check` against `bench/oracle.py`, imported, never
+changed), and each workload's line counts how many errors rose and fell
+and gives the largest rise.
 
     python scripts/replay_diff.py --before PARENT/src [--after src] [--seeds 11-20]
 
@@ -43,20 +47,34 @@ def _seeds(spec: str) -> list:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+def _table(store: str, digest: str) -> str:
+    # a stored JSON table, named by the hash of its bytes
+    return os.path.join(store, digest + ".json")
+
+
 def _child(seeds, out: str) -> None:
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     import workloads
 
     import fracext.cli as cli
 
-    def run(argv):
+    store = os.path.dirname(out)  # shared by both sides: a table is kept once
+
+    def run(argv, keep=False):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             try:
                 code = cli.main(argv)
             except Exception:  # an escaped exception exits 1 on a console
                 code = 1
-        return [code, hashlib.sha256(stdout.getvalue().encode()).hexdigest()]
+        text = stdout.getvalue()
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        path = _table(store, digest)
+        if keep and not os.path.exists(path):
+            with open(f"{path}.{os.getpid()}", "w") as fh:
+                fh.write(text)
+            os.replace(f"{path}.{os.getpid()}", path)  # whole, if both sides write it
+        return [code, digest]
 
     records = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -68,7 +86,7 @@ def _child(seeds, out: str) -> None:
                         json.dump(req["config"], fh)
                     argv = [req["command"], "--config", path]
                     records.append([name, seed, i, req["cls"]]
-                                   + run(argv) + run(argv + ["--format", "csv"]))
+                                   + run(argv, keep=True) + run(argv + ["--format", "csv"]))
     for seed in seeds:
         argv = ["verify", "--suite", "all", "--seed", str(seed)]
         records.append(["verify", seed, 0, "verify --suite all"]
@@ -101,18 +119,52 @@ def main(argv=None) -> int:
             print("a replay child failed", file=sys.stderr)
             return 2
         before, after = (json.load(open(path)) for path in outs)
+        return _report(before, after, tmp)
+
+
+def _report(before, after, store) -> int:
+    """Print the differing requests of each workload, and how the oracle
+    errors of those whose JSON tables differ moved; 1 if any differs."""
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    import oracle
+    import run as bench
+    import workloads
+
+    ext_oracle, streams = oracle.ExtensionOracle(), {}
+
+    def error(request, digest):
+        with open(_table(store, digest)) as fh:
+            try:
+                return bench.check(request, fh.read(), ext_oracle)
+            except (ValueError, KeyError, TypeError, IndexError):
+                return None  # no table, or one the benchmark cannot read
+
     differ = 0
     for name in sorted({r[0] for r in before}):
         rows = [(b, a) for b, a in zip(before, after) if b[0] == name]
         bad = [(b, a) for b, a in rows if b[4:] != a[4:]]
         differ += len(bad)
         print(f"{name}: {len(bad)} of {len(rows)} requests differ")
+        moves = []
         for b, a in bad:
             what = ", ".join(w for w, k in (("exit code", 4), ("stdout", 5),
                                             ("exit code (other format)", 6),
                                             ("stdout (other format)", 7)) if b[k] != a[k])
-            print(f"  seed {b[1]} request {b[2]} ({b[3]}): {what} "
-                  f"(exit {b[4]} -> {a[4]})")
+            line = f"  seed {b[1]} request {b[2]} ({b[3]}): {what} (exit {b[4]} -> {a[4]})"
+            if name != "verify" and b[5] != a[5]:
+                if (name, b[1]) not in streams:
+                    streams[name, b[1]] = workloads.generate(name, b[1], SECONDS)["requests"]
+                request = streams[name, b[1]][b[2]]
+                errs = [error(request, r[5]) for r in (b, a)]
+                line += ", error " + " -> ".join("none" if e is None else f"{e:.3g}"
+                                                 for e in errs)
+                if None not in errs:
+                    moves.append(errs[1] - errs[0])
+            print(line)
+        if moves:
+            print(f"{name}: oracle errors rose on {sum(m > 0 for m in moves)} and fell on "
+                  f"{sum(m < 0 for m in moves)} of {len(moves)} requests; largest rise "
+                  f"{max(moves + [0.0]):+.3g}")
     return 1 if differ else 0
 
 

@@ -12,8 +12,8 @@ and then, REPEATS times, idles, runs the request on a new seeded f and
 idles for a 150 ms window.  It records the CPU inside the request, the CPU
 in that window, and the integrand calls and nodes of the request's
 quadratures, counted by wrapping the integrand at the outermost
-`quadrature._halfline` or `quadrature._graded` entry (so a log-route
-integral counts its probe, walk, rounds and add-back).  Each set-up runs
+`quadrature._halfline` or `quadrature._graded` entry (so a half-line
+integral counts its probe, walk, rounds and add-back samples).  Each set-up runs
 once with OPENBLAS_NUM_THREADS unset and once with it set to 1.
 
     python scripts/spin_probe.py --before PARENT/src [--after src] [--out BENCH_15.json]

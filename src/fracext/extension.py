@@ -54,8 +54,8 @@ __all__ = [
     "rotate_imaginary",
 ]
 
-# Gamma(-sigma) and Gamma(1/2-sigma) blow up and quadrature grading
-# degenerates outside this band of Re(sigma).
+# Gamma(-sigma) and Gamma(1/2-sigma) blow up outside this band of Re(sigma),
+# where q+1 or p-1 of an algebraic lane nears 0 and its add-back takes over.
 SIGMA_BAND = (0.02, 0.98)
 
 _HALF_SQRT2_1PI = complex(math.sqrt(2.0) / 2.0, math.sqrt(2.0) / 2.0)
@@ -220,11 +220,16 @@ class _CosTerms(_KernelExpr):
 
     def __call__(self, t):
         t = np.asarray(t, dtype=complex if np.iscomplexobj(t) else float)
-        w = self.z2 + t * t
-        logw = np.log(w)
-        out = np.zeros(t.shape, dtype=complex)
-        ratio = self.z2 / (t * t)
         lnt = np.log(t)
+        # t^2 overflows past |t| ~ 1e154: there z^2/t^2 is z^2/t/t, and
+        # Log(z^2+t^2) is 2 log t + log(1 + z^2/t^2)
+        big = np.abs(t) > 1e150
+        tt = np.where(big, 1.0, t)
+        ratio, logw = self.z2 / (tt * tt), np.log(self.z2 + tt * tt)
+        if big.any():
+            ratio[big] = self.z2 / t[big] / t[big]
+            logw[big] = 2.0 * lnt[big] + _clog1p(ratio[big])
+        out = np.zeros(t.shape, dtype=complex)
         for c, m, p, kind in self.terms:
             if kind == "prod":
                 out = out + c * t ** m * np.exp(p * logw)
@@ -236,7 +241,9 @@ class _CosTerms(_KernelExpr):
                 stable = power_term * _cpowm1(ratio, p)
                 out = out + c * np.where(small, stable, direct)
         if self.log_coef != 0:
-            out = out + self.log_coef * (2.0 * np.log(t) - logw)
+            # -log(1 + z^2/t^2) where that is small, as 2 log t - logw cancels
+            out = out + self.log_coef * np.where(np.abs(ratio) < 0.25, -_clog1p(ratio),
+                                                 2.0 * lnt - logw)
         return out
 
     def derivative(self) -> "_CosTerms":
@@ -261,7 +268,7 @@ class _CosTerms(_KernelExpr):
                 zeros.append(min(m, m + 2.0 * p.real))
                 decays.append(-(m + 2.0 * p.real - 2.0))
         if self.log_coef != 0:
-            zeros.append(-0.05)  # integrable log singularity, graded gently
+            zeros.append(-0.05)  # sets the log singularity's lower add-back
             decays.append(2.0)
         return min(zeros), ("algebraic", min(decays))
 

@@ -85,8 +85,9 @@ def spectral_integral(weights, family: OperatorFamily, f, tol: float,
     E(rate, t), E the alpha-fold integrated exponential (family_parts: a
     cosine splits into its halves e^{+-i omega t}).  Each part runs on the
     ray t = e^{i theta} s of _rays; so every lane but an undamped zero mode
-    takes the log substitution, and an algebraic weight refuses a mode
-    that decays on no ray of its sector.  A lane is a (weight, ray, rates)
+    decays exponentially (only that one keeps the weight's algebraic tail
+    for its add-back), and an algebraic weight refuses a mode that decays
+    on no ray of its sector.  A lane is a (weight, ray, rates)
     triple with its own panels and stopping target; it is real when its
     ray is unturned and its rates are real, and then samples its factor in
     float64 at real t (the weight keeps its own dtype).  Each lane goes
@@ -229,7 +230,8 @@ def balakrishnan_power(A: LinearOperator, sigma, f, tol: float = 1e-11) -> Fract
             return w * resolvent_solve(A, lam, mAf)
         return w * (-eigs / (lam[:, None] - eigs))
 
-    res = integrate_halfline(integrand, zero=s.real - 1.0, tol=tol)
+    res = integrate_halfline(integrand, zero=s.real - 1.0, tail=("algebraic", 2.0 - s.real),
+                             tol=tol)
     pref = cmath.sin(cmath.pi * s) / math.pi
     value = pref * np.asarray(res.value).reshape(-1)
     err = abs(pref) * res.error_estimate

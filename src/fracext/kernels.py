@@ -18,7 +18,8 @@ as a vectorized callable, and metadata() its decay, the pair (zero, tail):
 zero is the algebraic exponent at t -> 0+ (None when flat along the
 integration ray), tail is ('exponential', rate) or ('algebraic', power)
 at infinity (None when unknown).  That pair is the only statement of
-decay; quadrature turns it into a route.  sector() gives the open range
+decay; quadrature turns it into the add-backs at the edges of a
+half-line window.  sector() gives the open range
 (lo, hi) of arg t where it is analytic and keeps that decay, the room a
 spectral integral has to rotate its ray.  Kernel takes all of them from
 its closed form; the expressions (_Expr here, extension._CosTerms)

@@ -1,16 +1,15 @@
 """Improper-integral evaluation on (0, inf) and finite intervals, plus limit extrapolation.
 
-A half-line route depends on two numbers only: the algebraic exponent q
-at zero (|f| ~ t^q) and the algebraic tail power p (|f| ~ t^-p), each
-None when absent, which _route alone derives from the kernel protocol's
-decay pair (zero, tail).  With both, power grading t = s^{1/(1+q)} on
-[0, 1] and inversion t = 1/s, graded the same way, on [1, inf);
-otherwise the log substitution t = e^u, whose probe finds the truncation
-window: one integrand call samples the probe and the first steps of the
-walk to the window's edges, and later calls go on in doubling strides.
-Oscillating integrands are the caller's to turn into decaying ones
-(funcalc rotates them onto rays in the complex plane), so every route
-integrates an integrand that decays.
+Every half-line integral takes one route, the log substitution t = e^u,
+whose probe finds the truncation window: one integrand call samples the
+probe and the first steps of the walk to the window's edges, and later
+calls go on in doubling strides.  The mass outside the window is added
+back at both edges from two numbers: the algebraic exponent q at zero
+(|f| ~ t^q) and the algebraic tail power p (|f| ~ t^-p), each None when
+absent (nothing is added back), which _route alone derives from the
+kernel protocol's decay pair (zero, tail).  Oscillating integrands are
+the caller's to turn into decaying ones (funcalc rotates them onto rays
+in the complex plane), so every lane integrates an integrand that decays.
 
 Integrands are vectorized: f(t: ndarray) -> ndarray whose leading axis
 matches t; trailing axes (vector values) are carried through.
@@ -24,7 +23,7 @@ most 52 panels, lane[i] naming the lane of node t[i]; so the rounds grow
 with the log of the panel count over 8.
 _graded is the one finite-interval entry, [0, b] under the grading of an
 algebraic zero; integrate_interval is its one-lane ungraded call.
-_halfline takes lanes through both half-line routes, so a Weyl derivative
+_halfline takes lanes through the half-line route, so a Weyl derivative
 at many points, or a spectral integral over a z grid, a trace's y grid or
 an eps ladder, costs the integrand calls of one integral.
 """
@@ -303,16 +302,33 @@ _WIDE_U = np.concatenate([np.linspace(-120, -6, 20), np.linspace(6, 120, 20)])
 _PROBE_STEPS = 12
 
 
-def _log_substituted(f, lanes, tol, max_panels, label=None, q=None):
-    """t = e^u route: each lane probes the window where its integrand
-    matters, then all lanes integrate g(u) = f(e^u) e^u adaptively.
+def _route(zero, tail, power=0.0):
+    """The route (q, p) of _halfline for w(t) t^power, w of decay (zero, tail):
+    q = zero + power if negative, p = the algebraic tail power - power if
+    above 1, each else None (a bounded or flat zero, an exponential tail,
+    where no add-back is needed)."""
+    q = None if zero is None or zero + power >= 0.0 else zero + power
+    algebraic = tail is not None and tail[0] == "algebraic" and tail[1] - power > 1.0
+    return q, tail[1] - power if algebraic else None
 
-    The probe's call also samples the first _PROBE_STEPS steps of the
-    window walk beyond either probe end, whose own sample is the walk's
-    first; the walk goes on in doubling strides.  Under an algebraic zero
-    |f| ~ t^q, g ~ e^{(q+1) u} leaves g(edge) / (q+1) below the window; it
-    is added back from the walk's sample at the lower edge (one more
-    sample only for an edge that reached |u| = 690, where none sits)."""
+
+def _halfline(f, lanes, q, p, tol, max_panels=6000, label=None):
+    """Lane-batched integrate_halfline: lane k integrates f(., k) over
+    (0, inf) on the route (q, p) of _route, the algebraic exponent at 0
+    and the algebraic tail power, each None when absent; returns (values,
+    error estimates, evaluations) per lane.
+
+    Every lane takes t = e^u: it probes the window where its integrand
+    matters, then all lanes integrate g(u) = f(e^u) e^u adaptively.  The
+    probe's call also samples the first _PROBE_STEPS steps of the window
+    walk beyond either probe end, whose own sample is the walk's first; the
+    walk goes on in doubling strides.  Under an algebraic zero |f| ~ t^q,
+    g ~ e^{(q+1) u} leaves g(lo) / (q+1) below the window, and under an
+    algebraic tail |f| ~ t^-p, g ~ e^{-(p-1) u} leaves g(hi) / (p-1) above
+    it; each is added back from the walk's sample at that edge (one more
+    sample only for an edge that reached |u| = 690, where none sits).
+    """
+    named = label and (lambda k: f"{label(k)} (log substitution)")
 
     def g(u, lane):
         t = np.exp(u)
@@ -334,7 +350,7 @@ def _log_substituted(f, lanes, tol, max_panels, label=None, q=None):
         mags = _rowmax(vals).reshape(ids.size, u.size)[:, k:-k]
         bad = ~np.isfinite(mags).all(axis=1)
         if bad.any():
-            raise _failure(label, ids[bad.argmax()], "NaN/Inf sample detected")
+            raise _failure(named, ids[bad.argmax()], "NaN/Inf sample detected")
         vals = vals.reshape((ids.size, u.size) + vals.shape[1:])
         return mags.max(axis=1), np.concatenate([vals[:, k::-1], vals[:, -k - 1:]])
 
@@ -372,7 +388,7 @@ def _log_substituted(f, lanes, tol, max_panels, label=None, q=None):
         stop = np.where(hit, three.argmax(axis=1), inside.sum(axis=1))
         bad = inside & ~np.isfinite(mags) & (np.arange(steps) <= stop[:, None])
         if bad.any():
-            raise _failure(label, owner[w[bad.any(axis=1).argmax()]], "NaN/Inf sample detected")
+            raise _failure(named, owner[w[bad.any(axis=1).argmax()]], "NaN/Inf sample detected")
         at_edge[w[hit]] = vals[hit, stop[hit]]
         last2[w] = seq[:, -2:]
         edge[w] += 3.0 * way[w] * stop
@@ -390,53 +406,26 @@ def _log_substituted(f, lanes, tol, max_panels, label=None, q=None):
     if live.size:
         lo, hi = edge[:live.size], edge[live.size:]
         out[live], errs[live], used = _adaptive(
-            g, live, lo, hi, tol, cut[live] * (hi - lo), max_panels, label=label)
+            g, live, lo, hi, tol, cut[live] * (hi - lo), max_panels, label=named)
         evals[live] += used
-        if q is not None:
-            at_lo = at_edge[:live.size]
-            far = np.flatnonzero(lo <= -690.0)  # walked to the end: no sample there
+        # the algebraic mass beyond each edge, lower edges first
+        for side, rate in enumerate((None if q is None else q + 1.0,
+                                     None if p is None else p - 1.0)):
+            if rate is None:
+                continue
+            ends = side * live.size + np.arange(live.size)
+            far = ends[np.abs(edge[ends]) >= 690.0]  # walked to the end: no sample there
             if far.size:
-                at_lo[far] = _sample(g, lo[far], live[far], label)
-                evals[live[far]] += 1
-            out[live] += at_lo / (q + 1.0)
+                at_edge[far] = _sample(g, edge[far], owner[far], named)
+                evals[owner[far]] += 1
+            out[live] += at_edge[ends] / rate
     return out, errs, evals
-
-
-def _route(zero, tail, power=0.0):
-    """The route (q, p) of _halfline for w(t) t^power, w of decay (zero, tail):
-    q = zero + power if negative, p = the algebraic tail power - power if
-    above 1, each else None (a bounded or flat zero, an exponential tail)."""
-    q = None if zero is None or zero + power >= 0.0 else zero + power
-    algebraic = tail is not None and tail[0] == "algebraic" and tail[1] - power > 1.0
-    return q, tail[1] - power if algebraic else None
-
-
-def _halfline(f, lanes, q, p, tol, max_panels=6000, label=None):
-    """Lane-batched integrate_halfline: lane k integrates f(., k) over
-    (0, inf) on the route (q, p) of _route, the algebraic exponent at 0
-    and the algebraic tail power, each None when absent; returns (values,
-    error estimates, evaluations) per lane.
-
-    With both, [0, 1] is graded in t and [1, inf) in s = 1/t, where the
-    integrand f(1/s) / s^2 ~ s^{p-2}; otherwise every lane takes the log
-    substitution.
-    """
-    route = "graded" if q is not None and p is not None else "log substitution"
-    named = label and (lambda k: f"{label(k)} ({route})")  # failures name the route
-    if route == "log substitution":
-        return _log_substituted(f, lanes, tol, max_panels, named, q)
-
-    def inverted(s, lane):
-        return _with_jacobian(f(1.0 / s, lane), 1.0 / s ** 2)
-
-    r0 = _graded(f, lanes, 1.0, q, tol, max_panels, named)
-    r1 = _graded(inverted, lanes, 1.0, p - 2.0, tol, max_panels, named)
-    return tuple(x + y for x, y in zip(r0, r1))
 
 
 def integrate_halfline(f, zero=None, tail=None, tol: float = DEFAULT_TOL,
                        max_panels: int = 6000) -> QuadratureResult:
-    """Integrate f over (0, inf) on the route _route takes from its decay,
+    """Integrate f over (0, inf) in t = e^u, adding back the mass beyond
+    the window at each edge on the route _route takes from its decay,
     stated as in the kernel protocol: zero the algebraic exponent at 0+
     (|f| ~ t^zero, zero > -1; None when flat), tail ("exponential", rate)
     or ("algebraic", power) with power > 1 (None when unknown)."""

@@ -153,6 +153,19 @@ def test_periodic_fracpow(tmp_path, capsys, size, spacing):
     assert code == EXIT_OK
 
 
+def test_fracpow_balakrishnan_near_sigma_one(tmp_path, capsys):
+    # at sigma 0.979 Balakrishnan's lam^{sigma-2} tail is still above its
+    # cut at the window walk's end; the add-back above the window keeps
+    # every component within tol, so the command exits 0
+    operator = {"kind": "laplacian", "size": 8, "spacing": 1.0, "boundary": "dirichlet"}
+    cfg = base_config(operator=operator, sigma=0.979, method="balakrishnan", tol=1e-10,
+                      output={"path": "-", "format": "json"})
+    code = main(["fracpow", "--config", write_config(tmp_path, cfg)])
+    rows = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert max(r["rel_error"] for r in rows) <= 1e-12
+
+
 def test_stiff_trace_default_grid(tmp_path, capsys):
     # without a y0 the trace grid starts at 2/sqrt(||A||) = 0.01 here
     cfg = base_config(operator={"kind": "laplacian", "size": 16, "spacing": 0.01,

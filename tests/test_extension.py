@@ -615,6 +615,27 @@ def test_cosine_side_vs_bessel_k(alpha):
         _assert_oracle(solve_cosine_fractional(fam, sigma, z, f, power_input=power), ref, 1e-9)
 
 
+@pytest.mark.parametrize("route, sigma", [
+    ("semigroup", 0.021), ("semigroup", 0.03), ("fractional_data", 0.979),
+    ("cosine_form", 0.021), ("cosine_form", 0.03),
+    ("cosine_fractional", 0.5), ("cosine_fractional", 0.979),
+])
+def test_zero_mode_at_the_band_edges_vs_bessel_k(route, sigma):
+    # a zero mode makes an algebraic lane: near sigma = 0 its tail is
+    # still above the cut where the window walk ends at u = 690, and near
+    # sigma = 1 its zero approaches t^-1; the add-backs at both window edges
+    # keep every route within 1e-12 of the oracle, the estimate bounding
+    # the error, on the rotated ray of a complex z too
+    eigs = [0.0, -1.0, -40.0, -1e4]
+    A, f = LinearOperator("diagonal", eigs), np.array([1.0, -0.5, 0.3, 0.8])
+    fam = cosine_family(A) if route.startswith("cosine") else heat_semigroup(A)
+    solve = {"semigroup": solve_semigroup_form, "fractional_data": solve_fractional_data,
+             "cosine_form": solve_cosine_form, "cosine_fractional": solve_cosine_fractional}[route]
+    zs = {"fractional_data": (0.05, 0.6), "cosine_fractional": (0.05, 0.6 * cmath.exp(0.5j))}
+    for z in zs.get(route, (0.1, 0.5)):
+        _assert_oracle(solve(fam, sigma, z, f), bessel_k_solution(eigs, f, sigma, z), 1e-12)
+
+
 def test_error_estimates_scale_with_f(laplacian8, f8):
     # the spectral routes integrate unit-coordinate factors and carry the
     # quadrature error through the assembly, so the estimate scales with f
@@ -836,26 +857,26 @@ def test_spectral_lanes_match_per_z(case):
         assert np.max(np.abs(rows[k] - alone)) <= 1e-15 * np.max(np.abs(alone))
 
 
-@pytest.mark.parametrize("route", ["log substitution", "rotated ray", "graded",
+@pytest.mark.parametrize("route", ["log substitution", "rotated ray", "zero mode",
                                    "oscillating lane"])
 def test_lane_failure_names_its_z(monkeypatch, route):
     # a NaN in one z lane fails the call with a message naming that z, the
-    # range of the lane's eigenvalues and its route; the graded lane is the
-    # zero mode of a periodic Laplacian under the algebraic cosine_fractional
-    # weight, and the oscillating lanes are the modes of i xi^3, turned onto
+    # range of the lane's eigenvalues and its route; the zero-mode lane is a
+    # periodic Laplacian's, under the algebraic cosine_fractional weight,
+    # and the oscillating lanes are the modes of i xi^3, turned onto
     # decaying rays
     import fracext.funcalc as funcalc
     from fracext.kernels import _HintedFn
     from fracext.operators import build_laplacian_1d
     from fracext.quadrature import QuadratureError
 
-    graded, rotated = route == "graded", route != "log substitution"
+    zero_mode, rotated = route == "zero mode", route in ("rotated ray", "oscillating lane")
     z = 0.35 * cmath.exp(1j * math.pi / 8) if route == "rotated ray" else 0.35
     real = funcalc._weyl_kernel_fn
 
     def poisoned(kernel, alpha, tol):
         w = real(kernel, alpha, tol)
-        if (kernel.z2 == z * z) if graded else (kernel.z.z == z):
+        if (kernel.z2 == z * z) if zero_mode else (kernel.z.z == z):
             return _HintedFn(lambda t: np.full(np.shape(t), np.nan), *w.metadata(), w.sector())
         return w
 
@@ -863,16 +884,16 @@ def test_lane_failure_names_its_z(monkeypatch, route):
     if route == "oscillating lane":
         A = build_fourier_multiplier(lambda xi: 1j * xi ** 3, [-2.0, -1.0, 1.0, 2.0])
     else:
-        A = build_laplacian_1d(4, 1.0, "periodic" if graded else "dirichlet")
+        A = build_laplacian_1d(4, 1.0, "periodic" if zero_mode else "dirichlet")
     f, zs = np.array([1.0, -0.5, 0.3, 0.8]), np.array([0.2, z, 0.5])
     with pytest.raises(QuadratureError) as info:
-        if graded:
+        if zero_mode:
             solve_cosine_fractional(cosine_family(A), 0.3, zs, f)
         else:
             ExtensionSolver(heat_semigroup(A), 0.4, f).value(zs)
-    where = " on the rotated ray (log substitution)" if rotated and not graded else f" ({route})"
+    where = " on the rotated ray" * rotated + " (log substitution)"
     # the failing group's eigenvalues: all four Dirichlet ones, the periodic
     # zero mode alone, or the modes of i xi^3 on the ray below the axis
-    span = {"graded": "0", "oscillating lane": "0 + i(-8..-1)"}.get(route, "-3.618..-0.382")
+    span = {"zero mode": "0", "oscillating lane": "0 + i(-8..-1)"}.get(route, "-3.618..-0.382")
     assert str(info.value) == (f"spectral integral at z = {complex(z)!r} over eigenvalues "
                                f"{span}{where}: NaN/Inf sample detected")

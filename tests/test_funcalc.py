@@ -108,6 +108,19 @@ def test_balakrishnan_beta_integral_grid():
             assert abs(r.value[0] - mu ** s) <= 1e-8 * mu ** s
 
 
+@pytest.mark.parametrize("sigma", [0.97, 0.975, 0.979])
+def test_balakrishnan_near_sigma_one(sigma):
+    # the lam^{sigma-2} tail decays like e^{-(1-sigma) u} in u = log lam, so
+    # the window walk ends at u = 690 above its cut: the tail beyond is
+    # added back, and the estimate bounds the error
+    A, f = LinearOperator("diagonal", [-1.0, -40.0, -1e4]), np.array([1.0, -0.5, 0.3])
+    ref = spectral_power_oracle(A, sigma, f).value
+    got = balakrishnan_power(A, sigma, f)
+    err = np.max(np.abs(got.value - ref))
+    assert err <= 1e-12 * np.max(np.abs(ref))
+    assert err <= got.error_estimate
+
+
 def test_balakrishnan_composition(laplacian8, f8):
     half = balakrishnan_power(laplacian8, 0.5, f8).value
     again = balakrishnan_power(laplacian8, 0.5, half).value

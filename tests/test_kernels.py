@@ -406,8 +406,8 @@ def test_weyl_integral_of_h_converges_below_one_minus_sigma(s):
 @pytest.mark.parametrize("beta", [1.0, 1.5, 2.5])
 def test_weyl_integral_of_bounded_algebraic_function(beta):
     # W^{-beta} (1+t)^-4 = Gamma(4-beta)/Gamma(4) (1+s)^{beta-4}: an
-    # integrand bounded at tau = 0 with an algebraic tail, which takes the
-    # log substitution (only a singular zero is graded)
+    # integrand bounded at tau = 0 with an algebraic tail, so only its
+    # upper window edge adds back a tail
     phi = _HintedFn(lambda t: (1.0 + np.asarray(t)) ** -4, 0.0, ("algebraic", 4.0))
     s = np.array([0.0, 0.5, 2.0, 10.0])
     ref = gamma(4.0 - beta) / gamma(4.0) * (1.0 + s) ** (beta - 4.0)

@@ -243,19 +243,20 @@ def _counting(f, lanes):
     return g, seen
 
 
-@pytest.mark.parametrize("route", ["graded", "log", "log add-back"])
+@pytest.mark.parametrize("route", ["both add-backs", "log", "log add-back"])
 @pytest.mark.parametrize("lanes", [1, 3])
 def test_evaluations_count_every_sample(route, lanes):
-    # evaluations is the number of nodes the integrand saw: on the log
-    # route that takes in the probe, the wide probe of a quiet lane, every
-    # walk sample and the add-back sample; the last of three lanes is zero
+    # evaluations is the number of nodes the integrand saw: that takes in
+    # the probe, the wide probe of a quiet lane, every walk sample and the
+    # add-back samples; the last of three lanes is zero
     from fracext.quadrature import _halfline
 
-    q, p = {"graded": (-0.5, 2.5), "log": (None, None), "log add-back": (-0.5, None)}[route]
+    q, p = {"both add-backs": (-0.5, 2.5), "log": (None, None),
+            "log add-back": (-0.5, None)}[route]
     rates = np.array([1.0, 3.0, 0.0])[:lanes]
 
     def f(t, lane):
-        if route == "graded":
+        if route == "both add-backs":
             return rates[lane] * t ** -0.5 / (1.0 + t) ** 3
         return rates[lane] * t ** (0.5 if q is None else q) * np.exp(-rates[lane] * t)
 
@@ -455,13 +456,17 @@ def test_pinned_integrand_calls():
 
 def test_add_back_at_the_walk_end():
     # t^-0.99 e^-t decays too slowly in u for the lower edge to stop before
-    # |u| = 690, where the walk has no sample: the add-back takes one more
+    # |u| = 690, and (1 - e^-t) t^-1.01 for the upper edge: where the walk
+    # has no sample, the add-back takes one more
     from fracext.quadrature import _halfline
 
-    g, seen = _counting(lambda t, lane: t ** -0.99 * np.exp(-t), 1)
-    vals, _, evals = _halfline(g, 1, -0.99, None, 1e-10)
-    assert abs(vals[0] - math.gamma(0.01)) < 1e-12 * math.gamma(0.01)
-    assert evals[0] == seen[0]
+    cases = [(lambda t, lane: t ** -0.99 * np.exp(-t), -0.99, None, math.gamma(0.01)),
+             (lambda t, lane: -np.expm1(-t) * t ** -1.01, None, 1.01, math.gamma(0.99) / 0.01)]
+    for f, q, p, exact in cases:
+        g, seen = _counting(f, 1)
+        vals, _, evals = _halfline(g, 1, q, p, 1e-10)
+        assert abs(vals[0] - exact) < 1e-12 * exact
+        assert evals[0] == seen[0]
 
 
 def test_nonfinite_probe_sample_fails_at_once():
