@@ -6,8 +6,11 @@ cores after it returns; that CPU is charged to no request but the process
 pays for it.  For each set-up (the three the `spectral-shared` benchmark
 workload repeats: fracpow on the n = 64 Dirichlet Laplacian, trace on the
 n = 8 Laplacian, the README extend config; and one `dispersive`-style
-fracpow on the i xi^3 multiplier at alpha = 1), a fresh process imports
-`fracext.cli` from a given source tree, runs the request once to warm up,
+fracpow on the i xi^3 multiplier at alpha = 1; and a semigroup-form extend
+on the periodic n = 16 Laplacian at alpha = 2, sigma = 0.05, whose exact
+zero mode takes its row from the weight's closed-form moment), a fresh
+process imports `fracext.cli` from a given source tree, runs the request
+once to warm up,
 and then, REPEATS times, idles, runs the request on a new seeded f and
 idles for a 150 ms window.  It records the CPU inside the request, the CPU
 in that window, and the integrand calls and nodes of the request's
@@ -62,11 +65,18 @@ _I_XI3 = {"schema": "fracext/1",
           "sigma": 0.45, "family": {"kind": "integrated_semigroup", "alpha": 1.0},
           "method": "all", "tol": 1e-6}
 
+_PERIODIC_ZERO = {"schema": "fracext/1",
+                  "operator": {"kind": "laplacian", "size": 16, "spacing": 0.05,
+                               "boundary": "periodic"},
+                  "sigma": 0.05, "family": {"kind": "integrated_semigroup", "alpha": 2.0},
+                  "method": "semigroup", "tol": 1e-8, "z_grid": [0.1, 0.5]}
+
 SETUPS = {
     "fracpow_n64": ("fracpow", _laplacian(64, 0.5, 1e-8)),
     "trace_n8": ("trace", _laplacian(8, 0.3, 1e-6)),
     "readme_extend": ("extend", _README),
     "fracpow_i_xi3": ("fracpow", _I_XI3),
+    "extend_periodic_zero": ("extend", _PERIODIC_ZERO),
 }
 
 

@@ -34,7 +34,7 @@ from .funcalc import balakrishnan_power, pi_rows
 from .kernels import Kernel, SectorPoint, _KernelExpr, z_derivative_fn
 from .operators import MAX_DIMENSION, LinearOperator, apply, spectral_decompose
 from .quadrature import richardson_multi
-from .specfun import FracOrder, cexpm1, constants_for, cpow
+from .specfun import FracOrder, cexpm1, constants_for, cpow, gamma
 
 __all__ = [
     "SIGMA_BAND",
@@ -221,14 +221,7 @@ class _CosTerms(_KernelExpr):
     def __call__(self, t):
         t = np.asarray(t, dtype=complex if np.iscomplexobj(t) else float)
         lnt = np.log(t)
-        # t^2 overflows past |t| ~ 1e154: there z^2/t^2 is z^2/t/t, and
-        # Log(z^2+t^2) is 2 log t + log(1 + z^2/t^2)
-        big = np.abs(t) > 1e150
-        tt = np.where(big, 1.0, t)
-        ratio, logw = self.z2 / (tt * tt), np.log(self.z2 + tt * tt)
-        if big.any():
-            ratio[big] = self.z2 / t[big] / t[big]
-            logw[big] = 2.0 * lnt[big] + _clog1p(ratio[big])
+        ratio, logw = self.z2 / (t * t), np.log(self.z2 + t * t)
         out = np.zeros(t.shape, dtype=complex)
         for c, m, p, kind in self.terms:
             if kind == "prod":
@@ -256,6 +249,15 @@ class _CosTerms(_KernelExpr):
         if self.log_coef != 0:
             new.append((2.0 * self.log_coef * self.z2, -1.0, -1.0, "prod"))
         return _CosTerms(self.z2, new)
+
+    def moment(self, n):
+        # int t^mu (z^2+t^2)^p dt = z^{mu+1+2p} B((mu+1)/2, -p-(mu+1)/2) / 2 with
+        # mu = m + n, continued to 'diff' terms; the log term (n = 0) gives -pi z
+        total = -math.pi * cmath.sqrt(self.z2) * self.log_coef
+        for c, m, p, _ in self.terms:
+            h = 0.5 * (m + n + 1.0)
+            total += c * cpow(self.z2, h + p) * gamma(h) * gamma(-p - h) / (2.0 * gamma(-p))
+        return total / gamma(n + 1.0)
 
     def metadata(self):
         zeros = []

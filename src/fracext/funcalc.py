@@ -56,10 +56,10 @@ def _rays(sector, rate):
     of the half-plane |arg t - arg(-conj(rate))| < pi/2 where e^{rate t}
     decays (Re t > 0 at rate 0); the real axis for a growing rate or an
     empty middle."""
-    mid = np.where(np.abs(rate) <= 1e-9, 0.0, np.angle(-np.conj(rate)))
+    mid = np.where(rate == 0, 0.0, np.angle(-np.conj(rate)))
     lo = np.maximum(sector[0], mid - 0.5 * math.pi)
     hi = np.minimum(sector[1], mid + 0.5 * math.pi)
-    theta = np.where((rate.real <= 1e-9) & (lo <= hi), 0.5 * (lo + hi), 0.0)
+    theta = np.where((rate.real <= 0) & (lo <= hi), 0.5 * (lo + hi), 0.0)
     return np.where(np.abs(theta) > 1e-12, theta, 0.0)
 
 
@@ -74,30 +74,31 @@ def _eigen_range(e) -> str:
 
 
 def spectral_integral(weights, family: OperatorFamily, f, tol: float,
-                      shift: float = 0.0, names=None):
-    """Rows int_0^inf w_k(t) T_alpha(shift + t) f dt for the weights w_k
-    of a list, each speaking the kernel protocol with a known tail (pi_rows
-    passes (-1)^n phi^(n) with T_n), and their quadrature error estimates
-    in the scale of f; names[k] names weight k in failure messages, which
-    give the range of the failing lane's eigenvalues too.
+                      shift: float = 0.0, names=None, sign: float = 1.0):
+    """Rows sign * int_0^inf w_k(t) T_alpha(shift + t) f dt for the weights
+    w_k of a list, each speaking the kernel protocol with a known tail
+    (pi_rows passes phi^(n), T_n and (-1)^n), and their quadrature error
+    estimates in the scale of f; names[k] names weight k in failure
+    messages, which give the range of the failing lane's eigenvalues too.
 
     A spectral family writes the factor of each eigenvalue as parts amp *
     E(rate, t), E the alpha-fold integrated exponential (family_parts: a
-    cosine splits into its halves e^{+-i omega t}).  Each part runs on the
-    ray t = e^{i theta} s of _rays; so every lane but an undamped zero mode
-    decays exponentially (only that one keeps the weight's algebraic tail
-    for its add-back), and an algebraic weight refuses a mode that decays
-    on no ray of its sector.  A lane is a (weight, ray, rates)
+    cosine splits into its halves e^{+-i omega t}).  Under an algebraic
+    weight the exact zero rates, E = (shift + t)^alpha / alpha!, take the
+    row amp * moment(alpha) of the weight and no lane (the zero-rate lane
+    of each part holds that row, and is empty without one); a weight with
+    no moment is refused there, as on a mode that decays on no ray of its
+    sector.  Every other part runs on the ray t = e^{i theta} s of _rays,
+    so every lane decays exponentially.  A lane is a (weight, ray, rates)
     triple with its own panels and stopping target; it is real when its
     ray is unturned and its rates are real, and then samples its factor in
     float64 at real t (the weight keeps its own dtype).  Each lane goes
-    straight into the batch of its key (q, p, width, real): its route, which
+    straight into the batch of its key (q, width, real): the zero exponent
     quadrature._route takes from the weight's decay, its count of rates and
     whether it is real.  A batch is one lane-batched quadrature, on turned
-    rays if any of its lanes turns.  A cosine's zero mode is two lanes of
-    amp 1/2, so no (weight, eigenvalue) cell sums more than two terms; the
-    error estimates sum in lane order.  A family on the matrix route (a
-    generator without an eigenbasis) makes one real-axis lane per weight.
+    rays if any of its lanes turns; the error estimates sum in lane order.
+    A family on the matrix route (a generator without an eigenbasis) makes
+    one real-axis lane per weight, keyed by its route's tail power too.
     """
     count, alpha = len(weights), family.alpha
     names = names or [f"of weight {k}" for k in range(count)]
@@ -111,24 +112,26 @@ def spectral_integral(weights, family: OperatorFamily, f, tol: float,
         w_zero, w_tail = w.metadata()
         # |T_alpha(t)| <= C t^alpha eats alpha powers of the weight's decay
         q, p = _route(w_zero, w_tail, alpha)
-        damped = w_tail[0] == "exponential"
         if not spectral:
-            lanes.append([k, 0.0, 1.0, np.arange(f.size), None])
+            lanes.append([k, 0.0, sign, np.arange(f.size), None])
             batches.setdefault((q, p, f.size, False), []).append(lanes[-1])
             continue
+        damped = w_tail[0] == "exponential"
         for amp, rate in family_parts(family.kind, eigs):
             theta = _rays(w.sector(), rate)
-            turned = rate * np.exp(1j * theta)
-            if not damped and np.any((turned.real >= -1e-9) & (np.abs(rate) > 1e-9)):
+            zero = (rate == 0) & (not damped)
+            moment = fns[k].moment(alpha) if zero.any() else 0.0
+            if moment is None or not damped and np.any(
+                    ((rate * np.exp(1j * theta)).real >= 0) & ~zero):
                 raise ValueError(f"spectral integral {names[k]}: no ray in the sector "
                                  f"{w.sector()} of an algebraically decaying weight damps "
-                                 "its oscillating or growing modes")
-            still = ~damped & (np.abs(rate) <= 1e-9) & (theta == 0.0)
-            for th, st in sorted(set(zip(theta.tolist(), still.tolist()))):
-                ids = np.flatnonzero((theta == th) & (still == st))
-                lanes.append([k, th, amp, ids, rate[ids]])
+                                 "its oscillating or growing modes, or it states no moment")
+            lanes.append([k, 0.0, sign * amp, np.flatnonzero(zero), None, moment, 0.0])
+            for th in sorted(set(theta[~zero].tolist())):
+                ids = np.flatnonzero(~zero & (theta == th))
+                lanes.append([k, th, sign * amp, ids, rate[ids]])
                 real = th == 0.0 and not rate[ids].imag.any()
-                batches.setdefault((q, p if st else None, ids.size, real), []).append(lanes[-1])
+                batches.setdefault((q, None, ids.size, real), []).append(lanes[-1])
     for (q, p, _, real), batch in batches.items():
         owner, thetas, _, ids, rates = zip(*batch)
         rotating = any(thetas)
@@ -171,7 +174,7 @@ def pi_rows(kernels, family: OperatorFamily, f, tol: float, names=None):
     moves W^{-(n-alpha)} of W^alpha = W^{-(n-alpha)} (-1)^n d^n onto T_alpha."""
     fam = ceil_order_family(family)
     return spectral_integral([_weyl_kernel_fn(k, fam.alpha, tol) for k in kernels], fam, f,
-                             tol, names=names)
+                             tol, names=names, sign=(-1.0) ** fam.alpha)
 
 
 def pi_alpha(phi, family: OperatorFamily, f, tol: float = 1e-11) -> np.ndarray:
@@ -275,9 +278,10 @@ def integrated_power(family: OperatorFamily, sigma, f,
                           1, 1.0, -s.real, tol)
         v_small, e_small = v[0], e[0]
     # past t = 1, T_n(t) f t^{-sigma-n-1}; the subtracted t^n f / Gamma(n+1)
-    # term integrates to f / (sigma Gamma(n+1))
+    # term integrates to f / (sigma Gamma(n+1)), as does the weight's moment
     weight = _HintedFn(lambda tau: (1.0 + tau) ** power, 0.0,
-                       ("algebraic", 1.0 + s.real + alpha), (-math.pi, math.pi))
+                       ("algebraic", 1.0 + s.real + alpha), (-math.pi, math.pi),
+                       lambda n: 1.0 / (s * gamma(n + 1.0)))
     tail, err = spectral_integral([weight], family, f, tol, shift=1.0)
     tail_vec = tail[0] - f / (s * gamma(alpha + 1.0))
     value = factor * (v_small + tail_vec)

@@ -19,16 +19,18 @@ zero is the algebraic exponent at t -> 0+ (None when flat along the
 integration ray), tail is ('exponential', rate) or ('algebraic', power)
 at infinity (None when unknown).  That pair is the only statement of
 decay; quadrature turns it into the add-backs at the edges of a
-half-line window.  sector() gives the open range
-(lo, hi) of arg t where it is analytic and keeps that decay, the room a
-spectral integral has to rotate its ray.  Kernel takes all of them from
-its closed form; the expressions (_Expr here, extension._CosTerms)
-compute them from their own terms; a sampled function (_HintedFn) states
-them (its sector is the real axis alone unless given) and differences
-its samples for derivatives up to order 2.  This module alone decides
-what W^alpha phi is and how it decays (_weyl_kernel_fn): at integer order
-(-1)^n phi^(n), the only weight pi_alpha uses (funcalc.pi_rows), at a
-fractional one a Weyl quadrature per point, for weyl_* and sobolev_norm.
+half-line window.  sector() gives the open range (lo, hi) of arg t where
+it is analytic and keeps that decay, the room a spectral integral has to
+rotate its ray.  An expression's moment(n), int_0^inf w(t) t^n / n! dt
+(None when unknown), is that integral's row of an exact zero eigenvalue.
+Kernel takes all of them from its closed form, an _Expr; the expressions
+(_Expr here, extension._CosTerms) compute them from their own terms; a
+sampled function (_HintedFn) states them (its sector is the real axis
+alone and its moment unknown unless given) and differences its samples
+for derivatives up to order 2.  This module alone decides what W^alpha
+phi is and how it decays (_weyl_kernel_fn): at integer order phi^(n), the
+only weight pi_alpha uses (funcalc.pi_rows signs it), at a fractional one
+a Weyl quadrature per point, for weyl_* and sobolev_norm.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ class _KernelExpr:
     """The kernel protocol: fn(n), metadata() and sector().
 
     Subclasses provide metadata() -> (zero exponent, tail), sector() and
-    either derivative() or fn() itself.
+    either derivative() or fn() itself, whose values provide moment(n).
     """
 
     __slots__ = ()
@@ -226,6 +228,15 @@ class _Expr(_KernelExpr):
             while new and new[-1] == 0:
                 new.pop()
         return _Expr(self.const, self.rho, self.a, self.eps, new_p, new_q)
+
+    def moment(self, n):
+        # int t^{rho+n-j} e^{a/t} dt = (-a)^{rho+n-j+1} Gamma(j-rho-n-1), Re a < 0;
+        # an expm1(a/t) term is its continuation
+        if self.eps or self.a == 0:
+            return None
+        return self.const / gamma(n + 1.0) * sum(
+            c * cpow(-self.a, self.rho + n - j + 1.0) * gamma(j - self.rho - n - 1.0)
+            for poly in (self.poly, self.mpoly) for j, c in enumerate(poly) if c != 0)
 
     def metadata(self):
         nz_p = [j for j, c in enumerate(self.poly) if c != 0]
@@ -375,19 +386,20 @@ _STENCILS = {1: ((1 / 12, -8 / 12, 8 / 12, -1 / 12), (-2, -1, 1, 2)),
 
 
 class _HintedFn(_KernelExpr):
-    """A sampled function of t with stated decay and sector (the real axis
-    alone by default); fn(n), n <= 2, differences it by a fourth-order
-    central stencil along the real direction, which is exact to that order
-    at complex t too (a bounded zero stays bounded, an algebraic tail gains
-    n)."""
+    """A sampled function of t with stated decay, sector (the real axis alone
+    by default) and moment (a function of n; None unless stated); fn(n),
+    n <= 2, differences it by a fourth-order central stencil along the real
+    direction, exact to that order at complex t too (a bounded zero stays
+    bounded, an algebraic tail gains n; no moment is stated)."""
 
-    __slots__ = ("_fn", "_zero", "_tail", "_sector")
+    __slots__ = ("_fn", "_zero", "_tail", "_sector", "moment")
 
-    def __init__(self, fn, zero_exp, tail, sector=(0.0, 0.0)):
+    def __init__(self, fn, zero_exp, tail, sector=(0.0, 0.0), moment=None):
         self._fn = fn
         self._zero = zero_exp
         self._tail = tail
         self._sector = sector
+        self.moment = moment or (lambda n: None)
 
     def __call__(self, t):
         return self._fn(t)
@@ -502,10 +514,10 @@ def weyl_derivative(phi, alpha: float, s, tol: float = 1e-12):
     return _weyl_lanes(psi, *dn.metadata(), n - alpha, s, tol, f"W^{alpha:g}")
 
 
-def _weyl_kernel_fn(phi, alpha: float, tol: float) -> _HintedFn:
+def _weyl_kernel_fn(phi, alpha: float, tol: float) -> _KernelExpr:
     """W^alpha phi of an integrable kernel-like phi, with its decay and the
     sector of phi (the horizontal Weyl rays from a point of the sector stay
-    in it)."""
+    in it); at integer order n, phi^(n) itself: the sign (-1)^n is the caller's."""
     phi = _kernel_like(phi)
     zero, tail = phi.metadata()
     if tail is None:
@@ -514,22 +526,14 @@ def _weyl_kernel_fn(phi, alpha: float, tol: float) -> _HintedFn:
                 "plain callables need decay metadata for alpha > 0 families; "
                 "wrap them in a hinted function"
             )
-        tail = ("exponential", 1.0)
-    if tail[0] == "algebraic" and tail[1] <= 1.0:
+        phi = _HintedFn(phi, zero, ("exponential", 1.0), phi.sector())
+    elif tail[0] == "algebraic" and tail[1] <= 1.0:
         name = getattr(phi, "kind", "expression")
         raise ValueError(
             f"kernel {name!r} is not integrable over (0, inf); multiply by e_eps first"
         )
     if alpha == int(alpha):
-        n = int(alpha)
-        base = phi.fn(n)
-        sign = (-1.0) ** n
-
-        def wfn(t):
-            return sign * np.asarray(base(t))
-
-        w_zero, w_tail = base.metadata()
-        return _HintedFn(wfn, w_zero, w_tail or tail, phi.sector())
+        return phi.fn(int(alpha))
 
     def wfn(t):
         return weyl_derivative(phi, alpha, np.atleast_1d(t), tol=max(tol, 1e-12))

@@ -166,6 +166,41 @@ def test_fracpow_balakrishnan_near_sigma_one(tmp_path, capsys):
     assert max(r["rel_error"] for r in rows) <= 1e-12
 
 
+@pytest.mark.parametrize("z", [0.1, 0.5])
+def test_extend_zero_mode_small_sigma_integrated_family(tmp_path, capsys, z):
+    # the periodic Laplacian's zero mode under b'' T_2 at sigma 0.05 takes
+    # b's closed-form moment instead of a lane whose t^{1-sigma} tail the
+    # window walk cut short: every component agrees with the Bessel-K
+    # oracle, taken in eigencoordinates, within 1e-10
+    from fracext.families import spectral_apply
+    from fracext.operators import build_laplacian_1d, spectral_decompose
+    from tests.conftest import bessel_k_solution
+
+    operator = {"kind": "laplacian", "size": 16, "spacing": 0.05, "boundary": "periodic"}
+    cfg = base_config(operator=operator, sigma=0.05, method="semigroup", seed=5, z_grid=[z],
+                      family={"kind": "integrated_semigroup", "alpha": 2.0},
+                      output={"path": "-", "format": "json"})
+    code = main(["extend", "--config", write_config(tmp_path, cfg)])
+    rows = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    A = build_laplacian_1d(16, 0.05, "periodic")
+    factors = bessel_k_solution(spectral_decompose(A).eigenvalues, np.ones(16), 0.05, z)
+    ref = spectral_apply(A, np.random.default_rng(5).normal(size=16), factors)
+    got = np.array([_decode_complex(r["u_semigroup"]) for r in rows])
+    assert np.max(np.abs(got - ref)) <= 1e-10
+
+
+def test_fracpow_integrated_on_a_zero_mode(tmp_path, capsys):
+    # integrated_power's tail integral gives the periodic zero mode the
+    # weight's stated moment, so sigma 0.021 at alpha 1.5 meets tol 1e-8
+    operator = {"kind": "laplacian", "size": 16, "spacing": 0.5, "boundary": "periodic"}
+    cfg = base_config(operator=operator, sigma=0.021, method="integrated", seed=5, tol=1e-8,
+                      family={"kind": "integrated_semigroup", "alpha": 1.5})
+    code = main(["fracpow", "--config", write_config(tmp_path, cfg)])
+    capsys.readouterr()
+    assert code == EXIT_OK
+
+
 def test_stiff_trace_default_grid(tmp_path, capsys):
     # without a y0 the trace grid starts at 2/sqrt(||A||) = 0.01 here
     cfg = base_config(operator={"kind": "laplacian", "size": 16, "spacing": 0.01,

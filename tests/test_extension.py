@@ -619,21 +619,64 @@ def test_cosine_side_vs_bessel_k(alpha):
     ("semigroup", 0.021), ("semigroup", 0.03), ("fractional_data", 0.979),
     ("cosine_form", 0.021), ("cosine_form", 0.03),
     ("cosine_fractional", 0.5), ("cosine_fractional", 0.979),
+    ("semigroup_alpha1", 0.021), ("semigroup_alpha1", 0.03), ("semigroup_alpha1", 0.05),
+    ("semigroup_alpha2", 0.021), ("semigroup_alpha2", 0.03), ("semigroup_alpha2", 0.05),
+    ("semigroup_alpha2", 0.1),
+    ("fractional_data_alpha1", 0.979), ("fractional_data_alpha2", 0.97),
+    ("fractional_data_alpha2", 0.979),
 ])
 def test_zero_mode_at_the_band_edges_vs_bessel_k(route, sigma):
-    # a zero mode makes an algebraic lane: near sigma = 0 its tail is
-    # still above the cut where the window walk ends at u = 690, and near
-    # sigma = 1 its zero approaches t^-1; the add-backs at both window edges
-    # keep every route within 1e-12 of the oracle, the estimate bounding
-    # the error, on the rotated ray of a complex z too
+    # a zero mode runs no lane under these algebraic weights: it takes the
+    # weight's closed-form moment, the unit mass of b and of the cosine
+    # kernel, so near sigma = 0 (where its tail t^{alpha-1-sigma} b^(alpha)
+    # decays slowest) and near sigma = 1 every route stays within 1e-12 of
+    # the oracle, the estimate bounding the error, for integrated families
+    # too and on the rotated ray of a complex z
+    route, _, alpha = route.partition("_alpha")
     eigs = [0.0, -1.0, -40.0, -1e4]
     A, f = LinearOperator("diagonal", eigs), np.array([1.0, -0.5, 0.3, 0.8])
     fam = cosine_family(A) if route.startswith("cosine") else heat_semigroup(A)
+    if alpha:
+        fam = integrate_family(fam, float(alpha))
     solve = {"semigroup": solve_semigroup_form, "fractional_data": solve_fractional_data,
              "cosine_form": solve_cosine_form, "cosine_fractional": solve_cosine_fractional}[route]
     zs = {"fractional_data": (0.05, 0.6), "cosine_fractional": (0.05, 0.6 * cmath.exp(0.5j))}
-    for z in zs.get(route, (0.1, 0.5)):
+    for z in zs.get(route, (0.05, 0.5) if alpha else (0.1, 0.5)):
         _assert_oracle(solve(fam, sigma, z, f), bessel_k_solution(eigs, f, sigma, z), 1e-12)
+
+
+def test_zero_mode_moment_is_the_unit_mass_of_the_cosine_kernel():
+    # d_sigma z^{2 sigma} (z^2 + t^2)^{-sigma-1/2} has unit mass, and its
+    # n-th derivative the moment (-1)^n, for complex sigma and z too
+    from fracext.extension import _CosTerms
+    from fracext.specfun import cpow
+
+    for sigma in (0.021, 0.3, 0.979, complex(0.4, 0.2)):
+        d_sig = constants_for(FracOrder(sigma)).d_sigma
+        for z in (0.05, 1.2, 0.8 * cmath.exp(0.7j)):
+            expr = _CosTerms(z * z, [(cpow(z, 2.0 * sigma), 0.0, -(sigma + 0.5), "prod")])
+            for n in range(3):
+                assert abs(d_sig * expr.fn(n).moment(n) - (-1) ** n) <= 1e-14
+
+
+@pytest.mark.parametrize("spectrum", ["i_xi3", "diagonal"])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_exact_zero_rule_is_scale_free(spectrum, alpha):
+    # only an exact zero of the snapped spectrum takes the closed-form
+    # moment: A c at z / sqrt(c) is A at z, whether c shrinks every mode
+    # toward 0 (no mode but the true zero is taken for one) or grows it
+    def solve(c):
+        if spectrum == "i_xi3":
+            A = build_fourier_multiplier(lambda xi: 1j * c * xi ** 3, [-2.0, -1.0, 1.0, 2.0])
+        else:
+            A = LinearOperator("diagonal", [0.0, -c, -40.0 * c, -1e4 * c])
+        fam = integrate_family(heat_semigroup(A), alpha) if alpha else heat_semigroup(A)
+        return solve_semigroup_form(fam, 0.4, 0.6 / math.sqrt(c), f).value
+
+    f = np.array([1.0, -0.5 + 0.2j, 0.3, 0.8])
+    ref = solve(1.0)
+    for c in (1e-12,) if spectrum == "i_xi3" else (1e-12, 1e12):
+        assert np.max(np.abs(solve(c) - ref)) <= 1e-13
 
 
 def test_error_estimates_scale_with_f(laplacian8, f8):
@@ -861,10 +904,11 @@ def test_spectral_lanes_match_per_z(case):
                                    "oscillating lane"])
 def test_lane_failure_names_its_z(monkeypatch, route):
     # a NaN in one z lane fails the call with a message naming that z, the
-    # range of the lane's eigenvalues and its route; the zero-mode lane is a
-    # periodic Laplacian's, under the algebraic cosine_fractional weight,
-    # and the oscillating lanes are the modes of i xi^3, turned onto
-    # decaying rays
+    # range of the lane's eigenvalues and its route; the oscillating lanes
+    # are the modes of i xi^3, turned onto decaying rays.  A zero mode runs
+    # no lane: under the algebraic cosine_fractional weight, the periodic
+    # Laplacian's zero mode needs the weight's moment, which a sampled
+    # weight does not state, so the call is refused naming that z
     import fracext.funcalc as funcalc
     from fracext.kernels import _HintedFn
     from fracext.operators import build_laplacian_1d
@@ -886,14 +930,17 @@ def test_lane_failure_names_its_z(monkeypatch, route):
     else:
         A = build_laplacian_1d(4, 1.0, "periodic" if zero_mode else "dirichlet")
     f, zs = np.array([1.0, -0.5, 0.3, 0.8]), np.array([0.2, z, 0.5])
-    with pytest.raises(QuadratureError) as info:
-        if zero_mode:
+    if zero_mode:
+        with pytest.raises(ValueError) as info:
             solve_cosine_fractional(cosine_family(A), 0.3, zs, f)
-        else:
-            ExtensionSolver(heat_semigroup(A), 0.4, f).value(zs)
+        assert str(info.value).startswith(f"spectral integral at z = {complex(z)!r}: no ray")
+        assert str(info.value).endswith("or it states no moment")
+        return
+    with pytest.raises(QuadratureError) as info:
+        ExtensionSolver(heat_semigroup(A), 0.4, f).value(zs)
     where = " on the rotated ray" * rotated + " (log substitution)"
-    # the failing group's eigenvalues: all four Dirichlet ones, the periodic
-    # zero mode alone, or the modes of i xi^3 on the ray below the axis
-    span = {"zero mode": "0", "oscillating lane": "0 + i(-8..-1)"}.get(route, "-3.618..-0.382")
+    # the failing group's eigenvalues: all four Dirichlet ones, or the
+    # modes of i xi^3 on the ray below the axis
+    span = {"oscillating lane": "0 + i(-8..-1)"}.get(route, "-3.618..-0.382")
     assert str(info.value) == (f"spectral integral at z = {complex(z)!r} over eigenvalues "
                                f"{span}{where}: NaN/Inf sample detected")

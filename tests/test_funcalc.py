@@ -207,6 +207,28 @@ def test_integrated_power_alpha15_laplacian(laplacian3, f3):
     assert np.linalg.norm(r.value - oracle) <= 1e-6 * np.linalg.norm(oracle)
 
 
+@pytest.mark.parametrize("operator", ["diagonal", "periodic"])
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("sigma", [0.021, 0.05])
+def test_integrated_power_on_a_zero_mode(operator, alpha, sigma):
+    # the zero mode's row of the shifted tail integral is the weight's
+    # stated moment 1/(sigma n!), which cancels the subtracted f/(sigma n!)
+    # instead of a lane whose (1 + tau)^{-sigma-n-1} underflows before its
+    # product with (1 + tau)^n / n! falls below the cut
+    from fracext.operators import build_laplacian_1d
+
+    if operator == "diagonal":
+        A = LinearOperator("diagonal", [0.0, -1.0, -40.0, -1e4])
+        f = np.array([1.0, -0.5, 0.3, 0.8])
+    else:
+        A, f = build_laplacian_1d(16, 0.5, "periodic"), np.random.default_rng(3).normal(size=16)
+    r = integrated_power(integrate_family(heat_semigroup(A), alpha), sigma, f, tol=1e-9)
+    oracle = spectral_power_oracle(A, sigma, f).value
+    err = np.max(np.abs(r.value - oracle))
+    assert err <= 1e-11 * np.max(np.abs(oracle))
+    assert err <= r.error_estimate
+
+
 def test_method_agreement_self_adjoint(scalar_op, laplacian8, f8):
     corpus = [(scalar_op, np.array([1.0])), (laplacian8, f8)]
     for A, f in corpus:

@@ -18,6 +18,7 @@ from fracext.kernels import (
     weyl_integral,
     z_derivative,
     z_derivative_coefficients,
+    z_derivative_fn,
 )
 from fracext.quadrature import QuadratureError, integrate_halfline
 from fracext.specfun import FracOrder, cpow, gamma
@@ -258,6 +259,20 @@ def test_b_normalization_random_draws():
         k = _b(s, z)
         r = integrate_halfline(k.fn(0), None, ("algebraic", 1 + s), tol=1e-11)
         assert abs(r.value - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("sigma", [0.021, 0.05, 0.3, 0.9, 0.979, complex(0.4, 0.2)])
+def test_moments_of_b_are_its_unit_mass(sigma):
+    # int b dt = 1 at every z of the closed sector, so the moment
+    # int b^(n)(t) t^n / n! dt is (-1)^n and that of d/dz b is 0: the rows
+    # an exact zero eigenvalue takes in the spectral integral
+    for z in (0.05, 1.2, 0.8 * cmath.exp(1j * math.pi / 4)):
+        k = Kernel("b", FracOrder(sigma), SectorPoint(z, closed=True))
+        for n in range(4):
+            assert abs(k.fn(n).moment(n) - (-1) ** n) <= 1e-13
+        assert abs(z_derivative_fn(k, 1).moment(0)) <= 1e-13
+    assert Kernel("B", FracOrder(sigma), SectorPoint(1.2), eps=0.5).fn(0).moment(0) is None
+    assert _HintedFn(np.exp, 0.0, ("exponential", 1.0)).moment(0) is None
 
 
 def test_b_vanishing_boundary():
