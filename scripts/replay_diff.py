@@ -14,8 +14,9 @@ tables) and with `--format csv`; each `verify` run as well with
 `--format json`.  For each request whose JSON table differs, the oracle
 error of both tables is computed as the benchmark checks it
 (`bench/run.py`'s `check` against `bench/oracle.py`, imported, never
-changed), and each workload's line counts how many errors rose and fell
-and gives the largest rise.
+changed), and each workload's line counts how many errors rose and fell,
+and gives the largest rise and the worst error of those requests on each
+side.
 
     python scripts/replay_diff.py --before PARENT/src [--after src] [--seeds 11-20]
 
@@ -159,12 +160,14 @@ def _report(before, after, store) -> int:
                 line += ", error " + " -> ".join("none" if e is None else f"{e:.3g}"
                                                  for e in errs)
                 if None not in errs:
-                    moves.append(errs[1] - errs[0])
+                    moves.append(errs)
             print(line)
         if moves:
-            print(f"{name}: oracle errors rose on {sum(m > 0 for m in moves)} and fell on "
-                  f"{sum(m < 0 for m in moves)} of {len(moves)} requests; largest rise "
-                  f"{max(moves + [0.0]):+.3g}")
+            rises = [a - b for b, a in moves]
+            print(f"{name}: oracle errors rose on {sum(m > 0 for m in rises)} and fell on "
+                  f"{sum(m < 0 for m in rises)} of {len(rises)} requests; largest rise "
+                  f"{max(rises + [0.0]):+.3g}; worst error of these "
+                  f"{max(b for b, _ in moves):.4g} -> {max(a for _, a in moves):.4g}")
     return 1 if differ else 0
 
 

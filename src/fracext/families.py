@@ -166,12 +166,15 @@ def integrated_exponential(a, alpha: float, t):
         return np.exp(x).item() if x.ndim == 0 else np.exp(x)
     ax = np.abs(x)
     if alpha == int(alpha):
-        m = int(alpha)
-        near = ax <= _phi_taylor(m)[0]
-        return _by_regime([
-            (near, lambda t, x: _times_power(t, m, np.polyval(_phi_taylor(m)[1], x))),
-            (~near, lambda t, x: _times_power(t, m, _phi_far(m, x))),
-        ], t, x)
+        # _phi_far on every entry, unflagged; near zero, Taylor as np.polyval sums it
+        m, (radius, coef) = int(alpha), _phi_taylor(int(alpha))
+        t, x, near = t.reshape(-1), x.reshape(-1), ax.reshape(-1) <= radius
+        with np.errstate(all="ignore"):
+            phi = _phi_far(m, x)
+        xn = x[near]
+        phi[near] = functools.reduce(lambda y, c: y * xn + c, coef, 0.0)
+        out = _times_power(t, m, phi)
+        return out.item() if ax.ndim == 0 else out.reshape(ax.shape)
     live = t != 0.0
     # t^alpha x^{-alpha}, not a^{-alpha}: the principal powers of a and t
     # need not add up to that of x = a t

@@ -15,17 +15,18 @@ Integrands are vectorized: f(t: ndarray) -> ndarray whose leading axis
 matches t; trailing axes (vector values) are carried through.
 
 One adaptive Gauss-Kronrod driver (_adaptive) does all the bisection, for
-independent lanes at once: each lane has its own interval, panels and
-stopping test, and starts from 8 equal panels.  Each round every
-unconverged lane bisects all the worst panels that hold its excess error,
-and the halves of all lanes are sampled together in calls f(t, lane) of at
-most 52 panels, lane[i] naming the lane of node t[i]; so the rounds grow
-with the log of the panel count over 8.
+independent lanes at once: each lane has its own start panels, panels and
+stopping test.  Each round every unconverged lane bisects all the worst
+panels that hold its excess error, and the halves of all lanes are sampled
+together in calls f(t, lane) of at most 52 panels, lane[i] naming the lane
+of node t[i]; so the rounds grow with the log of how much finer than its
+start panels a lane must be.
 _graded is the one finite-interval entry, [0, b] under the grading of an
-algebraic zero; integrate_interval is its one-lane ungraded call.
-_halfline takes lanes through the half-line route, so a Weyl derivative
-at many points, or a spectral integral over a z grid, a trace's y grid or
-an eps ladder, costs the integrand calls of one integral.
+algebraic zero, from 8 equal panels; integrate_interval is its one-lane
+ungraded call.  _halfline takes lanes through the half-line route, each
+lane starting on the grid its probe sampled, so a Weyl derivative at many
+points, or a spectral integral over a z grid, a trace's y grid or an eps
+ladder, costs the integrand calls of one integral.
 """
 
 from __future__ import annotations
@@ -140,8 +141,8 @@ def _sample(f, x, owner, label=None):
 # the most panels (of 15 nodes) one call of f samples: bigger calls save
 # little Python time and grow the integrand's temporaries
 _CALL_PANELS = 52
-# the equal panels every lane of _adaptive starts from: fewer rounds than
-# one panel, and on the benchmark's requests the fewest nodes
+# the equal panels every lane of _graded starts from: fewer rounds than one
+# panel, where nothing is known of the integrand before its first samples
 _START_PANELS = 8
 
 
@@ -166,52 +167,52 @@ def _panels(f, lo, hi, lane, label=None):
     return ik, _rowmax(ik - ig)
 
 
-def _adaptive(f, lanes, a, b, tol, atol, max_panels, label=None):
+def _adaptive(f, lanes, edges, tol, atol, max_panels, label=None):
     """Globally adaptive Gauss-Kronrod quadrature of independent lanes.
 
-    Lane lanes[k] integrates f(., lanes[k]) over [a[k], b[k]], starting
-    from _START_PANELS equal panels, until its summed error estimate falls
-    below target = max(tol*|I_k|, atol[k], 1e-15 * the sum of its |panel|);
-    that roundoff floor keeps cancellation-dominated integrals from
-    refining forever.  Each round, every lane still above its target ranks
-    its panels by error and bisects the shortest worst-first prefix whose
-    errors sum to at least its error sum - target/8 (the rule of scipy's
-    quad_vec), never holding more than max_panels panels; the halves of all
-    lanes are sampled together, in calls f(x, lane) of at most 52 panels
-    (x the 1-D nodes, lane[i] the lane of x[i]).  So rounds grow with the
-    log of the panel count over _START_PANELS.  A lane's choices depend on
-    its own samples only, so it refines exactly the panels it would refine
-    alone.  A failure names its lane through label(lane).  Returns
-    (values, error estimates, evaluations) per lane.
+    Lane lanes[k] integrates f(., lanes[k]) from the start panels between
+    the ascending edges of row edges[k] (NaN-padded), until its summed
+    error estimate falls below target = max(tol*|I_k|, atol[k], 1e-15 *
+    the sum of its |panel|); that roundoff floor keeps cancellation-
+    dominated integrals from refining forever.  Each round, every lane
+    still above its target ranks its panels by error and bisects the
+    shortest worst-first prefix whose errors sum to at least its error sum
+    - target/8 (the rule of scipy's quad_vec), never holding more than
+    max_panels panels; the halves of all lanes are sampled together, in
+    calls f(x, lane) of at most 52 panels, lane[i] the lane of node x[i].
+    So rounds grow with the log of how much finer than its start panels a
+    lane ends.  A lane's choices depend on its own samples only, so it
+    refines exactly the panels it would refine alone.  A failure names its
+    lane through label(lane).  Returns (values, error estimates, evaluations)
+    per lane.
     """
-    L, n = a.size, min(_START_PANELS, max_panels)
-    edges = a[:, None] + (b - a)[:, None] * (np.arange(n + 1) / n)
-    edges[:, -1] = b
-    ik, e = _panels(f, edges[:, :-1].ravel(), edges[:, 1:].ravel(), np.repeat(lanes, n), label)
-    lo, hi, err, mag = (np.zeros((L, 2 * n)) for _ in range(4))
-    val = np.zeros((L, 2 * n) + ik.shape[1:], dtype=ik.dtype)
-    lo[:, :n], hi[:, :n] = edges[:, :-1], edges[:, 1:]
-    val[:, :n] = ik.reshape((L, n) + ik.shape[1:])
-    err[:, :n], mag[:, :n] = e.reshape(L, n), _rowmax(ik).reshape(L, n)
-    count = np.full(L, n)
-    evals = np.full(L, 15 * n)
+    start = ~np.isnan(edges[:, 1:])  # panel j of a lane spans its edges j and j + 1
+    (own, slot), n, L = np.nonzero(start), start.sum(axis=1), lanes.size
+    plo, phi = edges[:, :-1][start], edges[:, 1:][start]
+    ik, e = _panels(f, plo, phi, lanes[own], label)
+    lo, hi, err, mag = (np.zeros((L, 2 * start.shape[1])) for _ in range(4))
+    val = np.zeros((L, 2 * start.shape[1]) + ik.shape[1:], dtype=ik.dtype)
+    lo[own, slot], hi[own, slot], val[own, slot] = plo, phi, ik
+    err[own, slot], mag[own, slot] = e, _rowmax(ik)
+    count, evals = n.copy(), 15 * n
     # a lane whose nodes all read zero gets a second look half way between
     # each panel's centre and ends; mass seen in a panel becomes its error,
     # so it is bisected
-    z = np.flatnonzero(~mag.any(axis=1) & ~err.any(axis=1))
-    if z.size:
-        c, h = 0.5 * (lo[z, :n] + hi[z, :n]), 0.5 * (hi[z, :n] - lo[z, :n])
-        x = (c[..., None] + h[..., None] * np.array([-0.5, 0.5])).reshape(-1)
-        seen = _rowmax(_sample(f, x, lanes[np.repeat(z, 2 * n)], label))
-        err[z, :n] = seen.reshape(z.size, n, 2).max(axis=2) * (2.0 * h)
-        evals[z] += 2 * n
+    z = (~mag.any(axis=1) & ~err.any(axis=1))[own]
+    if z.any():
+        c, h = 0.5 * (plo[z] + phi[z]), 0.5 * (phi[z] - plo[z])
+        x = (c[:, None] + h[:, None] * np.array([-0.5, 0.5])).reshape(-1)
+        seen = _rowmax(_sample(f, x, lanes[np.repeat(own[z], 2)], label))
+        err[own[z], slot[z]] = seen.reshape(-1, 2).max(axis=1) * (2.0 * h)
+        evals += 2 * np.bincount(own[z], minlength=L)
     evals -= 30 * count  # each bisection adds one panel and 30 evaluations
     pick = err.copy()  # bisection priority; 0 marks a panel never to split
     r = np.arange(L)
     while True:
-        errsum = _lane_total(err[r])
-        target = np.fmax(np.fmax(tol * _rowmax(_lane_total(val[r])), atol[r]),
-                         1e-15 * _lane_total(mag[r]))
+        w = count[r].max()  # the slots in use; those past a lane's count are 0
+        errsum = _lane_total(err[r, :w])
+        target = np.fmax(np.fmax(tol * _rowmax(_lane_total(val[r, :w])), atol[r]),
+                         1e-15 * _lane_total(mag[r, :w]))
         go = errsum > target
         if not go.all():
             r, errsum, target = r[go], errsum[go], target[go]
@@ -219,7 +220,7 @@ def _adaptive(f, lanes, a, b, tol, atol, max_panels, label=None):
                 break
         # rank the panels worst first (minus their priority, ascending) and
         # take the fewest that leave at most target/8 of the error behind
-        key = -pick[r]
+        key = -pick[r, :w]
         order = key.argsort(axis=1, kind="stable")
         key.sort(axis=1)
         short = (key.cumsum(axis=1) > (target / 8.0 - errsum)[:, None]).sum(axis=1) + 1
@@ -277,9 +278,9 @@ def _graded(f, lanes, b, q, tol, max_panels=4000, label=None):
         def g(s, lane):
             return _with_jacobian(f(s ** m, lane), m * s ** (m - 1.0))
 
-    zero = np.zeros(lanes)
-    return _adaptive(g, np.arange(lanes), zero, np.full(lanes, top), tol, zero,
-                     max_panels, label)
+    n = min(_START_PANELS, max_panels)
+    return _adaptive(g, np.arange(lanes), np.tile(top * (np.arange(n + 1) / n), (lanes, 1)),
+                     tol, np.zeros(lanes), max_panels, label)
 
 
 def integrate_interval(f, a, b, tol: float = DEFAULT_TOL,
@@ -312,6 +313,17 @@ def _route(zero, tail, power=0.0):
     return q, tail[1] - power if algebraic else None
 
 
+def _start_edges(lo, hi, half):
+    """Rows of start edges, NaN-padded, for the windows [lo, hi] walked from
+    probes over |u| <= half: 12 equal panels over the probe (unit panels,
+    every other point of _PROBE_U), then widths doubling outward from 4.5
+    to beyond |u| = 690, cut at the window's ends."""
+    h, out = half[:, None], 4.5 * (2.0 ** np.arange(1, 9) - 1.0)
+    rows = np.concatenate([-h - out[::-1], np.arange(-6.0, 7.0) * (h / 6.0), h + out], axis=1)
+    rows[~((rows > lo[:, None]) & (rows < hi[:, None]))] = np.nan
+    return np.sort(np.concatenate([lo[:, None], rows, hi[:, None]], axis=1), axis=1)
+
+
 def _halfline(f, lanes, q, p, tol, max_panels=6000, label=None):
     """Lane-batched integrate_halfline: lane k integrates f(., k) over
     (0, inf) on the route (q, p) of _route, the algebraic exponent at 0
@@ -322,8 +334,11 @@ def _halfline(f, lanes, q, p, tol, max_panels=6000, label=None):
     matters, then all lanes integrate g(u) = f(e^u) e^u adaptively.  The
     probe's call also samples the first _PROBE_STEPS steps of the window
     walk beyond either probe end, whose own sample is the walk's first; the
-    walk goes on in doubling strides.  Under an algebraic zero |f| ~ t^q,
-    g ~ e^{(q+1) u} leaves g(lo) / (q+1) below the window, and under an
+    walk goes on in doubling strides.  A lane starts on the grid its probe
+    saw (_start_edges): 12 equal panels over the probe's range, then panels
+    doubling outward from width 4.5, cut at the walk's edges, so it needs
+    few bisection rounds where its probe already resolved its scale.
+    Under an algebraic zero |f| ~ t^q, g ~ e^{(q+1) u} leaves g(lo) / (q+1) below the window, and under an
     algebraic tail |f| ~ t^-p, g ~ e^{-(p-1) u} leaves g(hi) / (p-1) above
     it; each is added back from the walk's sample at that edge (one more
     sample only for an edge that reached |u| = 690, where none sits).
@@ -406,7 +421,8 @@ def _halfline(f, lanes, q, p, tol, max_panels=6000, label=None):
     if live.size:
         lo, hi = edge[:live.size], edge[live.size:]
         out[live], errs[live], used = _adaptive(
-            g, live, lo, hi, tol, cut[live] * (hi - lo), max_panels, label=named)
+            g, live, _start_edges(lo, hi, half[live]), tol, cut[live] * (hi - lo),
+            max_panels, label=named)
         evals[live] += used
         # the algebraic mass beyond each edge, lower edges first
         for side, rate in enumerate((None if q is None else q + 1.0,

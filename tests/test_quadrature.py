@@ -383,10 +383,12 @@ def test_walk_windows_match_the_plain_walk(monkeypatch):
 
     seen = {}
 
-    def capture(f, lanes, a, b, tol, atol, max_panels, label=None):
-        seen["window"] = (lanes.copy(), a.copy(), b.copy())
+    def capture(f, lanes, edges, tol, atol, max_panels, label=None):
+        # each row of start edges runs from the window's lower edge to its
+        # upper one, NaN-padded after it
+        seen["window"] = (lanes.copy(), edges[:, 0], np.nanmax(edges, axis=1))
         seen["calls"] = calls[0]
-        return np.zeros(a.size), np.zeros(a.size), np.ones(a.size, dtype=int)
+        return np.zeros(lanes.size), np.zeros(lanes.size), np.ones(lanes.size, dtype=int)
 
     monkeypatch.setattr(quadrature, "_adaptive", capture)
     rng = np.random.default_rng(20120)
@@ -428,10 +430,32 @@ def test_walk_windows_match_the_plain_walk(monkeypatch):
     assert kinds == {"quiet", "probed", "690", "first stride", "beyond"}
 
 
+def test_start_edges_follow_the_probe():
+    # unit panels over the probe |u| <= 6, widths doubling outward from 4.5,
+    # cut at the walked window; a quiet lane (probe widened to |u| <= 120)
+    # takes 20-wide panels over its probe and doubles outward from its ends.
+    # t^0.3 e^{-1e9 t} reads 0 on the probe, and its lane meets tol on that
+    # grid beside a probed one
+    from fracext.quadrature import _halfline, _start_edges
+
+    rows = _start_edges(np.array([-12.0, -126.0]), np.array([9.0, 690.0]),
+                        np.array([6.0, 120.0]))
+    probed, quiet = (row[~np.isnan(row)].tolist() for row in rows)
+    assert probed == [-12.0, -10.5] + list(np.arange(-6.0, 7.0)) + [9.0]
+    assert quiet == ([-126.0, -124.5] + list(np.arange(-120.0, 121.0, 20.0))
+                     + [124.5, 133.5, 151.5, 187.5, 259.5, 403.5, 690.0])
+    rates = np.array([1e9, 1.0])
+    vals, errs, _ = _halfline(lambda t, lane: t ** 0.3 * np.exp(-rates[lane] * t), 2,
+                              None, None, 1e-10)
+    exact = math.gamma(1.3) / rates ** 1.3
+    assert np.all(np.abs(vals - exact) <= np.minimum(1e-10 * exact, errs))
+
+
 def test_pinned_integrand_calls():
-    # one log-route integral: one probe call (its walk included) and four
-    # rounds from eight panels; three lanes with add-back: the add-back
-    # reads the walk's sample at each lower edge
+    # one log-route integral: one probe call (its walk included) and one
+    # call for the start panels laid out from the probe, which need no
+    # bisection; three lanes with add-back: the add-back reads the walk's
+    # sample at each lower edge
     from fracext.quadrature import _halfline
 
     calls = [0]
@@ -442,7 +466,7 @@ def test_pinned_integrand_calls():
 
     r = integrate_halfline(f, tol=1e-10)
     assert abs(r.value - math.gamma(1.5)) < 1e-10
-    assert calls[0] == 5
+    assert calls[0] == 2
     rates, calls[0] = np.array([0.5, 1.0, 2.0]), 0
 
     def g(t, lane):
@@ -451,7 +475,7 @@ def test_pinned_integrand_calls():
 
     vals, _, _ = _halfline(g, 3, -0.5, None, 1e-10)
     assert np.abs(vals - np.sqrt(np.pi / rates)).max() < 1e-12
-    assert calls[0] == 6
+    assert calls[0] == 4
 
 
 def test_add_back_at_the_walk_end():
